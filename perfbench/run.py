@@ -5,9 +5,9 @@
 Run from the root of a source checkout. Each request is one call of
 `vortexlab.cli.main([...])` that writes its artifacts to a scratch directory
 under `.perfbench/`, where they are checked and then removed. Requests come
-in rounds of fixed composition (see workloads.py); rounds repeat until the
-time is spent. Times are wall times adjusted for machine speed (speed.py);
-the raw wall times are in the report.
+in rounds (see workloads.py); every round of a run is the same list of
+requests, and rounds repeat until the time is spent. Times are wall times
+adjusted for machine speed (speed.py); the raw wall times are in the report.
 
 --trace 0 prints the end-to-end metrics of BENCHMARK.json. --trace 1 runs the
 first round untraced and then again with spans around each layer's functions,
@@ -64,12 +64,14 @@ def _probe_setup(workload: str, seed: int) -> None:
 
 def measure_setup(workload: str, seed: int, clock) -> tuple[list, list, dict]:
     """Wall time from interpreter start to the inputs being ready, SETUP_REPS
-    times, raw and adjusted; every repetition must make the same inputs."""
+    times, raw and adjusted; every repetition must make the same inputs. The
+    speed samples are taken between the set-up runs, not during them, so
+    that they do not compete with the set-up for the CPUs."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
            "--workload", workload, "--seed", str(seed)]
     spans, outputs = [], set()
+    clock.burst()
     for _ in range(SETUP_REPS):
-        clock.probe(force=True)
         t0 = time.perf_counter()
         with subprocess.Popen(cmd, stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE, text=True,
@@ -85,7 +87,7 @@ def measure_setup(workload: str, seed: int, clock) -> tuple[list, list, dict]:
         if proc.returncode != 0 or not line:
             raise BenchError(f"set-up failed: {err.strip()[-400:]}")
         outputs.add(line.strip())
-    clock.probe(force=True)
+        clock.burst()
     if len(outputs) != 1:
         raise BenchError("set-up produced different inputs on repetition")
     return ([s for _, s in spans], [clock.adjust(*s) for s in spans],
@@ -171,8 +173,8 @@ def execute(cli, op: Op, outdir: Path, digests: Store) -> Record:
     return Record(op, t0, seconds, ok, ref_err, error, nbytes)
 
 
-def run_round(cli, workload, seed, k, inputs, run_dir, digests, clock,
-              tag="", tracer=None) -> tuple[list, float]:
+def run_round(cli, workload, seed, k, inputs, run_dir, digests, tag="",
+              tracer=None) -> tuple[list, float]:
     """All requests of round k and their summed wall time. A fresh cache
     directory per round keeps the share of cache hits the same in every
     round."""
@@ -181,10 +183,9 @@ def run_round(cli, workload, seed, k, inputs, run_dir, digests, clock,
     else:
         os.environ.pop("VORTEXLAB_CACHE_DIR", None)
     records = []
-    for i, op in enumerate(workloads.round_ops(workload, seed, k, inputs)):
+    for i, op in enumerate(workloads.round_ops(workload, seed, inputs)):
         if tracer is not None:
             tracer.op = i
-        clock.probe()
         records.append(execute(cli, op, run_dir / "out", digests))
     return records, sum(r.seconds for r in records)
 
@@ -206,49 +207,54 @@ def _latency_metrics(records, lat) -> dict:
 
 
 def timed_run(cli, args, inputs, run_dir, digests, clock):
-    """Rounds until the time is spent: the next round starts only while the
-    run is expected to end within half a round of --seconds."""
-    records, rounds = [], 0
-    start = time.perf_counter()
-    while True:
-        recs, _ = run_round(cli, args.workload, args.seed, rounds, inputs,
-                            run_dir, digests, clock)
-        records += recs
-        rounds += 1
-        elapsed = time.perf_counter() - start
-        if elapsed + 0.5 * elapsed / rounds >= args.seconds:
-            break
-    clock.probe(force=True)
+    """Rounds until the adjusted time is spent: the next round starts only
+    while the run is expected to end within half a round of --seconds. On
+    adjusted time a slow spell of the machine does not change the number of
+    rounds. The workload's reference requests follow, outside the latency
+    samples."""
+    records, rounds, spent = [], 0, 0.0
+    clock.burst()
+    with clock:
+        while True:
+            recs, _ = run_round(cli, args.workload, args.seed, rounds, inputs,
+                                run_dir, digests)
+            records += recs
+            rounds += 1
+            spent += sum(clock.adjust(r.start, r.seconds) for r in recs)
+            if spent + 0.5 * spent / rounds >= args.seconds:
+                break
     lat = [clock.adjust(r.start, r.seconds) for r in records]
+    refs = [execute(cli, op, run_dir / "out", digests)
+            for op in workloads.REFERENCE.get(args.workload, ())]
     values = _latency_metrics(records, lat)
     values["peak_rss_mb"] = (
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     # no reference request succeeded: report a full-scale error
-    values["ref_err"] = max((r.ref_err for r in records
+    values["ref_err"] = max((r.ref_err for r in records + refs
                              if r.ref_err is not None), default=1.0)
     report = {"rounds": rounds, "latency_samples": len(lat),
               "samples_beyond_p90": sum(x > values["op_p90_s"] for x in lat),
               "wall": _latency_metrics(records, [r.seconds for r in records]),
-              "probe_median_s": statistics.median(d for _, d in clock.probes),
-              "probes": len(clock.probes)}
-    return records, values, report
+              "speed_samples": len(clock.samples),
+              "probe_median_s": statistics.median(
+                  d for _, d, _ in clock.samples)}
+    return records + refs, values, report
 
 
-def traced_run(cli, args, inputs, run_dir, digests, clock):
+def traced_run(cli, args, inputs, run_dir, digests):
+    """Round 0 untraced and then traced, both in wall time: spans and the
+    tracing overhead are wall times."""
     from tracing import Tracer
     base, base_s = run_round(cli, args.workload, args.seed, 0, inputs,
-                             run_dir, digests, clock)
+                             run_dir, digests)
     tracer = Tracer()
     tracer.install()
     try:
         records, traced_s = run_round(cli, args.workload, args.seed, 0,
-                                      inputs, run_dir, digests, clock,
-                                      tag="t", tracer=tracer)
+                                      inputs, run_dir, digests, tag="t",
+                                      tracer=tracer)
     finally:
         tracer.uninstall()
-    clock.probe(force=True)
-    base_adj, traced_adj = (sum(clock.adjust(r.start, r.seconds) for r in rs)
-                            for rs in (base, records))
     values = tracer.layer_metrics()
     values["cli.artifact_bytes"] = sum(r.nbytes for r in records)
     counters = tracer.op_counters()
@@ -259,8 +265,7 @@ def traced_run(cli, args, inputs, run_dir, digests, clock):
     (WORK / "results" / f"spans-{args.workload}-{args.seed}.json").write_text(
         json.dumps(tracer.dump()))
     report = {"untraced_round_s": base_s, "traced_round_s": traced_s,
-              "trace_overhead_s": traced_adj - base_adj,
-              "trace_overhead_wall_s": traced_s - base_s,
+              "trace_overhead_s": traced_s - base_s,
               "counters_repeat": same, "op_counters": counters,
               "shares": tracer.layer_shares()}
     if not same:
@@ -313,9 +318,12 @@ def main(argv=None) -> int:
     run_dir.mkdir(parents=True)
     digests = Store(f"digests-{args.workload}")
     try:
-        run = traced_run if args.trace else timed_run
-        records, values, report = run(cli, args, inputs, run_dir, digests,
-                                      clock)
+        if args.trace:
+            records, values, report = traced_run(cli, args, inputs, run_dir,
+                                                 digests)
+        else:
+            records, values, report = timed_run(cli, args, inputs, run_dir,
+                                                digests, clock)
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
         os.environ.pop("VORTEXLAB_CACHE_DIR", None)

@@ -56,7 +56,9 @@ class Span:
 
 
 def _newton_counts(trace) -> dict:
-    """Newton entries are (stage, it, norm, alpha); a stage starts at it=0."""
+    """Newton entries are (stage, it, norm, alpha), one per step. A stage is
+    counted at its first step (it=0). A stage whose start point already meets
+    the tolerance takes no step and leaves no entry, so it is not counted."""
     steps = [t for t in trace if len(t) == 4 and isinstance(t[0], str)]
     return {"newton_iters": len(steps),
             "newton_stages": sum(1 for t in steps if t[1] == 0)}
