@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (InconsistentError, InputError, NoEscapingRegionError,
-                   OutOfRangeError, Potential, RadialGrid, format_float,
-                   grid_from_spec, make_grid)
-from .profiles import SolverOptions, solve_extended_profile
+from .core import (ConvergenceError, InconsistentError, InputError,
+                   NoEscapingRegionError, OutOfRangeError, Potential,
+                   RadialGrid, format_float, make_grid)
+from .profiles import ExtendedProfile, SolverOptions, solve_extended_profile
 from .spectral import gl_linearization_eigenvalue
 
 BOUNDARY_BAND = 1e-6      # |criterion| < band*(1+|ell|) -> Boundary
@@ -112,20 +112,35 @@ def _classify(ell: float, wt0: float, eta: float,
     return ("Escaping" if crit < 0 else "NonEscaping"), crit
 
 
-def _confirm_against_solver(N, W, Wt, eps, eta, cls, crit, ell, grid,
-                            opts) -> None:
-    """Escaping-branch solve must agree with the criterion sign."""
-    prof = solve_extended_profile(N, W, Wt, eps, eta, grid,
-                                  branch_hint="escaping", opts=opts)
-    found = prof.branch == "escaping"
-    expected = cls == "Escaping"
-    if found != expected:
+def _disagreement(eps, eta, cls, crit, ell, found: str) -> InconsistentError:
+    return InconsistentError(
+        f"criterion/solver disagreement at eps={eps}, eta={eta}: "
+        f"criterion={crit:.6e} (ell={ell:.6e}) classifies {cls}, {found}")
+
+
+def _confirm_against_solver(N, W, Wt, eps, eta, cls, crit, ell, grid, opts,
+                            start=None, gl=None):
+    """Escaping-branch solve from start must agree with the criterion sign.
+
+    A warm solve (start an ExtendedProfile) whose Newton fails is redone
+    from the GL profile gl with the anchor search: a failure is not a
+    collapse. Returns the profile."""
+    try:
+        prof = solve_extended_profile(N, W, Wt, eps, eta, grid,
+                                      branch_hint="escaping", opts=opts,
+                                      start=start)
+    except ConvergenceError:
+        if not isinstance(start, ExtendedProfile):
+            raise
+        prof = solve_extended_profile(N, W, Wt, eps, eta, grid,
+                                      branch_hint="escaping", opts=opts,
+                                      start=gl)
+    if (prof.branch == "escaping") != (cls == "Escaping"):
         gmax = float(np.max(np.abs(prof.g)))
-        raise InconsistentError(
-            f"criterion/solver disagreement at eps={eps}, eta={eta}: "
-            f"criterion={crit:.6e} (ell={ell:.6e}) classifies {cls}, solver "
-            f"found branch={prof.branch!r} (max |g| = {gmax:.3e}, "
-            f"flags={prof.flags})")
+        raise _disagreement(eps, eta, cls, crit, ell,
+                            f"solver found branch={prof.branch!r} (max |g| = "
+                            f"{gmax:.3e}, flags={prof.flags})")
+    return prof
 
 
 def eta0(N: int, W, Wt, eps: float, grid: RadialGrid | None = None,
@@ -192,23 +207,36 @@ def _axis_samples(rng, count) -> np.ndarray:
 
 
 def _column_worker(payload):
-    (N, wspec, wtspec, eps, etas, gridspec, confirm_js) = payload
+    (N, wspec, wtspec, eps, etas, grid, confirm_js) = payload
     W = Potential.from_spec(wspec)
     Wt = Potential.from_spec(wtspec)
-    grid = grid_from_spec(N, gridspec)
     opts = SolverOptions()
-    ell, _, _ = gl_linearization_eigenvalue(N, W, eps, grid, opts)
+    ell, _, gl = gl_linearization_eigenvalue(N, W, eps, grid, opts)
     wt0 = Wt.eval(0.0, 1)
-    pts = []
-    for j, eta_j in enumerate(etas):
-        cls, crit = _classify(ell, wt0, eta_j)
-        confirmed = False
-        if j in confirm_js and cls != "Boundary":
-            _confirm_against_solver(N, W, Wt, eps, eta_j, cls, crit, ell,
-                                    grid, opts)
-            confirmed = True
-        pts.append(PhasePoint(eps=float(eps), eta=float(eta_j), cls=cls,
-                              criterion=crit, ell=ell, confirmed=confirmed))
+    classes = [_classify(ell, wt0, eta_j) for eta_j in etas]
+    confirmed = set()
+    start, collapsed_at = gl, None
+    # etas ascend: walk the confirmed points down in eta, each solve
+    # warm-started from the last escaping profile
+    for j in sorted(confirm_js, reverse=True):
+        cls, crit = classes[j]
+        if cls == "Boundary":
+            continue
+        if collapsed_at is None:
+            prof = _confirm_against_solver(N, W, Wt, eps, etas[j], cls, crit,
+                                           ell, grid, opts, start, gl)
+            if prof.branch == "escaping":
+                start = prof
+            else:
+                collapsed_at = etas[j]
+        elif cls == "Escaping":   # below a collapse: the up-set property
+            raise _disagreement(eps, etas[j], cls, crit, ell,
+                                f"the solver's walk down the column collapsed "
+                                f"at eta={collapsed_at}, above this point")
+        confirmed.add(j)
+    pts = [PhasePoint(eps=float(eps), eta=float(eta_j), cls=cls,
+                      criterion=crit, ell=ell, confirmed=j in confirmed)
+           for j, (eta_j, (cls, crit)) in enumerate(zip(etas, classes))]
     return ell, pts
 
 
@@ -222,6 +250,15 @@ def sweep(N: int, W, Wt, eps_range, eta_range, resolution,
     cross-checked against the nonlinear solver; any disagreement raises
     InconsistentError with full diagnostics (columns merge deterministically
     by index, so jobs > 1 cannot change the result).
+
+    Each column walks its confirmed points down in eta. The first solve
+    starts from the column's GL profile (the one behind ell), each later one
+    from the last escaping profile (solve_extended_profile's start). Once a
+    solve collapses to g ≡ 0, every lower point of the column is confirmed
+    non-escaping without a solve: at fixed eps the escaping set is an up-set
+    in eta, and the top point's anchor search reaches above any lower
+    point's own. A warm solve whose Newton fails is redone from the GL
+    profile with the anchor search; it never counts as a collapse.
     """
     W = Potential.from_spec(W)
     Wt = Potential.from_spec(Wt)
@@ -238,7 +275,9 @@ def sweep(N: int, W, Wt, eps_range, eta_range, resolution,
 
     rng = np.random.default_rng(seed)
     mask = rng.random((n_eps, len(eta_samples))) < confirm_fraction
-    payloads = [(N, W.spec(), Wt.spec(), float(e), eta_samples, grid.spec(),
+    # the grid itself, not its spec: a spec does not rebuild every grid (a
+    # refined r_min, say), and columns must solve on the caller's mesh
+    payloads = [(N, W.spec(), Wt.spec(), float(e), eta_samples, grid,
                  set(np.nonzero(mask[i])[0].tolist()))
                 for i, e in enumerate(eps_samples)]
     if jobs > 1:

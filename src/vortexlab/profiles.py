@@ -204,9 +204,7 @@ def _extended_assemble(grid, eps, eta, well, penalty):
         v = np.append(z[0::2], 1.0)
         g = np.append(z[1::2], 0.0)
         res_v, res_g = _extended_residual_full(grid, eps, eta, well, penalty, v, g)
-        res = np.empty(2 * m)
-        res[0::2] = res_v
-        res[1::2] = res_g
+        res = _interleave(res_v, res_g)
 
         x = (1.0 - r * r * v * v - g * g)[:m]
         wp = well.eval(x, 1, clamp=True)
@@ -491,7 +489,8 @@ def _sphere_march(grid, Wt, eta, start, opts, trace):
 def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
                            eta: float, grid: RadialGrid,
                            branch_hint: str = "escaping",
-                           opts: SolverOptions = SolverOptions()) -> ExtendedProfile:
+                           opts: SolverOptions = SolverOptions(),
+                           start=None) -> ExtendedProfile:
     """Two-field profile (f, g); branch per branch_hint.
 
     hint non_escaping: returns (f_gl, 0), always a solution. hint escaping:
@@ -499,6 +498,18 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
     opts.eta_anchors·η that sustains g > escape_tol; if the branch collapses
     all the way to the target, the point has no escaping solution and the
     non-escaping profile is returned with a diagnostic flag (not an error).
+
+    start reuses earlier work at the same eps, grid and potentials:
+
+    * None: the GL profile comes from its own eps-continuation;
+    * a GLProfile replaces that continuation; the anchor search runs as
+      above, so the profile is the one start=None gives;
+    * an escaping ExtendedProfile with start.eta >= eta: no anchor search.
+      η marches down from start.eta in continuation_factor strides,
+      warm-started from (start.v, start.g). A collapse on the way is
+      definitive (the escaping set is an up-set in η at fixed eps) and gives
+      the non-escaping profile. A Newton failure, after the half-step retry,
+      decides nothing about the point and raises ConvergenceError.
     """
     W = Potential.from_spec(W)
     Wt = Potential.from_spec(Wt)
@@ -510,9 +521,23 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
         raise InputError("grid dimension does not match N")
     if branch_hint not in ("escaping", "non_escaping"):
         raise InputError("branch_hint must be 'escaping' or 'non_escaping'")
+    _check_start(start, eps, eta, grid, W, Wt, branch_hint)
 
     trace: list = []
-    v_gl = _gl_continuation(grid, W, eps, opts, trace)
+    if isinstance(start, ExtendedProfile):
+        z = _escape_march(grid, W, Wt, eps, eta, start.eta,
+                          _interleave(start.v[:-1], start.g[:-1]), opts,
+                          trace, warm=True)
+        if z is None:
+            raise ConvergenceError(
+                f"warm escaping march from eta={start.eta:.6g} to "
+                f"eta={eta:.6g} failed at eps={eps:.6g}", trace)
+        return _march_result(grid, eps, eta, W, Wt, z, None, opts, trace)
+
+    if start is None:
+        v_gl = _gl_continuation(grid, W, eps, opts, trace)
+    else:
+        v_gl = start.v[:-1]
 
     if branch_hint == "non_escaping":
         return _wrap_extended(grid, eps, eta, W, Wt,
@@ -520,40 +545,76 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
                               "non_escaping", trace, ())
 
     for factor in opts.eta_anchors:
-        z = _escape_march(grid, W, Wt, eps, eta, factor * eta, v_gl, opts, trace)
+        z = _interleave(v_gl, opts.g_seed * (1.0 - grid.nodes[:-1] ** 2))
+        z = _escape_march(grid, W, Wt, eps, eta, factor * eta, z, opts, trace)
         if z is None:
             continue              # anchor collapsed/stalled; go deeper
-        v = np.append(z[0::2], 1.0)
-        g = np.append(z[1::2], 0.0)
-        gmax = float(np.max(np.abs(g)))
-        if gmax > opts.escape_tol:
-            if g[np.argmax(np.abs(g))] < 0:
-                g = -g            # report the g > 0 representative
-            return _wrap_extended(grid, eps, eta, W, Wt, v, g,
-                                  "escaping", trace, ())
-        # the branch merged with g ≡ 0 on the way down: no escaping solution
-        flags = ("boundary_ambiguous",) if gmax > 0 else ()
-        return _wrap_extended(grid, eps, eta, W, Wt,
-                              np.append(v_gl, 1.0), np.zeros(grid.n),
-                              "non_escaping", trace,
-                              flags + ("no_escape_found",))
+        return _march_result(grid, eps, eta, W, Wt, z, v_gl, opts, trace)
     return _wrap_extended(grid, eps, eta, W, Wt,
                           np.append(v_gl, 1.0), np.zeros(grid.n),
                           "non_escaping", trace, ("no_escape_found",))
 
 
-def _escape_march(grid, W, Wt, eps, eta, start, v_gl, opts, trace):
-    """March η from start down to eta on the escaping branch.
+def _interleave(v, g):
+    """The extended unknowns (v_0, g_0, v_1, g_1, ...), as Newton sees them."""
+    z = np.empty(2 * v.size)
+    z[0::2] = v
+    z[1::2] = g
+    return z
 
-    None: the anchor itself collapsed or stalled (caller tries a deeper one).
+
+def _check_start(start, eps, eta, grid, W, Wt, branch_hint) -> None:
+    if start is None:
+        return
+    if not isinstance(start, (GLProfile, ExtendedProfile)):
+        raise InputError("start must be a GLProfile or an ExtendedProfile")
+    same_grid = start.grid is grid or (
+        start.grid.spec() == grid.spec()
+        and np.array_equal(start.grid.nodes, grid.nodes))
+    if start.eps != eps or not same_grid or start.well.spec() != W.spec():
+        raise InputError("start must share eps, grid and W with the solve")
+    if isinstance(start, ExtendedProfile) and not (
+            branch_hint == "escaping" and start.branch == "escaping"
+            and start.penalty.spec() == Wt.spec() and start.eta >= eta):
+        raise InputError("an ExtendedProfile start must be escaping, share Wt "
+                         "and lie at eta >= the target, with "
+                         "branch_hint='escaping'")
+
+
+def _march_result(grid, eps, eta, W, Wt, z, v_gl, opts, trace):
+    """The profile at the end of an escaping march: escaping if g survived,
+    else (f_gl, 0); v_gl None (warm march) solves f_gl from z's v part."""
+    v = np.append(z[0::2], 1.0)
+    g = np.append(z[1::2], 0.0)
+    gmax = float(np.max(np.abs(g)))
+    if gmax > opts.escape_tol:
+        if g[np.argmax(np.abs(g))] < 0:
+            g = -g                # report the g > 0 representative
+        return _wrap_extended(grid, eps, eta, W, Wt, v, g,
+                              "escaping", trace, ())
+    # the branch merged with g ≡ 0 on the way down: no escaping solution
+    if v_gl is None:
+        v_gl = _gl_continuation(grid, W, eps, opts, trace, v_init=z[0::2])
+    flags = ("boundary_ambiguous",) if gmax > 0 else ()
+    return _wrap_extended(grid, eps, eta, W, Wt,
+                          np.append(v_gl, 1.0), np.zeros(grid.n),
+                          "non_escaping", trace,
+                          flags + ("no_escape_found",))
+
+
+def _escape_march(grid, W, Wt, eps, eta, start, z, opts, trace, warm=False):
+    """March η from start down to eta on the escaping branch, from z.
+
+    Cold (warm False): z is a guess at the anchor η = start. None: the
+    anchor itself collapsed or stalled (caller tries a deeper one).
+    Warm: z already solves the escaping branch at η = start, so the first
+    stride lies below it and has the half-step retry; None: Newton failed.
     Otherwise returns the interleaved unknowns: at eta if the branch
     survived, or the collapsed iterate (max g ≤ escape_tol) — definitive,
     since the escaping set is an up-set in η at fixed eps."""
-    z = np.empty(2 * (grid.n - 1))
-    z[0::2] = v_gl
-    z[1::2] = opts.g_seed * (1.0 - grid.nodes[:-1] ** 2)
-    e, first = start, True
+    first = not warm
     prev, z_prev = start, z.copy()
+    e = max(eta, start / opts.continuation_factor) if warm else start
     while True:
         try:
             z, _ = _newton(_extended_assemble(grid, eps, e, W, Wt), z, opts,
