@@ -23,7 +23,7 @@ from scipy.linalg.lapack import dpbtrf
 
 from .core import (ConvergenceError, InputError, NoThresholdError,
                    BracketError, Potential, RadialGrid, format_float,
-                   grid_from_spec, make_grid, _product_weights)
+                   make_grid, _product_weights)
 from .profiles import GLProfile, solve_gl_profile, SolverOptions
 
 
@@ -120,29 +120,41 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
     """Smallest (or `which`-th) eigenpair of the symmetric banded pencil
     A q = lambda M q with M positive definite.
 
-    Inertia bisection brackets the eigenvalue, inverse iteration with a
-    Rayleigh-quotient polish delivers the vector, and two more inertia tests
-    certify the result: at most `which` eigenvalues lie at or below
-    lambda - delta and more than `which` at or below lambda + delta, with
-    delta = 1e-9 (1 + |lambda|). Returns (eigenvalue, vector, residual,
-    trace); the trace holds the bisection steps as (lo, hi, count) and ends
-    with ("certified", (lambda - delta, lambda + delta)). Shared by the
-    radial operators here and the coupled stability blocks; which > 0 needs
-    a tridiagonal pencil.
+    The start vector x0 is the constant function in the caller's unknowns,
+    M-normalized. Its Rayleigh quotient (a few times the smallest eigenvalue
+    on the radial pencils) seeds the first bracket, which is widened until
+    inertia counts straddle the eigenvalue. Inertia bisection narrows the
+    bracket only to 1e-2 (relative), and inverse iteration from x0 with
+    Rayleigh-quotient shifts delivers the pair. Two more inertia tests decide
+    it: at most `which` eigenvalues lie at or below lambda - delta and more
+    than `which` at or below lambda + delta, with delta = 1e-9 (1 + |lambda|).
+
+    A miss is a bracket update: if the tests show that inverse iteration
+    landed on another eigenvalue, the bracket moves past it; a Rayleigh
+    quotient that leaves the bracket also ends the iteration as a miss, so
+    every shift stays inside. The bracket is then bisected to 1e-6
+    (relative) and inverse iteration restarts from x0. A second miss raises
+    ConvergenceError, as does a backward error that stays above `tol`.
+
+    Returns (eigenvalue, vector, residual, trace). The trace holds the
+    bisection steps as (lo, hi, count) and every other event as a
+    (tag, value) pair, among them ("missed", lambda), and ends with
+    ("certified", (lambda - delta, lambda + delta)). Shared by the radial
+    operators here and the coupled stability blocks; which > 0 needs a
+    tridiagonal pencil.
     """
     if np.any(Mb[0] <= 0):
         raise InputError("mass diagonal must be positive")
     Ab, Mb, dscale = _equilibrate(Ab, Mb)
-    m = Ab.shape[1]
     band = Ab.shape[0] - 1
     trace: list = []
 
     def count(sigma: float) -> int:
         return _count_below(Ab, Mb, sigma, which)
 
-    x = np.ones(m)
-    x /= math.sqrt(band_matvec(Mb, x) @ x)
-    hi = float(band_matvec(Ab, x) @ x)     # Rayleigh quotient upper bound
+    x0 = 1.0 / dscale                       # the constant function
+    x0 /= math.sqrt(band_matvec(Mb, x0) @ x0)
+    hi = float(band_matvec(Ab, x0) @ x0)    # Rayleigh quotient upper bound
     width = max(1.0, 0.1 * abs(hi))
     lo = hi - width
     while count(lo) > which:
@@ -159,55 +171,67 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
             raise ConvergenceError("failed to bracket the eigenvalue from "
                                    "above", trace)
 
-    # invariant: count(lo) <= which < count(hi). Bisect until the bracket is
-    # narrow relative to itself, so inverse iteration from its midpoint
-    # converges in a couple of sweeps
-    while hi - lo > 1e-6 * (1.0 + max(abs(lo), abs(hi))):
-        mid = 0.5 * (lo + hi)
-        c = count(mid)
-        trace.append((lo, hi, c))
-        if c > which:
-            hi = mid
-        else:
-            lo = mid
-    sigma = 0.5 * (lo + hi)
+    # invariant: count(lo) <= which < count(hi). The coarse bracket only
+    # steers the shift; the inertia certificate decides the result
+    for rel in (1e-2, 1e-6):
+        while hi - lo > rel * (1.0 + max(abs(lo), abs(hi))):
+            mid = 0.5 * (lo + hi)
+            c = count(mid)
+            trace.append((lo, hi, c))
+            if c > which:
+                hi = mid
+            else:
+                lo = mid
+        sigma = 0.5 * (lo + hi)
+        x = x0
+        lam = sigma
+        resid = math.inf
+        for _ in range(8):
+            ab = _band_to_ab(Ab - sigma * Mb)
+            try:
+                for _ in range(3):
+                    y = solve_banded((band, band), ab, band_matvec(Mb, x))
+                    nrm = math.sqrt(abs(band_matvec(Mb, y) @ y))
+                    if not np.isfinite(nrm) or nrm == 0.0:
+                        raise np.linalg.LinAlgError(
+                            "inverse iteration overflow")
+                    x = y / nrm
+            except (np.linalg.LinAlgError, ValueError):
+                sigma += (hi - lo) * 1e-3 + abs(sigma) * 1e-13
+                trace.append(("shift-jitter", sigma))
+                continue
+            lam = float(band_matvec(Ab, x) @ x)        # x is M-normalized
+            r = band_matvec(Ab, x) - lam * band_matvec(Mb, x)
+            # normwise backward error: immune to the huge row-scale spread
+            # and meaningful even when lam sits near zero
+            denom = np.linalg.norm(_abs_matvec(Ab, x)
+                                   + abs(lam) * _abs_matvec(Mb, x))
+            resid = float(np.linalg.norm(r)) / max(denom, 1e-300)
+            # a Rayleigh quotient that leaves the bracket is heading for
+            # another eigenvalue: stop, so every shift stays inside
+            if resid < tol or not lo < lam < hi:
+                break
+            sigma = lam
+        if resid >= tol and lo < lam < hi:
+            raise ConvergenceError(
+                f"inverse iteration stalled (backward error {resid:.3e})",
+                trace)
 
-    lam = sigma
-    resid = math.inf
-    for _ in range(8):
-        ab = _band_to_ab(Ab - sigma * Mb)
-        try:
-            for _ in range(3):
-                y = solve_banded((band, band), ab, band_matvec(Mb, x))
-                nrm = math.sqrt(abs(band_matvec(Mb, y) @ y))
-                if not np.isfinite(nrm) or nrm == 0.0:
-                    raise np.linalg.LinAlgError("inverse iteration overflow")
-                x = y / nrm
-        except (np.linalg.LinAlgError, ValueError):
-            sigma += (hi - lo) * 1e-3 + abs(sigma) * 1e-13
-            trace.append(("shift-jitter", sigma))
-            continue
-        lam = float(band_matvec(Ab, x) @ x)            # x is M-normalized
-        r = band_matvec(Ab, x) - lam * band_matvec(Mb, x)
-        # normwise backward error: immune to the huge row-scale spread and
-        # meaningful even when lam sits near zero
-        denom = np.linalg.norm(_abs_matvec(Ab, x) + abs(lam) * _abs_matvec(Mb, x))
-        resid = float(np.linalg.norm(r)) / max(denom, 1e-300)
-        if resid < tol:
+        # a small backward error alone does not say which eigenvalue lam is
+        delta = 1e-9 * (1.0 + abs(lam))
+        below, above = count(lam - delta), count(lam + delta)
+        if resid < tol and below <= which < above:
             break
-        sigma = lam
-    if resid >= tol:
+        trace.append(("missed", lam))
+        if below > which:
+            hi = min(hi, lam - delta)
+        elif above <= which:
+            lo = max(lo, lam + delta)
+    else:
         raise ConvergenceError(
-            f"inverse iteration stalled (backward error {resid:.3e})", trace)
-
-    # a small backward error alone does not say which eigenvalue lam is
-    delta = 1e-9 * (1.0 + abs(lam))
-    below, above = count(lam - delta), count(lam + delta)
-    if below > which or above <= which:
-        raise ConvergenceError(
-            f"eigenvalue {lam!r} not certified by inertia: counts {below} at "
-            f"lam - {delta:.1e} and {above} at lam + {delta:.1e} "
-            f"(want <= {which} and > {which})", trace)
+            f"eigenvalue {lam!r} (backward error {resid:.1e}) not certified "
+            f"by inertia: counts {below} at lam - {delta:.1e} and {above} at "
+            f"lam + {delta:.1e} (want <= {which} and > {which})", trace)
     trace.append(("certified", (lam - delta, lam + delta)))
     return lam, x * dscale, resid, trace
 
@@ -273,15 +297,11 @@ def assemble_radial_operator(N: int, grid: RadialGrid, mu: float,
     mids = 0.5 * (r[:-1] + r[1:])
     c = mids ** (N - 1) / h                     # face flux coefficients
 
-    diag = np.zeros(m)
-    off = np.zeros(m - 1)
-    for k in range(m):
-        j = start + k
-        diag[k] = c[j]                          # face to the right
-        if j > 0:
-            diag[k] += c[j - 1]                 # face to the left
-        # j == 0 (mu == 0): zero-flux closure across the origin segment
-    off[:] = -c[start:start + m - 1]
+    diag = c[start:start + m].copy()            # face to the right
+    # face to the left; node 0 (mu == 0) keeps a zero-flux closure across
+    # the origin segment
+    diag[1 - start:] += c[:m - 1 + start]
+    off = -c[start:start + m - 1]
 
     vd, vo = grid.p1_weighted_mass(V, 0)
     diag += vd[start:start + m]
@@ -468,10 +488,9 @@ def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
 
 
 def _sweep_worker(args):
-    N, wspec, eps, gridspec = args
-    g = grid_from_spec(N, gridspec)
+    N, wspec, eps, grid = args
     val, _, _ = gl_linearization_eigenvalue(N, Potential.from_spec(wspec),
-                                            eps, g)
+                                            eps, grid)
     return val
 
 def linearization_eigenvalue_sweep(N: int, W, eps_values,
@@ -484,7 +503,8 @@ def linearization_eigenvalue_sweep(N: int, W, eps_values,
         grid = make_grid(N, 2000, {"graded": 2.0})
     eps_values = [float(e) for e in eps_values]
     if jobs > 1:
-        payload = [(N, W.spec(), e, grid.spec()) for e in eps_values]
+        # the grid itself, not its spec: a spec does not rebuild every grid
+        payload = [(N, W.spec(), e, grid) for e in eps_values]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             vals = list(pool.map(_sweep_worker, payload))
     else:

@@ -101,6 +101,64 @@ def test_pencil_smallest_in_oracle_bracket(pencil):
     assert all(len(t) == 3 for t in trace if not isinstance(t[0], str))
 
 
+def _assert_certified_by_oracle(A, M, lam, trace):
+    tag, (lo, hi) = trace[-1]
+    assert tag == "certified" and lo < lam < hi
+    assert ldl_count_below(A, M, lo) == 0
+    assert ldl_count_below(A, M, hi) >= 1
+    assert all(len(t) == 3 or (len(t) == 2 and isinstance(t[0], str))
+               for t in trace)
+
+
+# pencils on which inverse iteration from the coarse bracket lands on another
+# eigenvalue first (tridiagonal and bandwidth 3)
+MISSING_PENCILS = [(44, 1, 493631901, 4.374090702457856),
+                   (35, 3, 626647812, 5.131102561603006)]
+
+
+def test_missed_eigenvalue_moves_the_bracket():
+    for pencil in MISSING_PENCILS:
+        A, M = _random_pencil(*pencil)
+        lam, x, resid, trace = pencil_smallest(A, M)
+        missed = [t[1] for t in trace if t[0] == "missed"]
+        assert len(missed) == 1 and missed[0] != lam
+        _assert_certified_by_oracle(A, M, lam, trace)
+        assert resid < 1e-9
+
+
+# fixed stand-in for a long random stress: 400 graded banded pencils, drawn
+# once from a seeded generator (m 4-60, bandwidth 1-3, 0-6 decades)
+_rng = np.random.default_rng(0)
+STRESS_PENCILS = [(int(_rng.integers(4, 61)), int(_rng.integers(1, 4)),
+                   int(_rng.integers(0, 2 ** 32)), float(_rng.uniform(0, 6)))
+                  for _ in range(400)]
+
+
+def test_pencil_smallest_stress_against_oracle():
+    misses = 0
+    for pencil in STRESS_PENCILS:
+        A, M = _random_pencil(*pencil)
+        lam, x, resid, trace = pencil_smallest(A, M)
+        _assert_certified_by_oracle(A, M, lam, trace)
+        assert resid < 1e-9
+        misses += any(t[0] == "missed" for t in trace)
+    assert misses > 0           # the restart after a miss is exercised
+
+
+def test_bisection_stays_coarse(grid_n3):
+    # the constant start vector's Rayleigh quotient is within a few decades
+    # of the eigenvalue, and bisection stops at a coarse width: inverse
+    # iteration and the certificate do the rest
+    lap = assemble_radial_operator(3, grid_n3, 0.0, 0.0)
+    prof = gl_linearization_eigenvalue(3, QUAD, 0.3, grid_n3)[2]
+    V = -QUAD.eval(1.0 - prof.f ** 2, 1) / 0.3 ** 2
+    gl = assemble_radial_operator(3, grid_n3, 0.0, V)
+    for op in (lap, gl):
+        lam, x, resid, trace = pencil_smallest(op.A, op.M)
+        assert sum(1 for t in trace if len(t) == 3) <= 20
+        assert trace[-1][0] == "certified" and resid < 1e-9
+
+
 def test_second_eigenpair_needs_tridiagonal():
     A, M = _random_pencil(12, 2, 0, 0.0)
     with pytest.raises(InputError):
@@ -179,6 +237,50 @@ def test_ground_state_positive(grid_n3):
     assert text.splitlines()[0] == "r,q"
 
 
+def _loop_operator(N, grid, mu, V):
+    """Node-by-node reference assembly of the radial pencil."""
+    start = 0 if mu == 0 else 1
+    m = grid.n - 1 - start
+    mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
+    c = mids ** (N - 1) / grid.h
+    diag = np.zeros(m)
+    off = np.zeros(m - 1)
+    for k in range(m):
+        j = start + k
+        diag[k] = c[j]
+        if j > 0:
+            diag[k] += c[j - 1]
+    for k in range(m - 1):
+        off[k] = -c[start + k]
+    vd, vo = grid.p1_weighted_mass(V, 0)
+    diag += vd[start:start + m]
+    off += vo[start:start + m - 1]
+    if mu > 0:
+        cd, co = grid.p1_mass(-2)
+        diag += mu * cd[start:start + m]
+        off += mu * co[start:start + m - 1]
+    p1d, p1o = grid.p1_mass(0)
+    A = np.zeros((2, m))
+    M = np.zeros((2, m))
+    for k in range(m):
+        A[0, k] = diag[k]
+        M[0, k] = p1d[start + k]
+        if k < m - 1:
+            A[1, k] = off[k]
+            M[1, k] = p1o[start + k]
+    return A, M
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+@pytest.mark.parametrize("mu", [0.0, 2.0])
+def test_operator_matches_loop_reference(N, mu):
+    grid = make_grid(N, 300, {"graded": 2.0})
+    V = np.sin(7.0 * grid.nodes)
+    op = assemble_radial_operator(N, grid, mu, V)
+    A, M = _loop_operator(N, grid, mu, V)
+    assert np.array_equal(op.A, A) and np.array_equal(op.M, M)
+
+
 def test_operator_validation(grid_n3):
     with pytest.raises(InputError):
         assemble_radial_operator(3, grid_n3, -1.0, 0.0)
@@ -242,6 +344,20 @@ def test_sweep_jobs_invariant(grid_n3):
     two = linearization_eigenvalue_sweep(3, QUAD, eps_values, grid=grid_n3,
                                          jobs=2)
     assert sweep_to_csv(one) == sweep_to_csv(two)
+
+
+def test_sweep_solves_on_callers_grid():
+    # halving r_min gives a grid that make_grid cannot rebuild from its spec
+    from vortexlab.spectral import _halve_rmin
+    grid = _halve_rmin(make_grid(3, 400, {"graded": 2.0}))
+    eps_values = [0.1, 0.3]
+    one = linearization_eigenvalue_sweep(3, QUAD, eps_values, grid=grid,
+                                         jobs=1)
+    two = linearization_eigenvalue_sweep(3, QUAD, eps_values, grid=grid,
+                                         jobs=2)
+    assert one == two
+    assert one == [(e, gl_linearization_eigenvalue(3, QUAD, e, grid)[0])
+                   for e in eps_values]
 
 
 def test_no_threshold_high_dimension(grid_n7):
