@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .core import InputError, Potential, VortexLabError, make_grid
-from .phase import sweep as phase_sweep
+from .phase import axis_samples, sweep as phase_sweep
 from .profiles import (SolverOptions, profile_to_csv, reduced_energy_extended,
                        reduced_energy_gl, reduced_energy_mm,
                        solve_extended_profile, solve_gl_profile,
@@ -80,14 +80,6 @@ def _parse_range(text: str) -> dict:
     if not (hi > lo and count >= 1):
         raise InputError(f"empty range {text!r}")
     return {"lo": lo, "hi": hi, "count": count}
-
-
-def _range_samples(spec: dict) -> np.ndarray:
-    """lo == 0 starts the lattice one step in (the axes are open at 0)."""
-    lo, hi, count = spec["lo"], spec["hi"], spec["count"]
-    if lo == 0.0:
-        return np.linspace(lo, hi, count + 1)[1:]
-    return np.linspace(lo, hi, count)
 
 
 def _parse_potential(text: str):
@@ -331,7 +323,8 @@ def _run_eigen(cfg: RunConfig) -> tuple:
     W = Potential.from_spec(cfg.W if cfg.W is not None else "quadratic")
     grid = make_grid(cfg.N, cfg.grid["n"], cfg.grid["grading"])
     if isinstance(cfg.eps, dict):
-        eps_values = _range_samples(cfg.eps)
+        eps_values = axis_samples((cfg.eps["lo"], cfg.eps["hi"]),
+                                  cfg.eps["count"])
     else:
         eps_values = np.array([float(cfg.eps)])
     rows = linearization_eigenvalue_sweep(cfg.N, W, eps_values, grid=grid,

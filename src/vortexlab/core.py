@@ -92,13 +92,27 @@ def _moment(a: float, b: float, p: float) -> float:
     return (b**q - a**q) / q
 
 
-def _lagrange_weights(x: Sequence[float], a: float, b: float, p: float) -> np.ndarray:
-    """Weights w_i with sum_i w_i phi(x_i) = integral over [a,b] of the
-    quadratic interpolant of phi (through the three x) times r^p dr."""
-    m0 = _moment(a, b, p)
-    m1 = _moment(a, b, p + 1)
-    m2 = _moment(a, b, p + 2)
-    w = np.empty(3)
+def _moments(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """_moment over the intervals [a_k, b_k], bit for bit. Powers and logs
+    come from libm one value at a time: numpy's vectorized pow and log differ
+    from it in the last bit on some inputs and CPUs."""
+    if p == -1:
+        return np.array([math.log(t) for t in (b / a).tolist()])
+    q = p + 1.0
+    bq = np.array([t**q for t in b.tolist()])
+    aq = np.array([t**q for t in a.tolist()])
+    return (bq - aq) / q
+
+
+def _lagrange_weights(x: Sequence[np.ndarray], a: np.ndarray, b: np.ndarray,
+                      p: float) -> np.ndarray:
+    """Weights w[i] with sum_i w[i] phi(x[i]) = integral over [a,b] of the
+    quadratic interpolant of phi (through the three x) times r^p dr, for
+    arrays of triples x[0], x[1], x[2] and intervals [a, b]."""
+    m0 = _moments(a, b, p)
+    m1 = _moments(a, b, p + 1)
+    m2 = _moments(a, b, p + 2)
+    w = np.empty((3, m0.size))
     for i in range(3):
         j, k = [s for s in range(3) if s != i]
         den = (x[i] - x[j]) * (x[i] - x[k])
@@ -113,14 +127,19 @@ def _product_weights(nodes: np.ndarray, p: float) -> np.ndarray:
     n = nodes.size
     w = np.zeros(n)
     # origin segment, quadratic through the first three nodes
-    w[0:3] += _lagrange_weights(nodes[0:3], 0.0, nodes[0], p)
-    # pair up interior cells
-    i = 0
-    while i + 2 <= n - 1:
-        w[i:i + 3] += _lagrange_weights(nodes[i:i + 3], nodes[i], nodes[i + 2], p)
-        i += 2
-    if i == n - 2:  # one unpaired trailing cell
-        w[n - 3:n] += _lagrange_weights(nodes[n - 3:n], nodes[n - 2], nodes[n - 1], p)
+    w[0:3] += _lagrange_weights(nodes[0:3, None], np.zeros(1), nodes[:1],
+                                p)[:, 0]
+    # pair up interior cells: triples (i, i+1, i+2) for even i <= n-3; a node
+    # shared by two triples gets the left triple's weight first
+    k = (n - 1) // 2
+    x = (nodes[0:2 * k - 1:2], nodes[1:2 * k:2], nodes[2:2 * k + 1:2])
+    tw = _lagrange_weights(x, x[0], x[2], p)
+    w[1:2 * k:2] += tw[1]
+    w[2:2 * k + 1:2] += tw[2]
+    w[0:2 * k - 1:2] += tw[0]
+    if n % 2 == 0:  # one unpaired trailing cell
+        w[n - 3:] += _lagrange_weights(nodes[n - 3:, None], nodes[n - 2:n - 1],
+                                       nodes[n - 1:], p)[:, 0]
     return w
 
 
@@ -189,17 +208,14 @@ class RadialGrid:
         """
         def build():
             p = self.N - 1 + shift
-            r = self.nodes
-            h = self.h
+            a, b = self.nodes[:-1], self.nodes[1:]
+            mm0 = _moments(a, b, p)
+            mm1 = _moments(a, b, p + 1)
             w = np.zeros(self.n)
-            for j in range(self.n - 1):
-                a, b = r[j], r[j + 1]
-                mm0 = _moment(a, b, p)
-                mm1 = _moment(a, b, p + 1)
-                w[j] += (b * mm0 - mm1) / h[j]
-                w[j + 1] += (mm1 - a * mm0) / h[j]
+            w[:-1] += (b * mm0 - mm1) / self.h
+            w[1:] += (mm1 - a * mm0) / self.h
             if p > -1:
-                w[0] += _moment(0.0, r[0], p)
+                w[0] += _moment(0.0, self.nodes[0], p)
             return w
 
         return self._cached(("hw", shift), build)
@@ -285,12 +301,16 @@ class RadialGrid:
 
     def cell_moments(self, shift: int = 0) -> np.ndarray:
         """Moments of r^(N-1+shift) over the n-1 cells [r_j, r_{j+1}]."""
-        def build():
-            p = self.N - 1 + shift
-            return np.array([_moment(self.nodes[j], self.nodes[j + 1], p)
-                             for j in range(self.n - 1)])
+        return self._cached(("cm", shift), lambda: _moments(
+            self.nodes[:-1], self.nodes[1:], self.N - 1 + shift))
 
-        return self._cached(("cm", shift), build)
+    def face_coeffs(self, power: int) -> np.ndarray:
+        """Midpoint flux coefficients  mid^power / h  on the n-1 faces."""
+        def build():
+            mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
+            return mids**power / self.h
+
+        return self._cached(("fc", power), build)
 
     def origin_moment(self, shift: int = 0) -> float:
         """Moment of r^(N-1+shift) over [0, r_min]."""
@@ -340,6 +360,14 @@ class RadialGrid:
                 numer += (xe[:, 0] - X[:, pp[0]]) * (xe[:, 0] - X[:, pp[1]])
             out += numer / denom * u[cols[:, k]]
         return out
+
+    def halve_rmin(self) -> "RadialGrid":
+        """The same grid with one more node at r_min/2 (probes the origin
+        cutoff; spec() is unchanged, so it does not rebuild this grid)."""
+        nodes = np.concatenate(([0.5 * self.r_min], self.nodes))
+        return RadialGrid(N=self.N, nodes=nodes,
+                          weights=_product_weights(nodes, self.N - 1),
+                          grading=dict(self.grading))
 
     # -- serialization ------------------------------------------------------
 

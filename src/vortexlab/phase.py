@@ -195,7 +195,9 @@ def classify_point(N: int, W, Wt, eps: float, eta: float,
                       confirmed=confirmed)
 
 
-def _axis_samples(rng, count) -> np.ndarray:
+def axis_samples(rng, count) -> np.ndarray:
+    """count samples of the range (lo, hi); lo == 0 starts one step in (the
+    axes are open at 0)."""
     lo, hi = float(rng[0]), float(rng[1])
     if hi <= lo or lo < 0:
         raise InputError("range must satisfy 0 <= lo < hi")
@@ -268,8 +270,8 @@ def sweep(N: int, W, Wt, eps_range, eta_range, resolution,
         n_eps, n_eta = int(resolution[0]), int(resolution[1])
     else:
         n_eps = n_eta = int(resolution)
-    eps_samples = _axis_samples(eps_range, n_eps)
-    eta_samples = _axis_samples(eta_range, n_eta)
+    eps_samples = axis_samples(eps_range, n_eps)
+    eta_samples = axis_samples(eta_range, n_eta)
     if grid is None:
         grid = make_grid(N, 2000, {"graded": 2.0})
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
+from .banded import lu_solver, sym_to_full
 from .core import (
     ConvergenceError,
     InputError,
@@ -57,14 +57,16 @@ __all__ = [
 class SolverOptions:
     tol: float = 1e-10            # sup-norm of the discrete residual
     max_iter: int = 60
-    min_damping: float = 2.0**-16
-    escape_tol: float = 1e-6      # branch disambiguation threshold on max g
     g_seed: float = 0.5           # escaping initial guess amplitude
-    eps_direct: float = 0.25      # solve directly for eps >= this, else continue
-    continuation_factor: float = math.sqrt(2.0)
-    eta_anchors: tuple = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-    collapse_angle: float = 0.5   # θ(r_min) above this = equator collapse
-    glue_gap: float = 1e-4        # π/2 − θ(1/2) below this = equator with a
+
+
+MIN_DAMPING = 2.0**-16
+ESCAPE_TOL = 1e-6                 # branch disambiguation threshold on max g
+EPS_DIRECT = 0.25                 # solve directly for eps >= this, else continue
+CONTINUATION_FACTOR = math.sqrt(2.0)
+ETA_ANCHORS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+COLLAPSE_ANGLE = 0.5              # θ(r_min) above this = equator collapse
+GLUE_GAP = 1e-4                   # π/2 − θ(1/2) below this = equator with a
                                   # spurious O(r_min) core; counts as collapse
 
 
@@ -90,7 +92,7 @@ def _newton(assemble: Callable, u0: np.ndarray, opts: SolverOptions,
             if norm2 <= (1.0 - 1e-4 * alpha) * norm or norm2 <= opts.tol:
                 break
             alpha *= 0.5
-            if alpha < opts.min_damping:
+            if alpha < MIN_DAMPING:
                 trace.append((stage, it, norm, alpha))
                 raise ConvergenceError(
                     f"Newton stalled in stage {stage!r} (residual {norm:.3e})",
@@ -105,37 +107,14 @@ def _newton(assemble: Callable, u0: np.ndarray, opts: SolverOptions,
         trace)
 
 
-def _tridiag_solver(sub, diag, sup):
-    # row-equilibrate: the r^(N+1) weights span ~50 decades at large N on a
-    # graded grid, and without scaling the factorization loses the step
-    rs = np.abs(diag).copy()
-    rs[1:] = np.maximum(rs[1:], np.abs(sub))
-    rs[:-1] = np.maximum(rs[:-1], np.abs(sup))
-    rs = np.where(rs > 0, rs, 1.0)
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = sup / rs[:-1]
-    ab[1, :] = diag / rs
-    ab[2, :-1] = sub / rs[1:]
-
-    def solve(rhs):
-        return solve_banded((1, 1), ab, rhs / rs)
-    return solve
-
-
 # ---------------------------------------------------------------------------
 # discrete operators (shared by solvers and the independent residual check)
-
-
-def _face_coeffs(grid: RadialGrid, power: int) -> np.ndarray:
-    """Midpoint flux coefficients  mid^power / h  on the n-1 faces."""
-    mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-    return mids**power / grid.h
 
 
 def _gl_residual_full(grid, eps, well, v):
     """FV residual of (r^{N+1} v')' = -(r^{N+1}/eps²) W'(1-r²v²) v at nodes
     0..n-2 (node n-1 carries the Dirichlet value v=1)."""
-    c = _face_coeffs(grid, grid.N + 1)
+    c = grid.face_coeffs(grid.N + 1)
     mass = grid.hat_weights(2)
     r = grid.nodes
     wp = well.eval(1.0 - r * r * v * v, 1, clamp=True)
@@ -148,7 +127,7 @@ def _gl_residual_full(grid, eps, well, v):
 
 
 def _gl_assemble(grid, eps, well):
-    c = _face_coeffs(grid, grid.N + 1)
+    c = grid.face_coeffs(grid.N + 1)
     mass = grid.hat_weights(2)[:-1]
     r = grid.nodes
 
@@ -159,19 +138,20 @@ def _gl_assemble(grid, eps, well):
         wp = well.eval(x, 1, clamp=True)
         wpp = well.eval(x, 2, clamp=True)
         m = grid.n - 1
-        diag = np.zeros(m)
+        band = np.zeros((2, m))           # symmetric lower band
+        diag = band[0]
         diag += c[: m]
         diag[1:] += c[: m - 1]
         diag -= mass / eps**2 * (wp[:m] - 2 * r[:m]**2 * v[:m]**2 * wpp[:m])
-        off = -c[: m - 1]
-        return res, _tridiag_solver(off, diag, off)
+        band[1, :-1] = -c[: m - 1]
+        return res, lu_solver(sym_to_full(band))
 
     return assemble
 
 
 def _extended_residual_full(grid, eps, eta, well, penalty, v, g):
-    c_v = _face_coeffs(grid, grid.N + 1)
-    c_g = _face_coeffs(grid, grid.N - 1)
+    c_v = grid.face_coeffs(grid.N + 1)
+    c_g = grid.face_coeffs(grid.N - 1)
     mv = grid.hat_weights(2)
     mg = grid.hat_weights(0)
     r = grid.nodes
@@ -193,8 +173,8 @@ def _extended_residual_full(grid, eps, eta, well, penalty, v, g):
 
 
 def _extended_assemble(grid, eps, eta, well, penalty):
-    c_v = _face_coeffs(grid, grid.N + 1)
-    c_g = _face_coeffs(grid, grid.N - 1)
+    c_v = grid.face_coeffs(grid.N + 1)
+    c_g = grid.face_coeffs(grid.N - 1)
     mv = grid.hat_weights(2)
     mg = grid.hat_weights(0)
     r = grid.nodes
@@ -236,31 +216,13 @@ def _extended_assemble(grid, eps, eta, well, penalty):
         ab[4, 2 * idx[:-1]] = -c_v[: m - 1]
         ab[0, 2 * idx[1:] + 1] = -c_g[: m - 1]  # (2j+1, 2j+3)
         ab[4, 2 * idx[:-1] + 1] = -c_g[: m - 1]
-
-        # row-equilibrate (same reasoning as _tridiag_solver)
-        m2 = 2 * m
-        rs = np.zeros(m2)
-        for k in range(5):
-            d = k - 2                      # ab[k, j] holds A[j + d, j]
-            j0, j1 = max(0, -d), min(m2, m2 - d)
-            rows = slice(j0 + d, j1 + d)
-            rs[rows] = np.maximum(rs[rows], np.abs(ab[k, j0:j1]))
-        rs = np.where(rs > 0, rs, 1.0)
-        for k in range(5):
-            d = k - 2
-            j0, j1 = max(0, -d), min(m2, m2 - d)
-            ab[k, j0:j1] /= rs[j0 + d:j1 + d]
-
-        def solve(rhs):
-            return solve_banded((2, 2), ab, rhs / rs)
-
-        return res, solve
+        return res, lu_solver(ab)
 
     return assemble
 
 
 def _sphere_residual_full(grid, eta, penalty, theta):
-    c = _face_coeffs(grid, grid.N - 1)
+    c = grid.face_coeffs(grid.N - 1)
     m_cent = grid.hat_weights(-2)
     m0 = grid.hat_weights(0)
     sc = np.sin(theta) * np.cos(theta)
@@ -275,7 +237,7 @@ def _sphere_residual_full(grid, eta, penalty, theta):
 
 
 def _sphere_assemble(grid, eta, penalty):
-    c = _face_coeffs(grid, grid.N - 1)
+    c = grid.face_coeffs(grid.N - 1)
     m_cent = grid.hat_weights(-2)
     m0 = grid.hat_weights(0)
     m = grid.n - 1
@@ -288,13 +250,14 @@ def _sphere_assemble(grid, eta, penalty):
         c2 = (np.cos(theta)**2)[:m]
         tp = penalty.eval(c2, 1, clamp=True)
         tpp = penalty.eval(c2, 2, clamp=True)
-        diag = np.zeros(m)
+        band = np.zeros((2, m))           # symmetric lower band
+        diag = band[0]
         diag += c[:m]
         diag[1:] += c[: m - 1]
         diag += (grid.N - 1) * m_cent[:m] * cos2
         diag -= m0[:m] / eta**2 * (tp * cos2 - 0.5 * tpp * sin2 * sin2)
-        off = -c[: m - 1]
-        return res, _tridiag_solver(off, diag, off)
+        band[1, :-1] = -c[: m - 1]
+        return res, lu_solver(sym_to_full(band))
 
     return assemble
 
@@ -318,11 +281,6 @@ class GLProfile:
     residual_norm: float
     solver_trace: list = field(repr=False, default_factory=list)
 
-    def interpolate(self, r) -> np.ndarray:
-        """Amplitude at arbitrary radii (linear, f(0)=0)."""
-        return np.interp(r, np.concatenate(([0.0], self.grid.nodes)),
-                         np.concatenate(([0.0], self.f)))
-
 
 @dataclass(frozen=True)
 class ExtendedProfile:
@@ -338,10 +296,6 @@ class ExtendedProfile:
     residual_norm: float
     solver_trace: list = field(repr=False, default_factory=list)
     flags: tuple = ()
-
-    def interpolate(self, r) -> np.ndarray:
-        return np.interp(r, np.concatenate(([0.0], self.grid.nodes)),
-                         np.concatenate(([0.0], self.f)))
 
 
 @dataclass(frozen=True)
@@ -396,14 +350,14 @@ def _gl_continuation(grid, W, eps, opts, trace, v_init=None):
         steps = [eps]
     else:
         v = np.ones(grid.n - 1)
-        if eps >= opts.eps_direct:
+        if eps >= EPS_DIRECT:
             steps = [eps]
         else:
             steps = []
-            e = opts.eps_direct
-            while e > eps * opts.continuation_factor:
+            e = EPS_DIRECT
+            while e > eps * CONTINUATION_FACTOR:
                 steps.append(e)
-                e /= opts.continuation_factor
+                e /= CONTINUATION_FACTOR
             steps.append(eps)
     for e in steps:
         v, _ = _newton(_gl_assemble(grid, e, W), v, opts,
@@ -438,7 +392,7 @@ def solve_sphere_profile(N: int, Wt: Potential, eta: float, grid: RadialGrid,
         if theta is not None:
             break
         saw_collapse = True   # this anchor converged straight to the equator
-    if theta is None or _theta_collapsed(grid, theta, opts):
+    if theta is None or _theta_collapsed(grid, theta):
         if N == 2:
             raise ConvergenceError(
                 "sphere solver collapsed to the equator at N=2 "
@@ -457,16 +411,16 @@ def solve_sphere_profile(N: int, Wt: Potential, eta: float, grid: RadialGrid,
                          no_escape=False, solver_trace=trace)
 
 
-def _theta_collapsed(grid, theta, opts):
+def _theta_collapsed(grid, theta):
     """True when an iterate has fallen onto the equator: either outright
     (θ(r_min) large) or glued to it away from a spurious mesh-scale core near
     the origin, which the zero-flux closure can sustain when no true escaping
     branch exists. Genuine branches keep a macroscopic gap at r = 1/2 (worst
     case, N=6: about 1e-2); the artifacts sit within ~1e-6 of π/2 there."""
-    if theta[0] > opts.collapse_angle:
+    if theta[0] > COLLAPSE_ANGLE:
         return True
     mid = np.searchsorted(grid.nodes, 0.5)
-    return 0.5 * math.pi - theta[min(mid, len(theta) - 1)] < opts.glue_gap
+    return 0.5 * math.pi - theta[min(mid, len(theta) - 1)] < GLUE_GAP
 
 
 def _sphere_march(grid, Wt, eta, start, opts, trace):
@@ -478,12 +432,12 @@ def _sphere_march(grid, Wt, eta, start, opts, trace):
     while True:
         theta, _ = _newton(_sphere_assemble(grid, e, Wt), theta, opts,
                            f"sphere eta={e:.6g}", trace)
-        if _theta_collapsed(grid, theta, opts):
+        if _theta_collapsed(grid, theta):
             return None if first else theta
         if e == eta:
             return theta
         first = False
-        e = max(eta, e / opts.continuation_factor)
+        e = max(eta, e / CONTINUATION_FACTOR)
 
 
 def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
@@ -495,7 +449,7 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
 
     hint non_escaping: returns (f_gl, 0), always a solution. hint escaping:
     damped Newton with downward-in-η continuation from the first anchor in
-    opts.eta_anchors·η that sustains g > escape_tol; if the branch collapses
+    ETA_ANCHORS·η that sustains g > ESCAPE_TOL; if the branch collapses
     all the way to the target, the point has no escaping solution and the
     non-escaping profile is returned with a diagnostic flag (not an error).
 
@@ -505,7 +459,7 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
     * a GLProfile replaces that continuation; the anchor search runs as
       above, so the profile is the one start=None gives;
     * an escaping ExtendedProfile with start.eta >= eta: no anchor search.
-      η marches down from start.eta in continuation_factor strides,
+      η marches down from start.eta in CONTINUATION_FACTOR strides,
       warm-started from (start.v, start.g). A collapse on the way is
       definitive (the escaping set is an up-set in η at fixed eps) and gives
       the non-escaping profile. A Newton failure, after the half-step retry,
@@ -544,7 +498,7 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
                               np.append(v_gl, 1.0), np.zeros(grid.n),
                               "non_escaping", trace, ())
 
-    for factor in opts.eta_anchors:
+    for factor in ETA_ANCHORS:
         z = _interleave(v_gl, opts.g_seed * (1.0 - grid.nodes[:-1] ** 2))
         z = _escape_march(grid, W, Wt, eps, eta, factor * eta, z, opts, trace)
         if z is None:
@@ -587,7 +541,7 @@ def _march_result(grid, eps, eta, W, Wt, z, v_gl, opts, trace):
     v = np.append(z[0::2], 1.0)
     g = np.append(z[1::2], 0.0)
     gmax = float(np.max(np.abs(g)))
-    if gmax > opts.escape_tol:
+    if gmax > ESCAPE_TOL:
         if g[np.argmax(np.abs(g))] < 0:
             g = -g                # report the g > 0 representative
         return _wrap_extended(grid, eps, eta, W, Wt, v, g,
@@ -610,11 +564,11 @@ def _escape_march(grid, W, Wt, eps, eta, start, z, opts, trace, warm=False):
     Warm: z already solves the escaping branch at η = start, so the first
     stride lies below it and has the half-step retry; None: Newton failed.
     Otherwise returns the interleaved unknowns: at eta if the branch
-    survived, or the collapsed iterate (max g ≤ escape_tol) — definitive,
+    survived, or the collapsed iterate (max g ≤ ESCAPE_TOL) — definitive,
     since the escaping set is an up-set in η at fixed eps."""
     first = not warm
     prev, z_prev = start, z.copy()
-    e = max(eta, start / opts.continuation_factor) if warm else start
+    e = max(eta, start / CONTINUATION_FACTOR) if warm else start
     while True:
         try:
             z, _ = _newton(_extended_assemble(grid, eps, e, W, Wt), z, opts,
@@ -632,13 +586,13 @@ def _escape_march(grid, W, Wt, eps, eta, start, z, opts, trace, warm=False):
                                opts, f"ext eta={e:.6g}", trace)
             except ConvergenceError:
                 return None
-        if float(np.max(np.abs(z[1::2]))) <= opts.escape_tol:
+        if float(np.max(np.abs(z[1::2]))) <= ESCAPE_TOL:
             return None if first else z
         if e == eta:
             return z
         first = False
         prev, z_prev = e, z.copy()
-        e = max(eta, e / opts.continuation_factor)
+        e = max(eta, e / CONTINUATION_FACTOR)
 
 
 def _wrap_extended(grid, eps, eta, W, Wt, v, g, branch, trace, flags):

@@ -19,100 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dpbtrf
 
+from .banded import count_below, equilibrate, sym_matvec, sym_to_full
 from .core import (ConvergenceError, InputError, NoThresholdError,
                    BracketError, Potential, RadialGrid, format_float,
-                   make_grid, _product_weights)
+                   make_grid)
 from .profiles import GLProfile, solve_gl_profile, SolverOptions
 
 
-# ---------------------------------------------------------------------------
-# symmetric banded pencil utilities
-#
-# storage: lower band, shape (b+1, m); band[d, j] = A[j+d, j].
-
-
-def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    b = band.shape[0] - 1
-    y = band[0] * x
-    for d in range(1, b + 1):
-        y[d:] += band[d, :-d] * x[:-d]
-        y[:-d] += band[d, :-d] * x[d:]
-    return y
-
-
 def _abs_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return band_matvec(np.abs(band), np.abs(x))
-
-
-def _band_to_ab(band: np.ndarray) -> np.ndarray:
-    """Expand symmetric lower storage to the full (2b+1, m) form used by
-    scipy.linalg.solve_banded."""
-    b = band.shape[0] - 1
-    m = band.shape[1]
-    ab = np.zeros((2 * b + 1, m))
-    ab[b] = band[0]
-    for d in range(1, b + 1):
-        ab[b + d, :m - d] = band[d, :m - d]      # subdiagonals
-        ab[b - d, d:] = band[d, :m - d]          # superdiagonals
-    return ab
-
-
-def _count_below(Ab: np.ndarray, Mb: np.ndarray, sigma: float,
-                 which: int = 0) -> int:
-    """Eigenvalues of the pencil at or below sigma, capped at which + 1
-    (Sylvester inertia of A - sigma*M).
-
-    For which = 0 only definiteness matters: the banded Cholesky of LAPACK
-    dpbtrf (same lower storage) fails exactly when A - sigma*M is not
-    positive definite. Larger `which` needs the count itself, kept for
-    tridiagonal pencils: LDL^T pivots, with pivots that vanish relative to
-    their own row clamped negative (sigma numerically on an eigenvalue counts
-    as at or below it).
-    """
-    S = Ab - sigma * Mb
-    if which == 0:
-        _, info = dpbtrf(S, lower=1)
-        if info < 0:
-            raise InputError(f"dpbtrf rejected argument {-info}")
-        return int(info > 0)
-    if S.shape[0] != 2:
-        raise InputError("eigenpairs past the smallest need a tridiagonal "
-                         "pencil")
-    diag, off = S[0], S[1]
-    rowmax = np.abs(diag)
-    rowmax[1:] += np.abs(off[:-1])
-    rowmax[:-1] += np.abs(off[:-1])
-    pivmin = 2e-16 * np.maximum(rowmax, 1e-290)
-    neg = 0
-    d = diag[0]
-    for j in range(diag.shape[0]):
-        if j:
-            d = diag[j] - off[j - 1] ** 2 / d
-        if abs(d) < pivmin[j]:
-            d = -pivmin[j]
-        if d < 0:
-            neg += 1
-            if neg > which:
-                break
-    return neg
-
-
-def _equilibrate(Ab: np.ndarray, Mb: np.ndarray):
-    """Symmetric diagonal scaling making M unit-diagonal. A congruence, so
-    pencil eigenvalues and inertia are untouched, but the 20 decades of
-    r^(N-1) row imbalance on a graded grid disappear."""
-    d = 1.0 / np.sqrt(Mb[0])
-    b = Ab.shape[0] - 1
-    m = Ab.shape[1]
-    A2, M2 = Ab.copy(), Mb.copy()
-    A2[0] *= d * d
-    M2[0] *= d * d
-    for k in range(1, b + 1):
-        A2[k, :m - k] *= d[k:] * d[:m - k]
-        M2[k, :m - k] *= d[k:] * d[:m - k]
-    return A2, M2, d
+    return sym_matvec(np.abs(band), np.abs(x))
 
 
 def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
@@ -145,16 +61,16 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
     """
     if np.any(Mb[0] <= 0):
         raise InputError("mass diagonal must be positive")
-    Ab, Mb, dscale = _equilibrate(Ab, Mb)
+    Ab, Mb, dscale = equilibrate(Ab, Mb)
     band = Ab.shape[0] - 1
     trace: list = []
 
     def count(sigma: float) -> int:
-        return _count_below(Ab, Mb, sigma, which)
+        return count_below(Ab, Mb, sigma, which)
 
     x0 = 1.0 / dscale                       # the constant function
-    x0 /= math.sqrt(band_matvec(Mb, x0) @ x0)
-    hi = float(band_matvec(Ab, x0) @ x0)    # Rayleigh quotient upper bound
+    x0 /= math.sqrt(sym_matvec(Mb, x0) @ x0)
+    hi = float(sym_matvec(Ab, x0) @ x0)    # Rayleigh quotient upper bound
     width = max(1.0, 0.1 * abs(hi))
     lo = hi - width
     while count(lo) > which:
@@ -187,11 +103,13 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
         lam = sigma
         resid = math.inf
         for _ in range(8):
-            ab = _band_to_ab(Ab - sigma * Mb)
+            # unscaled on purpose: with lu_solver's row scaling, inverse
+            # iteration stalls at backward error ~3.5e-8 on stability blocks
+            ab = sym_to_full(Ab - sigma * Mb)
             try:
                 for _ in range(3):
-                    y = solve_banded((band, band), ab, band_matvec(Mb, x))
-                    nrm = math.sqrt(abs(band_matvec(Mb, y) @ y))
+                    y = solve_banded((band, band), ab, sym_matvec(Mb, x))
+                    nrm = math.sqrt(abs(sym_matvec(Mb, y) @ y))
                     if not np.isfinite(nrm) or nrm == 0.0:
                         raise np.linalg.LinAlgError(
                             "inverse iteration overflow")
@@ -200,8 +118,8 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
                 sigma += (hi - lo) * 1e-3 + abs(sigma) * 1e-13
                 trace.append(("shift-jitter", sigma))
                 continue
-            lam = float(band_matvec(Ab, x) @ x)        # x is M-normalized
-            r = band_matvec(Ab, x) - lam * band_matvec(Mb, x)
+            lam = float(sym_matvec(Ab, x) @ x)        # x is M-normalized
+            r = sym_matvec(Ab, x) - lam * sym_matvec(Mb, x)
             # normwise backward error: immune to the huge row-scale spread
             # and meaningful even when lam sits near zero
             denom = np.linalg.norm(_abs_matvec(Ab, x)
@@ -292,10 +210,7 @@ def assemble_radial_operator(N: int, grid: RadialGrid, mu: float,
     if m < 2:
         raise InputError("grid too small for the eigenproblem")
 
-    r = grid.nodes
-    h = grid.h
-    mids = 0.5 * (r[:-1] + r[1:])
-    c = mids ** (N - 1) / h                     # face flux coefficients
+    c = grid.face_coeffs(N - 1)
 
     diag = c[start:start + m].copy()            # face to the right
     # face to the left; node 0 (mu == 0) keeps a zero-flux closure across
@@ -403,13 +318,6 @@ def gl_linearization_eigenvalue(N: int, W, eps: float, grid: RadialGrid,
     return lam, pair, profile
 
 
-def _halve_rmin(grid: RadialGrid) -> RadialGrid:
-    nodes = np.concatenate(([0.5 * grid.r_min], grid.nodes))
-    return RadialGrid(N=grid.N, nodes=nodes,
-                      weights=_product_weights(nodes, grid.N - 1),
-                      grading=dict(grid.grading))
-
-
 def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
                   grid: RadialGrid | None = None,
                   opts: SolverOptions = SolverOptions()) -> float:
@@ -474,7 +382,7 @@ def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
             f"threshold search stalled at eigenvalue {f_mid:.3e}",
             [("bracket", (lo, hi))])
 
-    shifted = ell(e_mid, _halve_rmin(grid))
+    shifted = ell(e_mid, grid.halve_rmin())
     if abs(shifted - f_mid) > 0.1 * tol:
         raise ConvergenceError(
             "threshold rejected: halving r_min moved the eigenvalue by "

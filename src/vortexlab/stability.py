@@ -21,10 +21,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .banded import sym_matvec
 from .core import (ConvergenceError, InputError, Potential, RadialGrid,
-                   format_float, _product_weights)
+                   format_float)
 from .profiles import ExtendedProfile, GLProfile, SphereProfile
-from .spectral import band_matvec, pencil_smallest
+from .spectral import pencil_smallest
 
 _CONVERGED_RESIDUAL = 1e-6
 
@@ -166,6 +167,8 @@ class ModeBlock:
     M: np.ndarray
     profile_kind: str
     _terms: tuple                  # retained for sector extraction
+    stiff: dict                    # field -> stiffness weight
+    mass: dict                     # field -> mass weight
 
     @property
     def size(self) -> int:
@@ -195,16 +198,10 @@ class ModeBlock:
                     raise InputError(
                         f"cannot extract sector {keep}: coupling {a}-{b} "
                         "is nonzero")
-        terms = [t for t in self._terms
-                 if t[0] in keep and t[1] in keep]
-        stiffw = dict(self._stiff_mass[0])
-        massw = dict(self._stiff_mass[1])
-        A, M = _assemble_pencil(self.grid, keep, stiffw, massw, terms)
-        blk = ModeBlock(lam=self.lam, fields=keep, grid=self.grid, N=self.N,
-                        A=A, M=M, profile_kind=self.profile_kind,
-                        _terms=tuple(terms))
-        object.__setattr__(blk, "_stiff_mass", (stiffw, massw))
-        return blk
+        terms = tuple(t for t in self._terms
+                      if t[0] in keep and t[1] in keep)
+        A, M = _assemble_pencil(self.grid, keep, self.stiff, self.mass, terms)
+        return replace(self, fields=keep, A=A, M=M, _terms=terms)
 
 
 def _assemble_pencil(grid, fields, stiff, mass, terms):
@@ -217,18 +214,11 @@ def _assemble_pencil(grid, fields, stiff, mass, terms):
     A = np.zeros((bw + 1, size))
     M = np.zeros((bw + 1, size))
 
-    mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-    c = mids ** (grid.N - 1) / grid.h
+    c = grid.face_coeffs(grid.N - 1)
     sd = c[:-1] + c[1:]             # interior stiffness diagonal (m entries)
     so = -c[1:m]                    # between interior neighbors (m-1)
     md, mo = grid.p1_mass(0)
     mdi, moi = md[1:n - 1], mo[1:n - 2]
-
-    def add(i, j, val):
-        # symmetric insert into lower band
-        if i < j:
-            i, j = j, i
-        A[i - j, j] += val
 
     for name in fields:
         o = pos[name]
@@ -252,12 +242,13 @@ def _assemble_pencil(grid, fields, stiff, mass, terms):
             A[F, ia[:-1]] += offi
         else:
             # cross coupling c(r) a b: each undirected matrix entry is half the
-            # form coefficient since x^T A x counts it twice
+            # form coefficient since x^T A x counts it twice; (a_j, b_{j+1})
+            # and (a_{j+1}, b_j) sit F + ob - oa and F + oa - ob below the
+            # diagonal
             lo, hi = min(oa, ob), max(oa, ob)
             A[hi - lo, lo + F * np.arange(m)] += 0.5 * di
-            for j in range(m - 1):
-                add(ia[j], ib[j + 1], 0.5 * offi[j])
-                add(ia[j + 1], ib[j], 0.5 * offi[j])
+            A[F + ob - oa, ia[:-1]] += 0.5 * offi
+            A[F + oa - ob, ib[:-1]] += 0.5 * offi
     A.setflags(write=False)
     M.setflags(write=False)
     return A, M
@@ -274,11 +265,9 @@ def mode_block(profile, W, Wt, eps, eta, lam) -> ModeBlock:
             "the second variation is only meaningful at a critical point")
     fields, stiff, mass, terms = _profile_terms(profile, W, Wt, eps, eta, lam)
     A, M = _assemble_pencil(grid, fields, stiff, mass, terms)
-    blk = ModeBlock(lam=float(lam), fields=fields, grid=grid, N=grid.N,
-                    A=A, M=M, profile_kind=type(profile).__name__,
-                    _terms=tuple(terms))
-    object.__setattr__(blk, "_stiff_mass", (stiff, mass))
-    return blk
+    return ModeBlock(lam=float(lam), fields=fields, grid=grid, N=grid.N,
+                     A=A, M=M, profile_kind=type(profile).__name__,
+                     _terms=tuple(terms), stiff=stiff, mass=mass)
 
 
 def mode_form_value(profile, W, Wt, eps, eta, lam, trial: dict) -> float:
@@ -292,8 +281,7 @@ def mode_form_value(profile, W, Wt, eps, eta, lam, trial: dict) -> float:
     missing = [f for f in fields if f not in trial]
     if missing:
         raise InputError(f"trial is missing fields {missing}")
-    mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-    c = mids ** (grid.N - 1) / grid.h
+    c = grid.face_coeffs(grid.N - 1)
     proj = {}
     for name in fields:
         u = np.array(trial[name], dtype=float)
@@ -459,9 +447,7 @@ def equator_instability_value(N: int, Wt, eta: float, a: float, b: float,
     inside = (r > b) & (r < a)
     q[inside] = np.sin(math.pi * np.log(r[inside] / b) / L) \
         * r[inside] ** (-(N - 2) / 2.0)
-    mids = 0.5 * (r[:-1] + r[1:])
-    c = mids ** (N - 1) / grid.h
-    kinetic = float(c @ np.diff(q) ** 2)
+    kinetic = float(grid.face_coeffs(N - 1) @ np.diff(q) ** 2)
     cd, co = grid.p1_mass(-2)
     cent = float(cd @ q ** 2) + float(co @ (2.0 * q[:-1] * q[1:]))
     md, mo = grid.p1_mass(0)
@@ -522,11 +508,7 @@ def _refined_profile(profile):
     """Insert a node at r_min/2 (fields extended by their leading-order
     behavior; no re-solve — this only probes the Dirichlet cutoff, and the
     coefficient perturbation is O(r_min^2))."""
-    grid = profile.grid
-    new_nodes = np.concatenate(([0.5 * grid.r_min], grid.nodes))
-    newgrid = RadialGrid(N=grid.N, nodes=new_nodes,
-                         weights=_product_weights(new_nodes, grid.N - 1),
-                         grading=dict(grid.grading))
+    newgrid = profile.grid.halve_rmin()
 
     def stretch(u, like):
         if like == "linear":                    # u ~ c r near 0
@@ -649,6 +631,6 @@ def decomposition_check(profile, W, Wt, eps, eta, trials: dict) -> tuple:
         x = np.zeros(blk.size)
         for i, name in enumerate(blk.fields):
             x[i::F] = np.asarray(tr[name])[1:1 + m]
-        joint += float(band_matvec(blk.A, x) @ x)
+        joint += float(sym_matvec(blk.A, x) @ x)
         total += mode_form_value(profile, W, Wt, eps, eta, lam, tr)
     return joint, total

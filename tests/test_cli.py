@@ -121,6 +121,8 @@ def test_argument_validation(capsys):
         ["stability", "--N", "3", "--point", "nonsense"],
         ["phase", "sweep", "--N", "3", "--eps", "0.4:0.1:4",
          "--eta", "0.2:1.0:4"],                             # reversed range
+        ["eigen", "--N", "3", "--W", "quadratic",
+         "--eps-sweep=-0.1:0.4:4"],                         # negative lo
     ]
     for argv in cases:
         assert main(argv) == 1

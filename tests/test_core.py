@@ -115,6 +115,76 @@ def test_hat_weights_positive():
         assert np.all(g.hat_weights(shift) > 0)
 
 
+# cell-by-cell references: one scalar moment per cell, powers and logs from
+# libm, accumulated in node order
+
+
+def _ref_moment(a, b, p):
+    if p == -1:
+        return math.log(b / a)
+    q = p + 1.0
+    return (b**q - a**q) / q
+
+
+def _ref_lagrange(x, a, b, p):
+    m0, m1, m2 = (_ref_moment(a, b, p + k) for k in range(3))
+    w = np.empty(3)
+    for i in range(3):
+        j, k = [s for s in range(3) if s != i]
+        w[i] = ((m2 - (x[j] + x[k]) * m1 + x[j] * x[k] * m0)
+                / ((x[i] - x[j]) * (x[i] - x[k])))
+    return w
+
+
+def _ref_product_weights(r, p):
+    n = r.size
+    w = np.zeros(n)
+    w[0:3] += _ref_lagrange(r[0:3], 0.0, r[0], p)
+    i = 0
+    while i + 2 <= n - 1:
+        w[i:i + 3] += _ref_lagrange(r[i:i + 3], r[i], r[i + 2], p)
+        i += 2
+    if i == n - 2:
+        w[n - 3:n] += _ref_lagrange(r[n - 3:n], r[n - 2], r[n - 1], p)
+    return w
+
+
+def _ref_hat_weights(r, p):
+    w = np.zeros(r.size)
+    for j in range(r.size - 1):
+        a, b = r[j], r[j + 1]
+        mm0, mm1 = _ref_moment(a, b, p), _ref_moment(a, b, p + 1)
+        w[j] += (b * mm0 - mm1) / (b - a)
+        w[j + 1] += (mm1 - a * mm0) / (b - a)
+    if p > -1:
+        w[0] += _ref_moment(0.0, r[0], p)
+    return w
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [16, 17, 401, 2000])
+@pytest.mark.parametrize("grading", ["uniform", {"graded": 2.0}])
+def test_moment_weights_match_cell_loops(N, n, grading):
+    # bit for bit: numpy's vectorized pow/log differ from libm in the last
+    # bit on some inputs, which would move every artifact
+    g = make_grid(N, n, grading)
+    r = g.nodes
+    for shift in (-2, 0, 2):
+        p = N - 1 + shift
+        if p > -1:
+            assert np.array_equal(g.product_weights(shift),
+                                  _ref_product_weights(r, p))
+        assert np.array_equal(g.hat_weights(shift), _ref_hat_weights(r, p))
+        assert np.array_equal(
+            g.cell_moments(shift),
+            [_ref_moment(r[j], r[j + 1], p) for j in range(n - 1)])
+    assert np.array_equal(g.weights, _ref_product_weights(r, N - 1))
+    # the halved-r_min grid keeps the grid's N and mesh, one node deeper
+    h = g.halve_rmin()
+    assert h.nodes[0] == 0.5 * r[0] and np.array_equal(h.nodes[1:], r)
+    assert np.array_equal(h.weights, _ref_product_weights(h.nodes, N - 1))
+
+
 # ---------------------------------------------------------------------------
 # potentials
 

@@ -110,8 +110,7 @@ def test_sweep_jobs_and_seed_deterministic():
 def test_sweep_solves_on_callers_grid():
     # halving r_min gives a grid that make_grid cannot rebuild from its spec
     from vortexlab import gl_linearization_eigenvalue
-    from vortexlab.spectral import _halve_rmin
-    grid = _halve_rmin(make_grid(3, 400, {"graded": 2.0}))
+    grid = make_grid(3, 400, {"graded": 2.0}).halve_rmin()
     kw = dict(confirm_fraction=0.5, grid=grid, seed=2)
     one = sweep(3, QUAD, LIN, (0.1, 0.3), (0.5, 1.0), (2, 2), jobs=1, **kw)
     two = sweep(3, QUAD, LIN, (0.1, 0.3), (0.5, 1.0), (2, 2), jobs=2, **kw)

@@ -11,7 +11,8 @@ from vortexlab import (BracketError, ConvergenceError, InputError,
                        find_epsilon0, gl_linearization_eigenvalue,
                        linearization_eigenvalue_sweep, make_grid,
                        smallest_eigenpair, sweep_to_csv)
-from vortexlab.spectral import _count_below, pencil_smallest
+from vortexlab.banded import count_below
+from vortexlab.spectral import pencil_smallest
 
 QUAD = Potential.quadratic()
 
@@ -175,10 +176,10 @@ def test_definiteness_test_matches_oracle(pencil, t):
     # a shift numerically on an eigenvalue has no certain inertia
     assume(np.min(np.abs(ev - sigma)) > 1e-6 * (1.0 + np.max(np.abs(ev))))
     oracle = ldl_count_below(A, M, sigma)
-    assert _count_below(A, M, sigma) == min(oracle, 1)
+    assert count_below(A, M, sigma) == min(oracle, 1)
     if b == 1:          # the exact tridiagonal count behind which > 0
         for which in (1, 2):
-            assert _count_below(A, M, sigma, which) == min(oracle, which + 1)
+            assert count_below(A, M, sigma, which) == min(oracle, which + 1)
 
 
 def test_dirichlet_laplacian_pi_squared(grid_n3):
@@ -348,8 +349,7 @@ def test_sweep_jobs_invariant(grid_n3):
 
 def test_sweep_solves_on_callers_grid():
     # halving r_min gives a grid that make_grid cannot rebuild from its spec
-    from vortexlab.spectral import _halve_rmin
-    grid = _halve_rmin(make_grid(3, 400, {"graded": 2.0}))
+    grid = make_grid(3, 400, {"graded": 2.0}).halve_rmin()
     eps_values = [0.1, 0.3]
     one = linearization_eigenvalue_sweep(3, QUAD, eps_values, grid=grid,
                                          jobs=1)

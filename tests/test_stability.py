@@ -12,7 +12,7 @@ from vortexlab import (InputError, Potential, decomposition_check,
                        mode_min_eigenvalue, solve_extended_profile,
                        solve_gl_profile, solve_sphere_profile,
                        spectrum_summary, sphere_eigenvalues)
-from vortexlab.spectral import band_matvec
+from vortexlab.banded import sym_matvec
 
 QUAD = Potential.quadratic()
 LIN = Potential.linear()
@@ -24,7 +24,7 @@ def _contract(block, trial):
     x = np.zeros(block.size)
     for i, name in enumerate(block.fields):
         x[i::F] = np.asarray(trial[name])[1:1 + m]
-    return float(band_matvec(block.A, x) @ x)
+    return float(sym_matvec(block.A, x) @ x)
 
 
 def _random_trial(rng, grid, fields):
@@ -91,6 +91,34 @@ def test_block_field_layout(escaping_profile, escaping_point):
     sph = solve_sphere_profile(3, LIN, 1.0, escaping_profile.grid)
     assert mode_block(sph, None, LIN, None, 1.0, 0.0).fields == ("p",)
     assert mode_block(sph, None, LIN, None, 1.0, 2.0).fields == ("p", "psi")
+
+
+@pytest.mark.parametrize("a, b", [("s", "psi"), ("psi", "s"), ("s", "q"),
+                                  ("q", "s"), ("psi", "q")])
+def test_cross_coupling_matches_entry_loop(a, b):
+    # reference: one symmetric lower-band insert per matrix entry
+    from vortexlab.stability import _assemble_pencil
+    grid = make_grid(3, 40, {"graded": 2.0})
+    fields = ("s", "psi", "q")
+    F, m = len(fields), grid.n - 2
+    zero = dict.fromkeys(fields, 0.0)
+    vals = np.random.default_rng(len(a + b)).standard_normal(grid.n)
+    A, _ = _assemble_pencil(grid, fields, zero, zero, [(a, b, vals, -2)])
+
+    d, off = grid.p1_weighted_mass(vals, -2)
+    di, offi = d[1:-1], off[1:-1]
+    oa, ob = fields.index(a), fields.index(b)
+    ia, ib = oa + F * np.arange(m), ob + F * np.arange(m)
+    ref = np.zeros_like(A)
+    for j in range(m):
+        i, k = sorted((ia[j], ib[j]), reverse=True)
+        ref[i - k, k] += 0.5 * di[j]
+    for j in range(m - 1):
+        for i, k in ((ia[j], ib[j + 1]), (ia[j + 1], ib[j])):
+            i, k = max(i, k), min(i, k)
+            ref[i - k, k] += 0.5 * offi[j]
+    assert np.array_equal(A, ref)
+    assert np.any(A[F + ob - oa] != 0) and np.any(A[F + oa - ob] != 0)
 
 
 def test_invalid_angular_eigenvalue(escaping_profile, escaping_point):
