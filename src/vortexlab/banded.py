@@ -4,14 +4,14 @@ Two storage forms:
 
 * symmetric lower band, shape (b+1, m): band[d, j] = A[j+d, j]. This is
   LAPACK's lower storage (dpbtrf takes it as is);
-* full band, shape (2b+1, m): ab[b + i - j, j] = A[i, j], the form of
-  scipy.linalg.solve_banded with b sub- and b superdiagonals.
+* full band, shape (2b+1, m): ab[b + i - j, j] = A[i, j], LAPACK's general
+  band (gb) layout with b sub- and b superdiagonals, without the b rows of
+  fill-in space that dgbtrf adds on top.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dpbtrf
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv, dpbtrf, dpttrf
 
 from .core import InputError
 
@@ -62,22 +62,29 @@ def count_below(Ab: np.ndarray, Mb: np.ndarray, sigma: float,
     """Eigenvalues of the pencil at or below sigma, capped at which + 1
     (Sylvester inertia of A - sigma*M).
 
-    For which = 0 only definiteness matters: the banded Cholesky of LAPACK
-    dpbtrf (same lower storage) fails exactly when A - sigma*M is not
-    positive definite. Larger `which` needs the count itself, kept for
-    tridiagonal pencils: LDL^T pivots, with pivots that vanish relative to
-    their own row clamped negative (sigma numerically on an eigenvalue counts
-    as at or below it).
+    For which = 0 only definiteness matters: a factorization of A - sigma*M
+    fails exactly when a pivot is <= 0, that is when the matrix is not
+    positive definite. A tridiagonal pencil takes LAPACK dpttrf (LDL^T,
+    O(n)), a wider one the banded Cholesky dpbtrf (same lower storage).
+    Larger `which` needs the count itself, kept for tridiagonal pencils:
+    LDL^T pivots, with pivots that vanish relative to their own row clamped
+    negative (sigma numerically on an eigenvalue counts as at or below it).
     """
-    S = Ab - sigma * Mb
+    tridiagonal = Ab.shape[0] == 2
     if which == 0:
-        _, info = dpbtrf(S, lower=1)
+        if tridiagonal:
+            *_, info = dpttrf(Ab[0] - sigma * Mb[0],
+                              Ab[1, :-1] - sigma * Mb[1, :-1],
+                              overwrite_d=1, overwrite_e=1)
+        else:
+            _, info = dpbtrf(Ab - sigma * Mb, lower=1)
         if info < 0:
-            raise InputError(f"dpbtrf rejected argument {-info}")
+            raise InputError(f"LAPACK rejected argument {-info}")
         return int(info > 0)
-    if S.shape[0] != 2:
+    if not tridiagonal:
         raise InputError("eigenpairs past the smallest need a tridiagonal "
                          "pencil")
+    S = Ab - sigma * Mb
     diag, off = S[0], S[1]
     rowmax = np.abs(diag)
     rowmax[1:] += np.abs(off[:-1])
@@ -97,28 +104,62 @@ def count_below(Ab: np.ndarray, Mb: np.ndarray, sigma: float,
     return neg
 
 
-def lu_solver(ab: np.ndarray):
+def lu_solver(ab: np.ndarray, scale: bool = True):
     """solve(rhs) for the square matrix in full band storage ab (equal sub-
-    and superdiagonal counts), after scaling each row by its largest entry.
+    and superdiagonal counts), factored once.
 
-    The r^(N+1) weights of the Newton systems span ~50 decades at large N on
-    a graded grid; without the row scaling the factorization loses the step.
+    With `scale`, each row is first divided by its largest entry: the
+    r^(N+1) weights of the Newton systems span ~50 decades at large N on a
+    graded grid, and without the row scaling the factorization loses the
+    step. A tridiagonal matrix is solved by LAPACK dgtsv on every call, a
+    wider one factored by dgbtrf here and solved by dgbtrs per call, which
+    gives the bits of one dgbsv call per right-hand side.
+    A matrix or right-hand side that is not finite raises ValueError, a zero
+    pivot LinAlgError.
     """
     b = ab.shape[0] // 2
     m = ab.shape[1]
-    ab = ab.copy()
-    rs = np.zeros(m)
-    for k in range(2 * b + 1):
-        d = k - b                          # ab[k, j] holds A[j + d, j]
-        j0, j1 = max(0, -d), min(m, m - d)
-        rows = slice(j0 + d, j1 + d)
-        rs[rows] = np.maximum(rs[rows], np.abs(ab[k, j0:j1]))
-    rs = np.where(rs > 0, rs, 1.0)
-    for k in range(2 * b + 1):
-        d = k - b
-        j0, j1 = max(0, -d), min(m, m - d)
-        ab[k, j0:j1] /= rs[j0 + d:j1 + d]
+    if not np.isfinite(ab).all():
+        raise ValueError("band matrix must not contain infs or NaNs")
+    if scale:
+        # ab[k, j] sits in matrix row j + k - b. Padded by b columns on each
+        # side and read with rows of length m + 2b - 1, row k of `rows` is
+        # ab[k, i + b - k] at column i: a view of the band by matrix row
+        width = m + 2 * b
+        pad = np.zeros((2 * b + 1, width))
+        pad[:, b:b + m] = ab
+        rows = pad.ravel()[2 * b:2 * b + (2 * b + 1) * (width - 1)]
+        rows = rows.reshape(2 * b + 1, width - 1)[:, :m]
+        rs = np.abs(rows).max(axis=0)
+        rs = np.where(rs > 0, rs, 1.0)
+        rows /= rs                  # entries outside the matrix stay as given
+        ab = pad[:, b:b + m]
+    else:
+        rs = None
+
+    def scaled(rhs):
+        rhs = rhs if rs is None else rhs / rs
+        if not np.isfinite(rhs).all():
+            raise ValueError("right-hand side must not contain infs or NaNs")
+        return rhs
+
+    if b == 1:
+        dl, d, du = ab[2, :-1], ab[1], ab[0, 1:]
+
+        def solve(rhs):
+            *_, x, info = dgtsv(dl, d, du, scaled(rhs))
+            if info > 0:
+                raise np.linalg.LinAlgError("singular matrix")
+            return x
+        return solve
+
+    lu = np.zeros((3 * b + 1, m), order="F")     # b rows of fill-in on top
+    lu[b:] = ab
+    lu, piv, info = dgbtrf(lu, b, b, overwrite_ab=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
 
     def solve(rhs):
-        return solve_banded((b, b), ab, rhs / rs)
+        x, _ = dgbtrs(lu, b, b, scaled(rhs), piv)
+        return x
     return solve

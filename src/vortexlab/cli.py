@@ -115,8 +115,16 @@ def _parse_point(text: str) -> dict:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, so they reach the JSON error path and
+    exit 1 like every other bad input; --help still exits 0."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="vortexlab",
         description="Radial vortex profiles, linearization spectra, phase "
                     "diagrams, and stability reports on the unit ball.")
@@ -150,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eigen", help="linearization eigenvalue(s), emit CSV")
     common(sp, needs_wt=False)
     sp.add_argument("--eps", type=float, default=None)
-    # raw string: parsed in _config_from_args so malformed values hit the
-    # structured error path instead of argparse's usage exit
     sp.add_argument("--eps-sweep", default=None, metavar="LO:HI:COUNT")
     sp.add_argument("--find-threshold", action="store_true",
                     help="also bisect for the eigenvalue sign change eps0")
@@ -448,7 +454,7 @@ def main(argv=None) -> int:
         if trace:
             payload["trace"] = [list(map(str, t)) if isinstance(t, tuple)
                                 else str(t) for t in trace]
-        sys.stderr.write(json.dumps(payload, indent=2) + "\n")
+        sys.stderr.write(json.dumps(payload) + "\n")
         return 1
 
 

@@ -561,9 +561,13 @@ class Potential:
         if self.kind == "zero":
             return np.zeros_like(t)
         if self.kind == "quadratic":
-            return (0.5 * t * t, t, np.ones_like(t))[order]
+            if order == 0:
+                return 0.5 * t * t
+            return t if order == 1 else np.ones_like(t)
         if self.kind == "linear":
-            return (t, np.ones_like(t), np.zeros_like(t))[order]
+            if order == 0:
+                return t
+            return np.ones_like(t) if order == 1 else np.zeros_like(t)
         if self.kind == "flat_well":
             t0 = self.params[0]
             u = np.maximum(t - t0, 0.0)

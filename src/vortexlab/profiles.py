@@ -107,6 +107,14 @@ def _newton(assemble: Callable, u0: np.ndarray, opts: SolverOptions,
         trace)
 
 
+def _lazy_solver(jacobian: Callable) -> Callable:
+    """solve(rhs) that builds and factors jacobian() (full band storage) when
+    called. _newton calls it once for an iterate it steps from, so a
+    rejected line-search trial and a stage's final iterate never pay for a
+    Jacobian."""
+    return lambda rhs: lu_solver(jacobian())(rhs)
+
+
 # ---------------------------------------------------------------------------
 # discrete operators (shared by solvers and the independent residual check)
 
@@ -133,18 +141,21 @@ def _gl_assemble(grid, eps, well):
 
     def assemble(vi):
         v = np.append(vi, 1.0)
-        res = _gl_residual_full(grid, eps, well, v)
-        x = 1.0 - r * r * v * v
-        wp = well.eval(x, 1, clamp=True)
-        wpp = well.eval(x, 2, clamp=True)
-        m = grid.n - 1
-        band = np.zeros((2, m))           # symmetric lower band
-        diag = band[0]
-        diag += c[: m]
-        diag[1:] += c[: m - 1]
-        diag -= mass / eps**2 * (wp[:m] - 2 * r[:m]**2 * v[:m]**2 * wpp[:m])
-        band[1, :-1] = -c[: m - 1]
-        return res, lu_solver(sym_to_full(band))
+
+        def jacobian():
+            x = 1.0 - r * r * v * v
+            wp = well.eval(x, 1, clamp=True)
+            wpp = well.eval(x, 2, clamp=True)
+            m = grid.n - 1
+            band = np.zeros((2, m))           # symmetric lower band
+            diag = band[0]
+            diag += c[: m]
+            diag[1:] += c[: m - 1]
+            diag -= mass / eps**2 * (wp[:m] - 2 * r[:m]**2 * v[:m]**2
+                                     * wpp[:m])
+            band[1, :-1] = -c[: m - 1]
+            return sym_to_full(band)
+        return _gl_residual_full(grid, eps, well, v), _lazy_solver(jacobian)
 
     return assemble
 
@@ -184,39 +195,40 @@ def _extended_assemble(grid, eps, eta, well, penalty):
         v = np.append(z[0::2], 1.0)
         g = np.append(z[1::2], 0.0)
         res_v, res_g = _extended_residual_full(grid, eps, eta, well, penalty, v, g)
-        res = _interleave(res_v, res_g)
 
-        x = (1.0 - r * r * v * v - g * g)[:m]
-        wp = well.eval(x, 1, clamp=True)
-        wpp = well.eval(x, 2, clamp=True)
-        g2 = (g * g)[:m]
-        tp = penalty.eval(g2, 1, clamp=True)
-        tpp = penalty.eval(g2, 2, clamp=True)
-        rv, gg = (r * v)[:m], g[:m]
+        def jacobian():
+            x = (1.0 - r * r * v * v - g * g)[:m]
+            wp = well.eval(x, 1, clamp=True)
+            wpp = well.eval(x, 2, clamp=True)
+            g2 = (g * g)[:m]
+            tp = penalty.eval(g2, 1, clamp=True)
+            tpp = penalty.eval(g2, 2, clamp=True)
+            rv, gg = (r * v)[:m], g[:m]
 
-        dvv = np.zeros(m)
-        dvv += c_v[:m]
-        dvv[1:] += c_v[: m - 1]
-        dvv -= mv[:m] / eps**2 * (wp - 2 * rv * rv * wpp)
-        dgg = np.zeros(m)
-        dgg += c_g[:m]
-        dgg[1:] += c_g[: m - 1]
-        dgg -= mg[:m] * ((wp - 2 * gg * gg * wpp) / eps**2
-                         - (tp + 2 * gg * gg * tpp) / eta**2)
-        dvg = mv[:m] / eps**2 * 2 * v[:m] * gg * wpp
-        dgv = mg[:m] / eps**2 * 2 * r[:m] * rv * gg * wpp
+            dvv = np.zeros(m)
+            dvv += c_v[:m]
+            dvv[1:] += c_v[: m - 1]
+            dvv -= mv[:m] / eps**2 * (wp - 2 * rv * rv * wpp)
+            dgg = np.zeros(m)
+            dgg += c_g[:m]
+            dgg[1:] += c_g[: m - 1]
+            dgg -= mg[:m] * ((wp - 2 * gg * gg * wpp) / eps**2
+                             - (tp + 2 * gg * gg * tpp) / eta**2)
+            dvg = mv[:m] / eps**2 * 2 * v[:m] * gg * wpp
+            dgv = mg[:m] / eps**2 * 2 * r[:m] * rv * gg * wpp
 
-        ab = np.zeros((5, 2 * m))
-        idx = np.arange(m)
-        ab[2, 2 * idx] = dvv
-        ab[2, 2 * idx + 1] = dgg
-        ab[1, 2 * idx + 1] = dvg          # (2j, 2j+1)
-        ab[3, 2 * idx] = dgv              # (2j+1, 2j)
-        ab[0, 2 * idx[1:]] = -c_v[: m - 1]      # (2j, 2j+2)
-        ab[4, 2 * idx[:-1]] = -c_v[: m - 1]
-        ab[0, 2 * idx[1:] + 1] = -c_g[: m - 1]  # (2j+1, 2j+3)
-        ab[4, 2 * idx[:-1] + 1] = -c_g[: m - 1]
-        return res, lu_solver(ab)
+            ab = np.zeros((5, 2 * m))
+            idx = np.arange(m)
+            ab[2, 2 * idx] = dvv
+            ab[2, 2 * idx + 1] = dgg
+            ab[1, 2 * idx + 1] = dvg          # (2j, 2j+1)
+            ab[3, 2 * idx] = dgv              # (2j+1, 2j)
+            ab[0, 2 * idx[1:]] = -c_v[: m - 1]      # (2j, 2j+2)
+            ab[4, 2 * idx[:-1]] = -c_v[: m - 1]
+            ab[0, 2 * idx[1:] + 1] = -c_g[: m - 1]  # (2j+1, 2j+3)
+            ab[4, 2 * idx[:-1] + 1] = -c_g[: m - 1]
+            return ab
+        return _interleave(res_v, res_g), _lazy_solver(jacobian)
 
     return assemble
 
@@ -244,20 +256,23 @@ def _sphere_assemble(grid, eta, penalty):
 
     def assemble(ti):
         theta = np.append(ti, 0.5 * math.pi)
-        res = _sphere_residual_full(grid, eta, penalty, theta)
-        cos2 = np.cos(2 * theta)[:m]
-        sin2 = np.sin(2 * theta)[:m]
-        c2 = (np.cos(theta)**2)[:m]
-        tp = penalty.eval(c2, 1, clamp=True)
-        tpp = penalty.eval(c2, 2, clamp=True)
-        band = np.zeros((2, m))           # symmetric lower band
-        diag = band[0]
-        diag += c[:m]
-        diag[1:] += c[: m - 1]
-        diag += (grid.N - 1) * m_cent[:m] * cos2
-        diag -= m0[:m] / eta**2 * (tp * cos2 - 0.5 * tpp * sin2 * sin2)
-        band[1, :-1] = -c[: m - 1]
-        return res, lu_solver(sym_to_full(band))
+
+        def jacobian():
+            cos2 = np.cos(2 * theta)[:m]
+            sin2 = np.sin(2 * theta)[:m]
+            c2 = (np.cos(theta)**2)[:m]
+            tp = penalty.eval(c2, 1, clamp=True)
+            tpp = penalty.eval(c2, 2, clamp=True)
+            band = np.zeros((2, m))           # symmetric lower band
+            diag = band[0]
+            diag += c[:m]
+            diag[1:] += c[: m - 1]
+            diag += (grid.N - 1) * m_cent[:m] * cos2
+            diag -= m0[:m] / eta**2 * (tp * cos2 - 0.5 * tpp * sin2 * sin2)
+            band[1, :-1] = -c[: m - 1]
+            return sym_to_full(band)
+        return (_sphere_residual_full(grid, eta, penalty, theta),
+                _lazy_solver(jacobian))
 
     return assemble
 

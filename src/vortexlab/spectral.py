@@ -18,9 +18,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .banded import count_below, equilibrate, sym_matvec, sym_to_full
+from .banded import (count_below, equilibrate, lu_solver, sym_matvec,
+                     sym_to_full)
 from .core import (ConvergenceError, InputError, NoThresholdError,
                    BracketError, Potential, RadialGrid, format_float,
                    make_grid)
@@ -62,7 +62,6 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
     if np.any(Mb[0] <= 0):
         raise InputError("mass diagonal must be positive")
     Ab, Mb, dscale = equilibrate(Ab, Mb)
-    band = Ab.shape[0] - 1
     trace: list = []
 
     def count(sigma: float) -> int:
@@ -103,12 +102,12 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
         lam = sigma
         resid = math.inf
         for _ in range(8):
-            # unscaled on purpose: with lu_solver's row scaling, inverse
-            # iteration stalls at backward error ~3.5e-8 on stability blocks
-            ab = sym_to_full(Ab - sigma * Mb)
             try:
+                # unscaled on purpose: with row scaling, inverse iteration
+                # stalls at backward error ~3.5e-8 on stability blocks
+                solve = lu_solver(sym_to_full(Ab - sigma * Mb), scale=False)
                 for _ in range(3):
-                    y = solve_banded((band, band), ab, sym_matvec(Mb, x))
+                    y = solve(sym_matvec(Mb, x))
                     nrm = math.sqrt(abs(sym_matvec(Mb, y) @ y))
                     if not np.isfinite(nrm) or nrm == 0.0:
                         raise np.linalg.LinAlgError(

@@ -11,6 +11,12 @@ def _run(tmp_path, *extra):
     return main([*extra, "--outdir", str(tmp_path)])
 
 
+def _one_line_json(err):
+    """The error payload: exactly one line of JSON on stderr."""
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    return json.loads(err)
+
+
 def _read_csv(path):
     rows = []
     header = None
@@ -106,8 +112,7 @@ def test_error_report(tmp_path, capsys):
     assert _run(tmp_path, "eigen", "--N", "7", "--W", "quadratic",
                 "--eps-sweep", "0.05:1.0:4", "--find-threshold",
                 "--tol", "1e-6", "--grid-n", "600") == 1
-    err = capsys.readouterr().err
-    payload = json.loads(err)
+    payload = _one_line_json(capsys.readouterr().err)
     assert payload["error"] == "NoThresholdError"
     assert payload["message"]
 
@@ -123,11 +128,34 @@ def test_argument_validation(capsys):
          "--eta", "0.2:1.0:4"],                             # reversed range
         ["eigen", "--N", "3", "--W", "quadratic",
          "--eps-sweep=-0.1:0.4:4"],                         # negative lo
+        ["eigen", "--N", "3", "--W", "quadratic",
+         "--eps-sweep", "-0.1:0.4:4"],                      # ... after a space
+        ["phase", "sweep", "--N", "3", "--W", "quadratic", "--Wt", "linear",
+         "--eps", "-0.1:0.4:4", "--eta", "0.2:1.0:4"],
+        ["eigen", "--N", "3", "--W", "quadratic", "--bogus"],
+        ["transmogrify", "--N", "3"],
     ]
     for argv in cases:
         assert main(argv) == 1
-        payload = json.loads(capsys.readouterr().err)
+        payload = _one_line_json(capsys.readouterr().err)
         assert payload["error"] == "InputError"
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["eigen", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: vortexlab" in capsys.readouterr().out
+
+
+def test_error_payload_is_one_line(tmp_path, capsys):
+    # a ConvergenceError carries its solver trace, on the same line
+    assert _run(tmp_path, "profile", "--N", "3", "--W", "quadratic",
+                "--eps", "0.05", "--max-iter", "1", "--grid-n", "200") == 1
+    payload = _one_line_json(capsys.readouterr().err)
+    assert payload["error"] == "ConvergenceError"
+    assert payload["message"] and payload["trace"]
 
 
 def test_phase_sweep(tmp_path):
