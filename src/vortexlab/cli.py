@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import InputError, Potential, VortexLabError, make_grid
+from .core import (InputError, Potential, VortexLabError, _parse_grading,
+                   make_grid)
 from .phase import axis_samples, sweep as phase_sweep
 from .profiles import (SolverOptions, profile_to_csv, reduced_energy_extended,
                        reduced_energy_gl, reduced_energy_mm,
@@ -33,7 +34,7 @@ _COMMANDS = ("profile", "eigen", "phase", "stability", "energy")
 class RunConfig:
     command: str
     N: int
-    W: object = None                  # potential spec (str | dict) or None
+    W: object = None                  # potential spec (Potential.from_spec)
     Wt: object = None
     eps: object = None                # float or {"lo","hi","count"}
     eta: object = None
@@ -71,34 +72,27 @@ class RunConfig:
         return out
 
 
+def _number(text: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise InputError(f"not a number: {text!r}") from None
+
+
 def _parse_range(text: str) -> dict:
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError(f"range must be lo:hi:count, got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+    lo, hi = _number(parts[0]), _number(parts[1])
+    count = _number(parts[2], int)
     if not (hi > lo and count >= 1):
         raise InputError(f"empty range {text!r}")
     return {"lo": lo, "hi": hi, "count": count}
 
 
-def _parse_potential(text: str):
-    t = text.strip()
-    if t.startswith("{"):
-        return json.loads(t)
-    if t.startswith("flat_well:"):
-        return {"flat_well": float(t.split(":", 1)[1])}
-    return t
-
-
 def _parse_grid(ns) -> dict:
-    grading = "uniform"
-    if ns.grid_grading != "uniform":
-        g = ns.grid_grading
-        if g.startswith("graded:"):
-            grading = {"graded": float(g.split(":", 1)[1])}
-        else:
-            grading = {"graded": float(g)}
+    kind, beta = _parse_grading(ns.grid_grading)
+    grading = "uniform" if kind == "uniform" else {"graded": beta}
     return {"n": ns.grid_n, "grading": grading}
 
 
@@ -108,7 +102,7 @@ def _parse_point(text: str) -> dict:
         if "=" not in part:
             raise InputError(f"--point needs key=value pairs, got {text!r}")
         k, v = part.split("=", 1)
-        out[k.strip()] = float(v)
+        out[k.strip()] = _number(v)
     unknown = set(out) - {"eps", "eta"}
     if unknown:
         raise InputError(f"--point keys must be eps/eta, got {sorted(unknown)}")
@@ -132,11 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, needs_wt=True):
         sp.add_argument("--N", type=int, required=True)
-        sp.add_argument("--W", type=_parse_potential, default=None,
+        sp.add_argument("--W", default=None,
                         help="bulk potential: quadratic|linear|zero|"
                              "flat_well:T0|JSON")
         if needs_wt:
-            sp.add_argument("--Wt", type=_parse_potential, default=None,
+            sp.add_argument("--Wt", default=None,
                             help="transverse penalty spec")
         sp.add_argument("--grid-n", type=int, default=2000)
         sp.add_argument("--grid-grading", default="graded:2.0",

@@ -11,6 +11,7 @@ moments the solvers and quadratic-form assemblies need.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -179,8 +180,9 @@ class RadialGrid:
     def _cached(self, key, builder):
         if key not in self._cache:
             value = builder()
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
             self._cache[key] = value
         return self._cache[key]
 
@@ -312,6 +314,32 @@ class RadialGrid:
 
         return self._cached(("fc", power), build)
 
+    # -- the radial operator -(r^power u')' ---------------------------------
+    # Conservative flux form with the face coefficients above. Rows are the
+    # nodes 0..n-2: node 0 closes with zero flux across [0, r_min], and node
+    # n-1 is a Dirichlet node (its value enters row n-2, it has no row).
+
+    def flux_residual(self, u: np.ndarray, power: int) -> np.ndarray:
+        """Rows 0..n-2 of -(r^power u')' on full-grid samples u: the face
+        flux on the left of each node minus the one on its right."""
+        flux = self.face_coeffs(power) * (u[1:] - u[:-1])
+        res = np.empty(self.n - 1)
+        res[0] = -flux[0]
+        res[1:] = flux[:-1] - flux[1:]
+        return res
+
+    def stiffness(self, power: int) -> tuple[np.ndarray, np.ndarray]:
+        """Jacobian of flux_residual on nodes 0..n-2: (diagonal, first
+        subdiagonal). A Dirichlet node at r_min drops row and column 0:
+        slice both with [1:]."""
+        def build():
+            c = self.face_coeffs(power)
+            diag = c.copy()
+            diag[1:] += c[:-1]
+            return diag, -c[:-1]
+
+        return self._cached(("stiff", power), build)
+
     def origin_moment(self, shift: int = 0) -> float:
         """Moment of r^(N-1+shift) over [0, r_min]."""
         p = self.N - 1 + shift
@@ -375,45 +403,22 @@ class RadialGrid:
         return {"n": self.n, **self.grading}
 
 
-def _fd_weights(x0: float, xs: np.ndarray, order: int = 1) -> np.ndarray:
-    """Finite-difference weights for the `order`-th derivative at x0 from
-    arbitrary nodes xs (Fornberg's recursion)."""
-    n = len(xs)
-    C = np.zeros((n, order + 1))
-    C[0, 0] = 1.0
-    c1 = 1.0
-    c4 = xs[0] - x0
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = xs[i] - x0
-        for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    C[i, k] = c1 * (k * C[i - 1, k - 1] - c5 * C[i - 1, k]) / c2
-                C[i, 0] = -c1 * c5 * C[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                C[j, k] = (c4 * C[j, k] - k * C[j, k - 1]) / c3
-            C[j, 0] = c4 * C[j, 0] / c3
-        c1 = c2
-    return C[:, order]
-
-
 def _parse_grading(grading) -> tuple[str, float]:
+    """("uniform", 1.0) or ("graded", beta) from "uniform" (or None),
+    {"graded": beta}, ("graded", beta), "graded:BETA" or "graded(BETA)"."""
     if grading is None or grading == "uniform":
         return "uniform", 1.0
+    beta = None
     if isinstance(grading, dict) and "graded" in grading:
-        return "graded", float(grading["graded"])
-    if isinstance(grading, (tuple, list)) and len(grading) == 2 and grading[0] == "graded":
-        return "graded", float(grading[1])
-    if isinstance(grading, str) and grading.startswith("graded"):
-        sep = grading.replace("graded", "").lstrip(":(").rstrip(")")
-        if sep:
-            return "graded", float(sep)
-    raise InputError(f"unrecognized grading spec: {grading!r}")
+        beta = grading["graded"]
+    elif isinstance(grading, (tuple, list)) and len(grading) == 2 and grading[0] == "graded":
+        beta = grading[1]
+    elif isinstance(grading, str) and grading.startswith("graded"):
+        beta = grading.replace("graded", "").lstrip(":(").rstrip(")")
+    try:
+        return "graded", float(beta)
+    except (TypeError, ValueError):
+        raise InputError(f"unrecognized grading spec: {grading!r}") from None
 
 
 def make_grid(N: int, n: int, grading="uniform") -> RadialGrid:
@@ -503,31 +508,38 @@ class Potential:
     def from_spec(spec) -> "Potential":
         """JSON form: "quadratic" | "linear" | "zero" | {"flat_well": t0}
         | {"piecewise": {"breaks": [...], "coeffs": [[...], ...]}}
-        (optionally wrapped as {"kind": ...})."""
+        (optionally wrapped as {"kind": ...}), as an object or as JSON text;
+        the string "flat_well:T0" is short for {"flat_well": T0}."""
         if isinstance(spec, Potential):
             return spec
+        if isinstance(spec, str) and spec.strip().startswith("{"):
+            try:
+                spec = json.loads(spec)
+            except ValueError:
+                raise InputError(f"malformed potential JSON: {spec!r}") from None
         if isinstance(spec, dict) and "kind" in spec:
             spec = spec["kind"]
-        if isinstance(spec, str):
-            name = spec.strip()
-            simple = {"quadratic": Potential.quadratic,
-                      "linear": Potential.linear,
-                      "zero": Potential.zero}
-            if name in simple:
-                return simple[name]()
-            if name.startswith("flat_well"):
-                inner = name[len("flat_well"):].strip(":() ")
-                return Potential.flat_well(float(inner))
-            raise InputError(f"unknown potential spec: {spec!r}")
-        if isinstance(spec, dict):
-            if "flat_well" in spec:
+        try:
+            if isinstance(spec, str):
+                name = spec.strip()
+                simple = {"quadratic": Potential.quadratic,
+                          "linear": Potential.linear,
+                          "zero": Potential.zero}
+                if name in simple:
+                    return simple[name]()
+                if name.startswith("flat_well"):
+                    inner = name[len("flat_well"):].strip(":() ")
+                    return Potential.flat_well(float(inner))
+            if isinstance(spec, dict) and "flat_well" in spec:
                 return Potential.flat_well(float(spec["flat_well"]))
-            if "piecewise" in spec:
+            if isinstance(spec, dict) and "piecewise" in spec:
                 body = spec["piecewise"]
-                if isinstance(body, dict):
-                    return Potential.piecewise(body["breaks"], body["coeffs"],
-                                               body.get("hi"))
-                raise InputError("piecewise spec must carry breaks and coeffs")
+                return Potential.piecewise(body["breaks"], body["coeffs"],
+                                           body.get("hi"))
+        except InputError:
+            raise
+        except (TypeError, ValueError, KeyError):
+            pass
         raise InputError(f"unknown potential spec: {spec!r}")
 
     def spec(self) -> dict:

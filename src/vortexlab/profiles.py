@@ -10,9 +10,10 @@ Three models on the unit ball, reduced to r ∈ (0, 1]:
 * the sphere-valued polar angle θ with θ(1) = π/2 (g = cos θ escapes toward
   the pole at the origin).
 
-All solvers are damped Newton on a conservative finite-volume discretization
-with midpoint flux coefficients, zero-flux closure at the origin, and
-parameter continuation for stiff regimes.
+All solvers are damped Newton on the finite-volume operator of
+RadialGrid.flux_residual and RadialGrid.stiffness (stencil and boundary
+conventions are documented there) plus pointwise well terms, with parameter
+continuation for stiff regimes.
 """
 
 from __future__ import annotations
@@ -121,112 +122,79 @@ def _lazy_solver(jacobian: Callable) -> Callable:
 
 def _gl_residual_full(grid, eps, well, v):
     """FV residual of (r^{N+1} v')' = -(r^{N+1}/eps²) W'(1-r²v²) v at nodes
-    0..n-2 (node n-1 carries the Dirichlet value v=1)."""
-    c = grid.face_coeffs(grid.N + 1)
-    mass = grid.hat_weights(2)
+    0..n-2 (node n-1 carries the Dirichlet value v=1), with the well's
+    argument x and W'(x) at nodes 0..n-2."""
+    mass = grid.hat_weights(2)[:-1]
     r = grid.nodes
-    wp = well.eval(1.0 - r * r * v * v, 1, clamp=True)
-    res = np.empty(grid.n - 1)
-    flux = c * (v[1:] - v[:-1])          # face fluxes
-    res[0] = -flux[0]
-    res[1:] = flux[:-1] - flux[1:]
-    res -= mass[:-1] / eps**2 * wp[:-1] * v[:-1]
-    return res
+    x = (1.0 - r * r * v * v)[:-1]
+    wp = well.eval(x, 1, clamp=True)
+    res = grid.flux_residual(v, grid.N + 1)
+    res -= mass / eps**2 * wp * v[:-1]
+    return res, x, wp
 
 
 def _gl_assemble(grid, eps, well):
-    c = grid.face_coeffs(grid.N + 1)
+    sd, so = grid.stiffness(grid.N + 1)
     mass = grid.hat_weights(2)[:-1]
-    r = grid.nodes
+    r = grid.nodes[:-1]
 
     def assemble(vi):
         v = np.append(vi, 1.0)
+        res, x, wp = _gl_residual_full(grid, eps, well, v)
 
         def jacobian():
-            x = 1.0 - r * r * v * v
-            wp = well.eval(x, 1, clamp=True)
             wpp = well.eval(x, 2, clamp=True)
-            m = grid.n - 1
-            band = np.zeros((2, m))           # symmetric lower band
-            diag = band[0]
-            diag += c[: m]
-            diag[1:] += c[: m - 1]
-            diag -= mass / eps**2 * (wp[:m] - 2 * r[:m]**2 * v[:m]**2
-                                     * wpp[:m])
-            band[1, :-1] = -c[: m - 1]
-            return sym_to_full(band)
-        return _gl_residual_full(grid, eps, well, v), _lazy_solver(jacobian)
+            diag = sd - mass / eps**2 * (wp - 2 * r**2 * vi**2 * wpp)
+            return sym_to_full(np.array([diag, np.append(so, 0.0)]))
+        return res, _lazy_solver(jacobian)
 
     return assemble
 
 
 def _extended_residual_full(grid, eps, eta, well, penalty, v, g):
-    c_v = grid.face_coeffs(grid.N + 1)
-    c_g = grid.face_coeffs(grid.N - 1)
-    mv = grid.hat_weights(2)
-    mg = grid.hat_weights(0)
+    """Residuals of the v and g equations at nodes 0..n-2, with the well's
+    argument x, W'(x) and Wt'(g²) at nodes 0..n-2."""
+    mv = grid.hat_weights(2)[:-1]
+    mg = grid.hat_weights(0)[:-1]
     r = grid.nodes
-    x = 1.0 - r * r * v * v - g * g
+    x = (1.0 - r * r * v * v - g * g)[:-1]
     wp = well.eval(x, 1, clamp=True)
-    tp = penalty.eval(g * g, 1, clamp=True)
-    m = grid.n - 1
-    res_v = np.empty(m)
-    res_g = np.empty(m)
-    flux_v = c_v * (v[1:] - v[:-1])
-    flux_g = c_g * (g[1:] - g[:-1])
-    res_v[0] = -flux_v[0]
-    res_v[1:] = flux_v[:-1] - flux_v[1:]
-    res_g[0] = -flux_g[0]
-    res_g[1:] = flux_g[:-1] - flux_g[1:]
-    res_v -= mv[:m] / eps**2 * wp[:m] * v[:m]
-    res_g -= mg[:m] * (wp[:m] / eps**2 - tp[:m] / eta**2) * g[:m]
-    return res_v, res_g
+    tp = penalty.eval((g * g)[:-1], 1, clamp=True)
+    res_v = grid.flux_residual(v, grid.N + 1)
+    res_g = grid.flux_residual(g, grid.N - 1)
+    res_v -= mv / eps**2 * wp * v[:-1]
+    res_g -= mg * (wp / eps**2 - tp / eta**2) * g[:-1]
+    return res_v, res_g, x, wp, tp
 
 
 def _extended_assemble(grid, eps, eta, well, penalty):
-    c_v = grid.face_coeffs(grid.N + 1)
-    c_g = grid.face_coeffs(grid.N - 1)
-    mv = grid.hat_weights(2)
-    mg = grid.hat_weights(0)
-    r = grid.nodes
+    sv, ov = grid.stiffness(grid.N + 1)
+    sg, og = grid.stiffness(grid.N - 1)
+    mv = grid.hat_weights(2)[:-1]
+    mg = grid.hat_weights(0)[:-1]
+    r = grid.nodes[:-1]
     m = grid.n - 1
 
     def assemble(z):
         v = np.append(z[0::2], 1.0)
         g = np.append(z[1::2], 0.0)
-        res_v, res_g = _extended_residual_full(grid, eps, eta, well, penalty, v, g)
+        res_v, res_g, x, wp, tp = _extended_residual_full(
+            grid, eps, eta, well, penalty, v, g)
 
         def jacobian():
-            x = (1.0 - r * r * v * v - g * g)[:m]
-            wp = well.eval(x, 1, clamp=True)
+            gg = z[1::2]
+            g2 = gg * gg
             wpp = well.eval(x, 2, clamp=True)
-            g2 = (g * g)[:m]
-            tp = penalty.eval(g2, 1, clamp=True)
             tpp = penalty.eval(g2, 2, clamp=True)
-            rv, gg = (r * v)[:m], g[:m]
-
-            dvv = np.zeros(m)
-            dvv += c_v[:m]
-            dvv[1:] += c_v[: m - 1]
-            dvv -= mv[:m] / eps**2 * (wp - 2 * rv * rv * wpp)
-            dgg = np.zeros(m)
-            dgg += c_g[:m]
-            dgg[1:] += c_g[: m - 1]
-            dgg -= mg[:m] * ((wp - 2 * gg * gg * wpp) / eps**2
-                             - (tp + 2 * gg * gg * tpp) / eta**2)
-            dvg = mv[:m] / eps**2 * 2 * v[:m] * gg * wpp
-            dgv = mg[:m] / eps**2 * 2 * r[:m] * rv * gg * wpp
-
+            rv = r * z[0::2]
             ab = np.zeros((5, 2 * m))
-            idx = np.arange(m)
-            ab[2, 2 * idx] = dvv
-            ab[2, 2 * idx + 1] = dgg
-            ab[1, 2 * idx + 1] = dvg          # (2j, 2j+1)
-            ab[3, 2 * idx] = dgv              # (2j+1, 2j)
-            ab[0, 2 * idx[1:]] = -c_v[: m - 1]      # (2j, 2j+2)
-            ab[4, 2 * idx[:-1]] = -c_v[: m - 1]
-            ab[0, 2 * idx[1:] + 1] = -c_g[: m - 1]  # (2j+1, 2j+3)
-            ab[4, 2 * idx[:-1] + 1] = -c_g[: m - 1]
+            ab[2, 0::2] = sv - mv / eps**2 * (wp - 2 * rv * rv * wpp)
+            ab[2, 1::2] = sg - mg * ((wp - 2 * gg * gg * wpp) / eps**2
+                                     - (tp + 2 * gg * gg * tpp) / eta**2)
+            ab[1, 1::2] = mv / eps**2 * 2 * z[0::2] * gg * wpp  # (2j, 2j+1)
+            ab[3, 0::2] = mg / eps**2 * 2 * r * rv * gg * wpp   # (2j+1, 2j)
+            ab[0, 2::2] = ab[4, 0:-2:2] = ov      # (2j, 2j+2) and transpose
+            ab[0, 3::2] = ab[4, 1:-2:2] = og      # (2j+1, 2j+3) and transpose
             return ab
         return _interleave(res_v, res_g), _lazy_solver(jacobian)
 
@@ -234,56 +202,41 @@ def _extended_assemble(grid, eps, eta, well, penalty):
 
 
 def _sphere_residual_full(grid, eta, penalty, theta):
-    c = grid.face_coeffs(grid.N - 1)
-    m_cent = grid.hat_weights(-2)
-    m0 = grid.hat_weights(0)
-    sc = np.sin(theta) * np.cos(theta)
-    tp = penalty.eval(np.cos(theta)**2, 1, clamp=True)
-    m = grid.n - 1
-    res = np.empty(m)
-    flux = c * (theta[1:] - theta[:-1])
-    res[0] = -flux[0]
-    res[1:] = flux[:-1] - flux[1:]
-    res += (grid.N - 1) * m_cent[:m] * sc[:m] - m0[:m] / eta**2 * tp[:m] * sc[:m]
-    return res
+    """Residual of the θ equation at nodes 0..n-2, with Wt'(cos²θ) at nodes
+    0..n-2."""
+    m_cent = grid.hat_weights(-2)[:-1]
+    m0 = grid.hat_weights(0)[:-1]
+    t = theta[:-1]
+    sc = np.sin(t) * np.cos(t)
+    tp = penalty.eval(np.cos(t)**2, 1, clamp=True)
+    res = grid.flux_residual(theta, grid.N - 1)
+    res += (grid.N - 1) * m_cent * sc - m0 / eta**2 * tp * sc
+    return res, tp
 
 
 def _sphere_assemble(grid, eta, penalty):
-    c = grid.face_coeffs(grid.N - 1)
-    m_cent = grid.hat_weights(-2)
-    m0 = grid.hat_weights(0)
-    m = grid.n - 1
+    sd, so = grid.stiffness(grid.N - 1)
+    m_cent = grid.hat_weights(-2)[:-1]
+    m0 = grid.hat_weights(0)[:-1]
 
     def assemble(ti):
-        theta = np.append(ti, 0.5 * math.pi)
+        res, tp = _sphere_residual_full(grid, eta, penalty,
+                                        np.append(ti, 0.5 * math.pi))
 
         def jacobian():
-            cos2 = np.cos(2 * theta)[:m]
-            sin2 = np.sin(2 * theta)[:m]
-            c2 = (np.cos(theta)**2)[:m]
-            tp = penalty.eval(c2, 1, clamp=True)
-            tpp = penalty.eval(c2, 2, clamp=True)
-            band = np.zeros((2, m))           # symmetric lower band
-            diag = band[0]
-            diag += c[:m]
-            diag[1:] += c[: m - 1]
-            diag += (grid.N - 1) * m_cent[:m] * cos2
-            diag -= m0[:m] / eta**2 * (tp * cos2 - 0.5 * tpp * sin2 * sin2)
-            band[1, :-1] = -c[: m - 1]
-            return sym_to_full(band)
-        return (_sphere_residual_full(grid, eta, penalty, theta),
-                _lazy_solver(jacobian))
+            cos2 = np.cos(2 * ti)
+            sin2 = np.sin(2 * ti)
+            tpp = penalty.eval(np.cos(ti)**2, 2, clamp=True)
+            diag = sd + (grid.N - 1) * m_cent * cos2
+            diag -= m0 / eta**2 * (tp * cos2 - 0.5 * tpp * sin2 * sin2)
+            return sym_to_full(np.array([diag, np.append(so, 0.0)]))
+        return res, _lazy_solver(jacobian)
 
     return assemble
 
 
 # ---------------------------------------------------------------------------
 # profile records
-
-
-def _monotone(values: np.ndarray, direction: int) -> bool:
-    d = np.diff(values) * direction
-    return bool(np.all(d > -1e-12))
 
 
 @dataclass(frozen=True)
@@ -351,7 +304,7 @@ def solve_gl_profile(N: int, W: Potential, eps: float, grid: RadialGrid,
     trace: list = []
     v = _gl_continuation(grid, W, eps, opts, trace)
     vfull = np.append(v, 1.0)
-    res = _gl_residual_full(grid, eps, W, vfull)
+    res, _, _ = _gl_residual_full(grid, eps, W, vfull)
     return GLProfile(grid=grid, eps=eps, well=W, v=vfull,
                      f=grid.nodes * vfull,
                      residual_norm=float(np.max(np.abs(res))),
@@ -396,18 +349,25 @@ def solve_sphere_profile(N: int, Wt: Potential, eta: float, grid: RadialGrid,
     if grid.N != N:
         raise InputError("grid dimension does not match N")
     trace: list = []
+
+    def stage(e, theta):
+        return _newton(_sphere_assemble(grid, e, Wt), theta, opts,
+                       f"sphere eta={e:.6g}", trace)[0]
+
     theta = None
     saw_collapse = False
     for anchor in (1.0, 4.0, 16.0, 64.0):
         try:
-            theta = _sphere_march(grid, Wt, eta, anchor * eta, opts, trace)
+            theta = _eta_march(stage, lambda t: _theta_collapsed(grid, t),
+                               eta, anchor * eta,
+                               0.5 * math.pi * grid.nodes[:-1])
         except ConvergenceError:
-            theta = None
             continue
         if theta is not None:
             break
         saw_collapse = True   # this anchor converged straight to the equator
-    if theta is None or _theta_collapsed(grid, theta):
+    no_escape = theta is None or _theta_collapsed(grid, theta)
+    if no_escape:
         if N == 2:
             raise ConvergenceError(
                 "sphere solver collapsed to the equator at N=2 "
@@ -415,15 +375,12 @@ def solve_sphere_profile(N: int, Wt: Potential, eta: float, grid: RadialGrid,
         if theta is None and not saw_collapse:
             raise ConvergenceError("sphere solver failed to converge", trace)
         tfull = np.full(grid.n, 0.5 * math.pi)
-        res = _sphere_residual_full(grid, eta, Wt, tfull)
-        return SphereProfile(grid=grid, eta=eta, penalty=Wt, theta=tfull,
-                             residual_norm=float(np.max(np.abs(res))),
-                             no_escape=True, solver_trace=trace)
-    tfull = np.append(theta, 0.5 * math.pi)
-    res = _sphere_residual_full(grid, eta, Wt, tfull)
+    else:
+        tfull = np.append(theta, 0.5 * math.pi)
+    res, _ = _sphere_residual_full(grid, eta, Wt, tfull)
     return SphereProfile(grid=grid, eta=eta, penalty=Wt, theta=tfull,
                          residual_norm=float(np.max(np.abs(res))),
-                         no_escape=False, solver_trace=trace)
+                         no_escape=no_escape, solver_trace=trace)
 
 
 def _theta_collapsed(grid, theta):
@@ -435,23 +392,38 @@ def _theta_collapsed(grid, theta):
     if theta[0] > COLLAPSE_ANGLE:
         return True
     mid = np.searchsorted(grid.nodes, 0.5)
-    return 0.5 * math.pi - theta[min(mid, len(theta) - 1)] < GLUE_GAP
+    return bool(0.5 * math.pi - theta[min(mid, len(theta) - 1)] < GLUE_GAP)
 
 
-def _sphere_march(grid, Wt, eta, start, opts, trace):
-    """March η downward from start. None: the anchor itself collapsed (caller
-    tries a deeper anchor). A collapse mid-march is definitive and returns the
-    collapsed iterate; Newton failures propagate."""
-    theta = 0.5 * math.pi * grid.nodes[:-1]
-    e, first = start, True
+def _eta_march(stage, collapsed, eta, start, u, warm=False):
+    """March η from start down to eta in CONTINUATION_FACTOR strides, where
+    stage(e, u) is one Newton stage at η = e from u and collapsed(u) says
+    that an iterate has left the branch.
+
+    Cold (warm False): u is a guess at the anchor η = start; None when the
+    anchor itself collapsed (the caller tries a deeper one), and a Newton
+    failure there propagates. Warm: u already solves the branch at
+    η = start, so the march starts one stride below it. A failed stride
+    other than a cold anchor is retried in two half-steps before its
+    ConvergenceError propagates. Otherwise returns the iterate at eta, or
+    the first collapsed one: definitive, since the η at which the branch
+    exists form an up-set."""
+    first = not warm
+    prev, u_prev = start, u
+    e = max(eta, start / CONTINUATION_FACTOR) if warm else start
     while True:
-        theta, _ = _newton(_sphere_assemble(grid, e, Wt), theta, opts,
-                           f"sphere eta={e:.6g}", trace)
-        if _theta_collapsed(grid, theta):
-            return None if first else theta
+        try:
+            u = stage(e, u)
+        except ConvergenceError:
+            if first:
+                raise
+            u = stage(e, stage(math.sqrt(e * prev), u_prev))
+        if collapsed(u):
+            return None if first else u
         if e == eta:
-            return theta
+            return u
         first = False
+        prev, u_prev = e, u
         e = max(eta, e / CONTINUATION_FACTOR)
 
 
@@ -493,14 +465,22 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
     _check_start(start, eps, eta, grid, W, Wt, branch_hint)
 
     trace: list = []
+
+    def stage(e, z):
+        return _newton(_extended_assemble(grid, eps, e, W, Wt), z, opts,
+                       f"ext eta={e:.6g}", trace)[0]
+
+    def collapsed(z):
+        return float(np.max(np.abs(z[1::2]))) <= ESCAPE_TOL
+
     if isinstance(start, ExtendedProfile):
-        z = _escape_march(grid, W, Wt, eps, eta, start.eta,
-                          _interleave(start.v[:-1], start.g[:-1]), opts,
-                          trace, warm=True)
-        if z is None:
+        try:
+            z = _eta_march(stage, collapsed, eta, start.eta,
+                           _interleave(start.v[:-1], start.g[:-1]), warm=True)
+        except ConvergenceError:
             raise ConvergenceError(
                 f"warm escaping march from eta={start.eta:.6g} to "
-                f"eta={eta:.6g} failed at eps={eps:.6g}", trace)
+                f"eta={eta:.6g} failed at eps={eps:.6g}", trace) from None
         return _march_result(grid, eps, eta, W, Wt, z, None, opts, trace)
 
     if start is None:
@@ -515,10 +495,12 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
 
     for factor in ETA_ANCHORS:
         z = _interleave(v_gl, opts.g_seed * (1.0 - grid.nodes[:-1] ** 2))
-        z = _escape_march(grid, W, Wt, eps, eta, factor * eta, z, opts, trace)
-        if z is None:
-            continue              # anchor collapsed/stalled; go deeper
-        return _march_result(grid, eps, eta, W, Wt, z, v_gl, opts, trace)
+        try:
+            z = _eta_march(stage, collapsed, eta, factor * eta, z)
+        except ConvergenceError:
+            continue              # anchor stalled; go deeper
+        if z is not None:         # else the anchor collapsed; go deeper
+            return _march_result(grid, eps, eta, W, Wt, z, v_gl, opts, trace)
     return _wrap_extended(grid, eps, eta, W, Wt,
                           np.append(v_gl, 1.0), np.zeros(grid.n),
                           "non_escaping", trace, ("no_escape_found",))
@@ -571,47 +553,8 @@ def _march_result(grid, eps, eta, W, Wt, z, v_gl, opts, trace):
                           flags + ("no_escape_found",))
 
 
-def _escape_march(grid, W, Wt, eps, eta, start, z, opts, trace, warm=False):
-    """March η from start down to eta on the escaping branch, from z.
-
-    Cold (warm False): z is a guess at the anchor η = start. None: the
-    anchor itself collapsed or stalled (caller tries a deeper one).
-    Warm: z already solves the escaping branch at η = start, so the first
-    stride lies below it and has the half-step retry; None: Newton failed.
-    Otherwise returns the interleaved unknowns: at eta if the branch
-    survived, or the collapsed iterate (max g ≤ ESCAPE_TOL) — definitive,
-    since the escaping set is an up-set in η at fixed eps."""
-    first = not warm
-    prev, z_prev = start, z.copy()
-    e = max(eta, start / CONTINUATION_FACTOR) if warm else start
-    while True:
-        try:
-            z, _ = _newton(_extended_assemble(grid, eps, e, W, Wt), z, opts,
-                           f"ext eta={e:.6g}", trace)
-        except ConvergenceError:
-            if first:
-                return None
-            # retry the failed stride in two half-steps before giving up
-            mid = math.sqrt(e * prev)
-            try:
-                z = z_prev
-                z, _ = _newton(_extended_assemble(grid, eps, mid, W, Wt), z,
-                               opts, f"ext eta={mid:.6g}", trace)
-                z, _ = _newton(_extended_assemble(grid, eps, e, W, Wt), z,
-                               opts, f"ext eta={e:.6g}", trace)
-            except ConvergenceError:
-                return None
-        if float(np.max(np.abs(z[1::2]))) <= ESCAPE_TOL:
-            return None if first else z
-        if e == eta:
-            return z
-        first = False
-        prev, z_prev = e, z.copy()
-        e = max(eta, e / CONTINUATION_FACTOR)
-
-
 def _wrap_extended(grid, eps, eta, W, Wt, v, g, branch, trace, flags):
-    res_v, res_g = _extended_residual_full(grid, eps, eta, W, Wt, v, g)
+    res_v, res_g, *_ = _extended_residual_full(grid, eps, eta, W, Wt, v, g)
     rn = float(max(np.max(np.abs(res_v)), np.max(np.abs(res_g))))
     return ExtendedProfile(grid=grid, eps=eps, eta=eta, well=W, penalty=Wt,
                            v=v, f=grid.nodes * v, g=g, branch=branch,
@@ -673,16 +616,17 @@ def residual(profile) -> float:
     """Sup-norm of the discrete ODE residual, recomputed from the stored
     fields and potentials (independent of the solver's bookkeeping)."""
     if isinstance(profile, GLProfile):
-        r = _gl_residual_full(profile.grid, profile.eps, profile.well, profile.v)
+        r, _, _ = _gl_residual_full(profile.grid, profile.eps, profile.well,
+                                    profile.v)
         return float(np.max(np.abs(r)))
     if isinstance(profile, ExtendedProfile):
-        rv, rg = _extended_residual_full(profile.grid, profile.eps, profile.eta,
-                                         profile.well, profile.penalty,
-                                         profile.v, profile.g)
+        rv, rg, *_ = _extended_residual_full(
+            profile.grid, profile.eps, profile.eta, profile.well,
+            profile.penalty, profile.v, profile.g)
         return float(max(np.max(np.abs(rv)), np.max(np.abs(rg))))
     if isinstance(profile, SphereProfile):
-        r = _sphere_residual_full(profile.grid, profile.eta, profile.penalty,
-                                  profile.theta)
+        r, _ = _sphere_residual_full(profile.grid, profile.eta,
+                                     profile.penalty, profile.theta)
         return float(np.max(np.abs(r)))
     raise InputError(f"not a profile: {profile!r}")
 

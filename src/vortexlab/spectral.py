@@ -6,9 +6,9 @@ computes its smallest eigenpairs by inertia bisection plus inverse iteration.
 The banded machinery is bandwidth-generic so the coupled stability blocks can
 reuse it; here everything is tridiagonal.
 
-Conventions: Dirichlet row at r = 1 always; at r_min the row is kept with a
-zero-flux (even-extension) closure when mu = 0 and dropped (Dirichlet) when
-mu > 0, since a nonzero angular term forces q(0) = 0.
+Conventions: the stiffness is RadialGrid.stiffness (Dirichlet at r = 1,
+zero-flux closure at r_min); its r_min row is kept when mu = 0 and dropped
+(Dirichlet) when mu > 0, since a nonzero angular term forces q(0) = 0.
 """
 from __future__ import annotations
 
@@ -184,7 +184,7 @@ def assemble_radial_operator(N: int, grid: RadialGrid, mu: float,
     """Banded pencil for ∫(q'^2 + (mu/r^2) q^2 + V q^2) r^(N-1) dr vs the
     r^(N-1)-weighted mass.
 
-    Stiffness is the flux form with face coefficients mid^(N-1)/h; the
+    Stiffness is the grid's flux form (RadialGrid.stiffness); the
     zero-order terms and the mass are consistent piecewise-linear matrices
     with exact radial moments (so the mu/r^2 weight needs no sampling near
     the origin, and a constant added to V shifts the discrete spectrum by
@@ -209,32 +209,19 @@ def assemble_radial_operator(N: int, grid: RadialGrid, mu: float,
     if m < 2:
         raise InputError("grid too small for the eigenproblem")
 
-    c = grid.face_coeffs(N - 1)
-
-    diag = c[start:start + m].copy()            # face to the right
-    # face to the left; node 0 (mu == 0) keeps a zero-flux closure across
-    # the origin segment
-    diag[1 - start:] += c[:m - 1 + start]
-    off = -c[start:start + m - 1]
-
+    sd, so = grid.stiffness(N - 1)
     vd, vo = grid.p1_weighted_mass(V, 0)
-    diag += vd[start:start + m]
-    off += vo[start:start + m - 1]
+    diag = sd[start:] + vd[start:start + m]
+    off = so[start:] + vo[start:start + m - 1]
     if mu > 0:
         cd, co = grid.p1_mass(-2)
         diag += mu * cd[start:start + m]
         off += mu * co[start:start + m - 1]
 
     p1d, p1o = grid.p1_mass(0)
-    Md = p1d[start:start + m]
-    Mo = p1o[start:start + m - 1]
-
-    A = np.zeros((2, m))
-    A[0] = diag
-    A[1, :m - 1] = off
-    M = np.zeros((2, m))
-    M[0] = Md
-    M[1, :m - 1] = Mo
+    A = np.array([diag, np.append(off, 0.0)])
+    Mo = np.append(p1o[start:start + m - 1], 0.0)
+    M = np.array([p1d[start:start + m], Mo])
     A.setflags(write=False)
     M.setflags(write=False)
     return SLOperator(grid=grid, N=N, mu=float(mu), V=V, A=A, M=M,

@@ -214,9 +214,8 @@ def _assemble_pencil(grid, fields, stiff, mass, terms):
     A = np.zeros((bw + 1, size))
     M = np.zeros((bw + 1, size))
 
-    c = grid.face_coeffs(grid.N - 1)
-    sd = c[:-1] + c[1:]             # interior stiffness diagonal (m entries)
-    so = -c[1:m]                    # between interior neighbors (m-1)
+    sd, so = grid.stiffness(grid.N - 1)
+    sd, so = sd[1:], so[1:]         # Dirichlet at r_min too: interior nodes
     md, mo = grid.p1_mass(0)
     mdi, moi = md[1:n - 1], mo[1:n - 2]
 

@@ -134,11 +134,37 @@ def test_argument_validation(capsys):
          "--eps", "-0.1:0.4:4", "--eta", "0.2:1.0:4"],
         ["eigen", "--N", "3", "--W", "quadratic", "--bogus"],
         ["transmogrify", "--N", "3"],
+        # malformed numbers
+        ["profile", "--N", "3", "--W", "quadratic", "--eps", "0.3",
+         "--grid-grading", "graded:abc"],
+        ["profile", "--N", "3", "--W", "quadratic", "--eps", "0.3",
+         "--grid-grading", "nonsense"],
+        ["eigen", "--N", "3", "--W", "quadratic",
+         "--eps-sweep", "0.1:0.4:x"],
+        ["stability", "--N", "3", "--point", "eta=x"],
     ]
     for argv in cases:
         assert main(argv) == 1
         payload = _one_line_json(capsys.readouterr().err)
         assert payload["error"] == "InputError"
+
+
+def test_potential_text_forms(tmp_path, capsys):
+    # the named flat_well form and its JSON object are one potential; the
+    # manifest echoes each as given
+    base = ("profile", "--N", "3", "--eps", "0.3", "--grid-n", "200")
+    outs = []
+    for spec in ("flat_well:0.2", '{"flat_well": 0.2}'):
+        out = tmp_path / str(len(outs))
+        assert main([*base, "--W", spec, "--outdir", str(out)]) == 0
+        manifest = json.loads((out / "profile.manifest.json").read_text())
+        assert manifest["config"]["W"] == spec
+        outs.append((out / "profile.csv").read_bytes())
+    assert outs[0] == outs[1]
+    assert main([*base, "--W", '{"flat_well": 0.2', "--outdir",
+                 str(tmp_path / "bad")]) == 1
+    payload = _one_line_json(capsys.readouterr().err)
+    assert payload["error"] == "InputError"
 
 
 def test_help_exits_zero(capsys):

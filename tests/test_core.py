@@ -185,6 +185,55 @@ def test_moment_weights_match_cell_loops(N, n, grading):
     assert np.array_equal(h.weights, _ref_product_weights(h.nodes, N - 1))
 
 
+def _ref_flux_residual(c, u):
+    res = np.zeros(u.size - 1)
+    for j in range(u.size - 1):
+        if j > 0:
+            res[j] += c[j - 1] * (u[j] - u[j - 1])      # flux in from the left
+        res[j] -= c[j] * (u[j + 1] - u[j])              # flux out to the right
+    return res
+
+
+def _ref_stiffness(c):
+    """Face-by-face assembly on nodes 0..n-2; the last face couples to the
+    Dirichlet node n-1, which has no row."""
+    m = c.size
+    diag, off = np.zeros(m), np.zeros(m - 1)
+    for j in range(m):
+        diag[j] += c[j]
+        if j + 1 < m:
+            diag[j + 1] += c[j]
+            off[j] -= c[j]
+    return diag, off
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [16, 17, 401, 2000])
+@pytest.mark.parametrize("grading", ["uniform", {"graded": 2.0}])
+def test_flux_stencil_matches_face_loops(N, n, grading):
+    g = make_grid(N, n, grading)
+    for grid in (g, g.halve_rmin()):
+        r = grid.nodes
+        u = np.cos(3.0 * r) + r ** 2
+        for power in (N + 1, N - 1):
+            c = grid.face_coeffs(power)
+            assert np.array_equal(grid.flux_residual(u, power),
+                                  _ref_flux_residual(c, u))
+            diag, off = grid.stiffness(power)
+            ref_diag, ref_off = _ref_stiffness(c)
+            assert np.array_equal(diag, ref_diag)
+            assert np.array_equal(off, ref_off)
+            # the stiffness is the residual's (constant) Jacobian
+            ku = diag * u[:-1]
+            ku[1:] += off * u[:-2]
+            ku[:-1] += off * u[1:-1]
+            ku[-1] -= c[-1] * u[-1]
+            scale = np.max(diag) * np.max(np.abs(u))    # size of the terms
+            assert np.allclose(ku, grid.flux_residual(u, power),
+                               rtol=0, atol=1e-13 * scale)
+            assert not diag.flags.writeable and not off.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # potentials
 
@@ -209,6 +258,15 @@ def test_potential_requires_normalization():
         Potential.from_spec({"piecewise": {"breaks": [0.5],
                                            "coeffs": [[1.0, 0.0, 0.0, 0.0],
                                                       [1.0, 0.0, 0.0, 0.0]]}})
+
+
+def test_potential_from_json_text():
+    assert Potential.from_spec('{"flat_well": 0.2}') == Potential.flat_well(0.2)
+    assert Potential.from_spec(' {"kind": "linear"}') == Potential.linear()
+    for bad in ('{"flat_well": 0.2', '{"flat_well": "x"}', "flat_well:x",
+                '{"piecewise": [1, 2]}', "nonsense"):
+        with pytest.raises(InputError):
+            Potential.from_spec(bad)
 
 
 def test_potential_spec_round_trip():

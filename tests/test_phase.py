@@ -119,6 +119,16 @@ def test_sweep_solves_on_callers_grid():
     assert one.points[0][0].ell == ell
 
 
+@pytest.mark.xfail(strict=True, raises=InconsistentError,
+                   reason="ROADMAP open item 1: Newton stops on an absolute "
+                          "residual, leaving max g just over ESCAPE_TOL at a "
+                          "point whose criterion is +3.1")
+def test_confirmed_column_on_default_grid():
+    # the README lattice's failing column (--confirm 1.0, n=2000)
+    sweep(3, QUAD, LIN, (0.11315789473684211, 0.5), (0.1, 1.0), (1, 20),
+          confirm_fraction=1.0, grid=make_grid(3, 2000, {"graded": 2.0}))
+
+
 def test_sweep_axis_validation():
     with pytest.raises(InputError):
         sweep(3, QUAD, LIN, (0.4, 0.1), (0.1, 1.0), (4, 4))

@@ -165,6 +165,74 @@ def test_equator_pohozaev_identity():
 
 
 # ---------------------------------------------------------------------------
+# Newton Jacobians against central differences of their residuals
+
+
+def _jacobians(monkeypatch, assemble, u):
+    """Dense Jacobian that assemble(u) hands to the banded LU, and the central
+    difference of assemble's residual at u, column by column."""
+    from vortexlab import profiles
+    captured = []
+    real = profiles.lu_solver
+
+    def capture(ab):
+        captured.append(ab)
+        return real(ab)
+
+    monkeypatch.setattr(profiles, "lu_solver", capture)
+    res, solve = assemble(u)
+    solve(-res)
+    ab = captured[0]
+    b, m = (ab.shape[0] - 1) // 2, ab.shape[1]
+    J = np.zeros((m, m))
+    for i in range(m):
+        for j in range(max(0, i - b), min(m, i + b + 1)):
+            J[i, j] = ab[b + i - j, j]
+    fd = np.empty((m, m))
+    for k in range(m):
+        h = 1e-6 * max(1.0, abs(u[k]))
+        up, dn = u.copy(), u.copy()
+        up[k] += h
+        dn[k] -= h
+        fd[:, k] = (assemble(up)[0] - assemble(dn)[0]) / (2 * h)
+    return J, fd
+
+
+def _assert_rows_close(J, fd):
+    scale = np.max(np.abs(J), axis=1, keepdims=True)
+    assert np.all(np.abs(J - fd) <= 1e-6 * scale)
+
+
+JAC_GRID = make_grid(3, 24, {"graded": 2.0})
+
+
+def test_gl_jacobian_matches_differences(monkeypatch):
+    from vortexlab.profiles import _gl_assemble
+    r = JAC_GRID.nodes[:-1]
+    v = 1.5 - 0.4 * r ** 2
+    J, fd = _jacobians(monkeypatch, _gl_assemble(JAC_GRID, 0.3, QUAD), v)
+    _assert_rows_close(J, fd)
+
+
+def test_extended_jacobian_matches_differences(monkeypatch):
+    from vortexlab.profiles import _extended_assemble, _interleave
+    r = JAC_GRID.nodes[:-1]
+    z = _interleave(1.2 - 0.3 * r ** 2, 0.6 * (1.0 - r ** 2))   # g > 0
+    J, fd = _jacobians(monkeypatch,
+                       _extended_assemble(JAC_GRID, 0.3, 0.7, QUAD, QUAD), z)
+    _assert_rows_close(J, fd)
+
+
+def test_sphere_jacobian_matches_differences(monkeypatch):
+    from vortexlab.profiles import _sphere_assemble
+    r = JAC_GRID.nodes[:-1]
+    theta = 0.5 * math.pi * r + 0.2 * np.sin(math.pi * r)
+    J, fd = _jacobians(monkeypatch, _sphere_assemble(JAC_GRID, 0.8, QUAD),
+                       theta)
+    _assert_rows_close(J, fd)
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 
