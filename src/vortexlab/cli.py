@@ -8,6 +8,7 @@ configs give byte-identical CSV/JSON payloads (timestamps never appear).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -232,10 +233,16 @@ def _solver_options(cfg: RunConfig) -> SolverOptions:
 
 
 def _cache_key(cfg: RunConfig) -> str:
-    subset = {k: cfg.resolved()[k]
-              for k in ("command", "N", "W", "Wt", "eps", "eta", "model",
-                        "branch", "grid", "tol", "max_iter",
-                        "find_threshold")}
+    """Hash of the configuration that decides a cached payload, with each
+    potential in its canonical spec: flat_well:0.2, flat_well:0.20 and
+    {"flat_well": 0.2} share one entry."""
+    resolved = cfg.resolved()
+    subset = {k: resolved[k]
+              for k in ("command", "N", "eps", "eta", "model", "branch",
+                        "grid", "tol", "max_iter", "find_threshold")}
+    for k in ("W", "Wt"):
+        spec = resolved[k]
+        subset[k] = None if spec is None else Potential.from_spec(spec).spec()
     blob = json.dumps(subset, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -337,7 +344,7 @@ def _run_eigen(cfg: RunConfig) -> tuple:
         # the bisection's refinement acceptance must stay matched to what the
         # grid can resolve; the (much tighter) profile tol is not that knob
         eps0 = find_epsilon0(cfg.N, W, (lo, hi), grid=grid,
-                             tol=max(cfg.tol, 1e-8))
+                             tol=max(cfg.tol, 1e-8), samples=rows)
         artifacts["eigen.json"] = json.dumps(
             {"eps0": eps0, "bracket": [lo, hi]}, indent=2) + "\n"
         diag["eps0"] = eps0
@@ -437,9 +444,16 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process (it costs about 3 ms, a
+    quarter of a short request). Parsing does not change the parser."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        ns = _parser().parse_args(argv)
         cfg = _config_from_args(ns)
         return run(cfg)
     except VortexLabError as exc:

@@ -302,7 +302,8 @@ def sweep(N: int, W, Wt, eps_range, eta_range, resolution,
             from .spectral import find_epsilon0
             # annotation only: a loose tolerance keeps coarse sweep grids
             # from tripping the threshold's refinement acceptance
-            eps0 = find_epsilon0(N, W, sign_change[0], tol=1e-6, grid=grid)
+            eps0 = find_epsilon0(N, W, sign_change[0], tol=1e-6, grid=grid,
+                                 samples=zip(eps_samples, ells))
 
     return PhaseDiagram(N=N, W_spec=W.spec(), Wt_spec=Wt.spec(),
                         eps_samples=eps_samples, eta_samples=eta_samples,

@@ -77,13 +77,23 @@ GLUE_GAP = 1e-4                   # π/2 − θ(1/2) below this = equator with a
 
 def _newton(assemble: Callable, u0: np.ndarray, opts: SolverOptions,
             stage: str, trace: list) -> tuple[np.ndarray, float]:
-    """assemble(u) -> (residual vector, solve(rhs) -> Newton step)."""
+    """assemble(u) -> (residual vector, solve(rhs) -> Newton step).
+
+    Damped Newton to a sup-norm residual <= opts.tol, then one simplified
+    correction -J^{-1} F(u) with the factorization of the last step (a full
+    Newton step when the start already meets tol), kept if its residual
+    stays <= tol. The residual test alone stops wherever the last step
+    happened to land, which depends on the path (start, r_min, grading);
+    the correction takes the unknowns the rest of the way at the price of
+    one residual. Each step is traced as (stage, it, norm, alpha), the
+    correction as (stage, its sup norm)."""
     u = np.array(u0, dtype=float)
     res, solve = assemble(u)
     norm = float(np.max(np.abs(res)))
+    last = solve                # a start that meets tol takes a full step
     for it in range(opts.max_iter):
         if norm <= opts.tol:
-            return u, norm
+            break
         delta = solve(-res)
         alpha = 1.0
         while True:
@@ -98,22 +108,35 @@ def _newton(assemble: Callable, u0: np.ndarray, opts: SolverOptions,
                 raise ConvergenceError(
                     f"Newton stalled in stage {stage!r} (residual {norm:.3e})",
                     trace)
-        u, res, solve, norm = trial, res2, solve2, norm2
+        u, res, norm, last, solve = trial, res2, norm2, solve, solve2
         trace.append((stage, it, norm, alpha))
-    if norm <= opts.tol:
-        return u, norm
-    trace.append((stage, opts.max_iter, norm, 0.0))
-    raise ConvergenceError(
-        f"Newton did not reach tol in stage {stage!r} (residual {norm:.3e})",
-        trace)
+    if norm > opts.tol:
+        trace.append((stage, opts.max_iter, norm, 0.0))
+        raise ConvergenceError(
+            f"Newton did not reach tol in stage {stage!r} (residual {norm:.3e})",
+            trace)
+    correction = last(-res)
+    trial = u + correction
+    norm2 = float(np.max(np.abs(assemble(trial)[0])))
+    trace.append((stage, float(np.max(np.abs(correction)))))
+    if norm2 <= opts.tol:
+        return trial, norm2
+    return u, norm
 
 
 def _lazy_solver(jacobian: Callable) -> Callable:
-    """solve(rhs) that builds and factors jacobian() (full band storage) when
-    called. _newton calls it once for an iterate it steps from, so a
-    rejected line-search trial and a stage's final iterate never pay for a
-    Jacobian."""
-    return lambda rhs: lu_solver(jacobian())(rhs)
+    """solve(rhs) that builds and factors jacobian() (full band storage) on
+    its first call and keeps the factorization for later ones. _newton
+    calls it for an iterate it steps from (and again for the closing
+    correction), so a rejected line-search trial and a stage's final
+    iterate never pay for a Jacobian."""
+    factored = []               # one per assemble: lighter than a cache
+
+    def solve(rhs):
+        if not factored:
+            factored.append(lu_solver(jacobian()))
+        return factored[0](rhs)
+    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +312,14 @@ def _check_potential(p: Potential, name: str, needs_cap: bool) -> None:
 
 
 def solve_gl_profile(N: int, W: Potential, eps: float, grid: RadialGrid,
-                     opts: SolverOptions = SolverOptions()) -> GLProfile:
+                     opts: SolverOptions = SolverOptions(),
+                     v_init=None) -> GLProfile:
     """Vortex amplitude profile: unique solution with f(1)=1.
 
     Continuation marches eps downward from the mildly nonlinear regime; each
-    Newton stage solves the v-form system to opts.tol in sup norm.
+    Newton stage solves the v-form system to opts.tol in sup norm. v_init
+    (node samples of v on grid, say a GLProfile's v at a nearby eps)
+    replaces the continuation by one stage started from it.
     """
     W = Potential.from_spec(W)
     _check_potential(W, "W", needs_cap=True)
@@ -301,8 +327,13 @@ def solve_gl_profile(N: int, W: Potential, eps: float, grid: RadialGrid,
         raise InputError("eps must be positive")
     if grid.N != N:
         raise InputError("grid dimension does not match N")
+    if v_init is not None:
+        v_init = np.asarray(v_init, dtype=float)
+        if v_init.shape != grid.nodes.shape:
+            raise InputError("v_init must be sampled on the grid nodes")
+        v_init = v_init[:-1]
     trace: list = []
-    v = _gl_continuation(grid, W, eps, opts, trace)
+    v = _gl_continuation(grid, W, eps, opts, trace, v_init)
     vfull = np.append(v, 1.0)
     res, _, _ = _gl_residual_full(grid, eps, W, vfull)
     return GLProfile(grid=grid, eps=eps, well=W, v=vfull,
@@ -312,25 +343,34 @@ def solve_gl_profile(N: int, W: Potential, eps: float, grid: RadialGrid,
 
 
 def _gl_continuation(grid, W, eps, opts, trace, v_init=None):
-    """Newton path to the v-unknowns (length n-1) at the target eps."""
+    """Newton path to the v-unknowns (length n-1) at the target eps.
+
+    Cold (v_init None), eps below EPS_DIRECT is reached down the fixed
+    ladder EPS_DIRECT / CONTINUATION_FACTOR^k from v = 1. The ladder does
+    not depend on eps, so its rungs are solved once per grid, W and opts
+    and kept in the grid's cache: a later cold solve on the grid solves
+    only its own stage, from the same rung and to the same bits as a solve
+    on a fresh grid."""
     if v_init is not None:
-        v = np.array(v_init, dtype=float)
-        steps = [eps]
+        start = v_init
+    elif eps * CONTINUATION_FACTOR >= EPS_DIRECT:
+        start = np.ones(grid.n - 1)
     else:
-        v = np.ones(grid.n - 1)
-        if eps >= EPS_DIRECT:
-            steps = [eps]
-        else:
-            steps = []
-            e = EPS_DIRECT
-            while e > eps * CONTINUATION_FACTOR:
-                steps.append(e)
-                e /= CONTINUATION_FACTOR
-            steps.append(eps)
-    for e in steps:
-        v, _ = _newton(_gl_assemble(grid, e, W), v, opts,
-                       f"gl eps={e:.6g}", trace)
-    return v
+        key = ("gl_ladder", json.dumps(W.spec(), sort_keys=True), opts)
+        rungs = grid._cached(key, list)
+        e, k = EPS_DIRECT, 0
+        while e > eps * CONTINUATION_FACTOR:
+            if k == len(rungs):
+                v = _newton(_gl_assemble(grid, e, W),
+                            rungs[-1] if rungs else np.ones(grid.n - 1),
+                            opts, f"gl eps={e:.6g}", trace)[0]
+                v.setflags(write=False)
+                rungs.append(v)
+            e /= CONTINUATION_FACTOR
+            k += 1
+        start = rungs[k - 1]
+    return _newton(_gl_assemble(grid, eps, W), start, opts,
+                   f"gl eps={eps:.6g}", trace)[0]
 
 
 def solve_sphere_profile(N: int, Wt: Potential, eta: float, grid: RadialGrid,

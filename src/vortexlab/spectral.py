@@ -24,7 +24,8 @@ from .banded import (count_below, equilibrate, lu_solver, sym_matvec,
 from .core import (ConvergenceError, InputError, NoThresholdError,
                    BracketError, Potential, RadialGrid, format_float,
                    make_grid)
-from .profiles import GLProfile, solve_gl_profile, SolverOptions
+from .profiles import (CONTINUATION_FACTOR, GLProfile, SolverOptions,
+                       solve_gl_profile)
 
 
 def _abs_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -32,13 +33,16 @@ def _abs_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
-                    tol: float = 1e-9) -> tuple[float, np.ndarray, float, list]:
+                    tol: float = 1e-9, x0: np.ndarray | None = None
+                    ) -> tuple[float, np.ndarray, float, list]:
     """Smallest (or `which`-th) eigenpair of the symmetric banded pencil
     A q = lambda M q with M positive definite.
 
-    The start vector x0 is the constant function in the caller's unknowns,
-    M-normalized. Its Rayleigh quotient (a few times the smallest eigenvalue
-    on the radial pencils) seeds the first bracket, which is widened until
+    The start vector x0 is given in the caller's unknowns (default: the
+    constant function) and M-normalized. Its Rayleigh quotient (a few times
+    the smallest eigenvalue for the constant function on the radial
+    pencils; a supplied start gets a first width on the scale of the
+    coarse bisection) seeds the first bracket, which is widened until
     inertia counts straddle the eigenvalue. Inertia bisection narrows the
     bracket only to 1e-2 (relative), and inverse iteration from x0 with
     Rayleigh-quotient shifts delivers the pair. Two more inertia tests decide
@@ -49,7 +53,8 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
     landed on another eigenvalue, the bracket moves past it; a Rayleigh
     quotient that leaves the bracket also ends the iteration as a miss, so
     every shift stays inside. The bracket is then bisected to 1e-6
-    (relative) and inverse iteration restarts from x0. A second miss raises
+    (relative) and inverse iteration restarts from the constant function
+    (for the default start, x0 again). A second miss raises
     ConvergenceError, as does a backward error that stays above `tol`.
 
     Returns (eigenvalue, vector, residual, trace). The trace holds the
@@ -67,10 +72,29 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
     def count(sigma: float) -> int:
         return count_below(Ab, Mb, sigma, which)
 
-    x0 = 1.0 / dscale                       # the constant function
-    x0 /= math.sqrt(sym_matvec(Mb, x0) @ x0)
+    const = 1.0 / dscale                    # the constant function
+    const /= math.sqrt(sym_matvec(Mb, const) @ const)
+    supplied = x0 is not None
+    if supplied:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != dscale.shape or not np.isfinite(x0).all():
+            raise InputError("start vector must be finite, one entry per "
+                             "unknown")
+        x0 = x0 / dscale
+        norm2 = sym_matvec(Mb, x0) @ x0
+        if not norm2 > 0.0:
+            raise InputError("start vector must not vanish")
+        x0 /= math.sqrt(norm2)
+    else:
+        x0 = const
     hi = float(sym_matvec(Ab, x0) @ x0)    # Rayleigh quotient upper bound
-    width = max(1.0, 0.1 * abs(hi))
+    if supplied:
+        # a supplied start lies close: the first width is ten times the
+        # coarse bisection's, and hi clears the rounding of the quotient
+        hi += 1e-9 * (1.0 + abs(hi))
+        width = 0.1 * (1.0 + abs(hi))
+    else:
+        width = max(1.0, 0.1 * abs(hi))
     lo = hi - width
     while count(lo) > which:
         width *= 4.0
@@ -88,7 +112,10 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
 
     # invariant: count(lo) <= which < count(hi). The coarse bracket only
     # steers the shift; the inertia certificate decides the result
-    for rel in (1e-2, 1e-6):
+    # a restart after a miss comes from the constant function: a supplied
+    # start that missed once (one orthogonal to the wanted vector, say)
+    # would miss again
+    for rel, start in ((1e-2, x0), (1e-6, const)):
         while hi - lo > rel * (1.0 + max(abs(lo), abs(hi))):
             mid = 0.5 * (lo + hi)
             c = count(mid)
@@ -98,7 +125,7 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
             else:
                 lo = mid
         sigma = 0.5 * (lo + hi)
-        x = x0
+        x = start
         lam = sigma
         resid = math.inf
         for _ in range(8):
@@ -251,13 +278,27 @@ class EigenPair:
         return buf.getvalue()
 
 
-def smallest_eigenpair(op: SLOperator, which: int = 0) -> EigenPair:
+def smallest_eigenpair(op: SLOperator, which: int = 0,
+                       q_init: np.ndarray | None = None) -> EigenPair:
     """Smallest (or next, which=1, for gap diagnostics) eigenpair of the
-    assembled pencil via inertia bisection + inverse iteration."""
+    assembled pencil via inertia bisection + inverse iteration.
+
+    Inverse iteration starts from q_init (node samples on the grid, say the
+    eigenfunction at a nearby eps), or else from 1 - r^2, which meets the
+    boundary conditions: the constant function jumps at the Dirichlet node
+    r = 1, and its Rayleigh quotient lies decades above the eigenvalue."""
     if which not in (0, 1):
         raise InputError("only the smallest and second eigenpairs are "
                          "supported")
-    lam, x, resid, trace = pencil_smallest(op.A, op.M, which=which)
+    active = slice(op.start, op.start + op.size)
+    if q_init is None:
+        x0 = 1.0 - op.grid.nodes[active] ** 2
+    else:
+        q_init = np.asarray(q_init, dtype=float)
+        if q_init.shape != op.grid.nodes.shape:
+            raise InputError("q_init must be sampled on the grid nodes")
+        x0 = q_init[active]
+    lam, x, resid, trace = pencil_smallest(op.A, op.M, which=which, x0=x0)
     q = op.embed(x)
     nrm = math.sqrt(op.grid.quadrature(q * q))
     q = q / nrm
@@ -280,7 +321,8 @@ def smallest_eigenpair(op: SLOperator, which: int = 0) -> EigenPair:
 
 
 def gl_linearization_eigenvalue(N: int, W, eps: float, grid: RadialGrid,
-                                opts: SolverOptions = SolverOptions()
+                                opts: SolverOptions = SolverOptions(),
+                                start=None
                                 ) -> tuple[float, EigenPair, GLProfile]:
     """Smallest eigenvalue of the amplitude linearization around the vortex
     profile: potential V(r) = -W'(1 - f(r)^2)/eps^2, no angular term.
@@ -288,13 +330,18 @@ def gl_linearization_eigenvalue(N: int, W, eps: float, grid: RadialGrid,
     The sign of (eigenvalue + transverse-well slope/eta^2) is what decides
     whether the symmetric branch can shed energy by escaping, so this value
     feeds both the phase diagram and the stability verdicts.
+
+    start, a pair (v, q) of node samples on grid (a GLProfile's v and an
+    EigenPair's q at a nearby eps), warm-starts the profile's Newton and
+    the pencil's inverse iteration; None solves cold.
     """
     W = Potential.from_spec(W)
-    profile = solve_gl_profile(N, W, eps, grid, opts)
+    v_init, q_init = (None, None) if start is None else start
+    profile = solve_gl_profile(N, W, eps, grid, opts, v_init=v_init)
     X = 1.0 - profile.f ** 2
     V = -W.eval(X, 1) / eps ** 2
     op = assemble_radial_operator(N, grid, 0.0, V)
-    pair = smallest_eigenpair(op)
+    pair = smallest_eigenpair(op, q_init=q_init)
     lam = pair.eigenvalue
     lower = -W.eval(1.0, 1) / eps ** 2
     if lam <= lower - 1e-9 * (1.0 + abs(lower)):
@@ -306,7 +353,8 @@ def gl_linearization_eigenvalue(N: int, W, eps: float, grid: RadialGrid,
 
 def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
                   grid: RadialGrid | None = None,
-                  opts: SolverOptions = SolverOptions()) -> float:
+                  opts: SolverOptions = SolverOptions(),
+                  samples=()) -> float:
     """Coupling threshold: the eps at which the linearization eigenvalue
     crosses zero (negative below, positive above).
 
@@ -314,6 +362,16 @@ def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
     eps^2 * eigenvalue is strictly increasing. The result is accepted only if
     halving r_min moves the eigenvalue by under tol/10, confirming the
     zero-flux origin closure is not polluting the answer.
+
+    samples are (eps, eigenvalue) pairs that the caller has already
+    computed on grid with opts (a sweep's rows, say). The search starts on
+    the adjacent pair of samples and bracket ends where the eigenvalue
+    changes sign, and never solves an eps it was given. Each eps it does
+    solve is a continuation step: its profile and eigenvector start from
+    the nearest eps solved so far, if that lies within one
+    CONTINUATION_FACTOR (else from the cold ladder), and the halved-r_min
+    solve starts from the accepted profile and eigenvector, stretched by
+    one node at the origin.
     """
     W = Potential.from_spec(W)
     if not isinstance(N, (int, np.integer)) or N < 2:
@@ -334,14 +392,31 @@ def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
     if grid is None:
         grid = make_grid(N, 2000, {"graded": 2.0})
 
-    def ell(e, g=grid):
-        return gl_linearization_eigenvalue(N, W, e, g, opts)[0]
+    solved = {}                 # eps -> (v, q), the continuation's states
 
-    flo, fhi = ell(lo), ell(hi)
-    if not (flo < 0.0 < fhi):
+    def ell(e):
+        near = min(solved, key=lambda s: abs(s - e), default=None)
+        start = None
+        if near is not None and max(near / e, e / near) <= CONTINUATION_FACTOR:
+            start = solved[near]
+        lam, pair, prof = gl_linearization_eigenvalue(N, W, e, grid, opts,
+                                                      start=start)
+        solved[e] = (prof.v, pair.q)
+        return lam
+
+    known = {float(e): float(v) for e, v in samples if lo <= e <= hi}
+    for e in (lo, hi):
+        if e not in known:
+            known[e] = ell(e)
+    pts = sorted(known.items())
+    pair = next(((a, b) for a, b in zip(pts, pts[1:])
+                 if a[1] < 0.0 < b[1]), None)
+    if pair is None:
         raise BracketError(
             f"bracket does not straddle the threshold: "
-            f"eigenvalue({lo}) = {flo:.6g}, eigenvalue({hi}) = {fhi:.6g}")
+            f"eigenvalue({lo}) = {known[lo]:.6g}, "
+            f"eigenvalue({hi}) = {known[hi]:.6g}")
+    (lo, flo), (hi, fhi) = pair
 
     # Illinois variant: never leaves the bracket, superlinear once close
     e_mid, f_mid = lo, flo
@@ -368,7 +443,10 @@ def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
             f"threshold search stalled at eigenvalue {f_mid:.3e}",
             [("bracket", (lo, hi))])
 
-    shifted = ell(e_mid, grid.halve_rmin())
+    # the stretch of stability._refined_profile: v'(0) = q'(0) = 0
+    v, q = (np.concatenate(([u[0]], u)) for u in solved[e_mid])
+    shifted = gl_linearization_eigenvalue(N, W, e_mid, grid.halve_rmin(),
+                                          opts, start=(v, q))[0]
     if abs(shifted - f_mid) > 0.1 * tol:
         raise ConvergenceError(
             "threshold rejected: halving r_min moved the eigenvalue by "

@@ -86,6 +86,45 @@ def test_cache_reuse(tmp_path, monkeypatch):
     assert len(list(cache.iterdir())) == 1
 
 
+def test_cache_key_is_the_canonical_potential(tmp_path, monkeypatch):
+    # three spellings of one potential share one cache entry; the manifest
+    # still echoes each as given
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("VORTEXLAB_CACHE_DIR", str(cache))
+    base = ("profile", "--N", "3", "--eps", "0.3", "--grid-n", "200")
+    csvs = []
+    for i, spec in enumerate(("flat_well:0.2", "flat_well:0.20",
+                              '{"flat_well": 0.2}')):
+        out = tmp_path / str(i)
+        assert main([*base, "--W", spec, "--outdir", str(out)]) == 0
+        manifest = json.loads((out / "profile.manifest.json").read_text())
+        assert manifest["config"]["W"] == spec
+        csvs.append((out / "profile.csv").read_bytes())
+        assert len(list(cache.iterdir())) == 1
+    assert csvs[0] == csvs[1] == csvs[2]
+    assert main([*base, "--W", "flat_well:0.3", "--outdir",
+                 str(tmp_path / "other")]) == 0
+    assert len(list(cache.iterdir())) == 2
+
+
+def test_parser_built_once_and_reusable(tmp_path):
+    from vortexlab import cli
+    assert cli._parser() is cli._parser()
+    args = ("eigen", "--N", "3", "--W", "quadratic", "--eps", "0.3",
+            "--grid-n", "400")
+    # another subcommand in between must leave no state in the parser
+    assert _run(tmp_path / "a", *args) == 0
+    assert _run(tmp_path / "p", "profile", "--N", "3", "--Wt", "linear",
+                "--eta", "1.0", "--grid-n", "200") == 0
+    assert _run(tmp_path / "b", *args) == 0
+    for name in ("eigen.csv", "eigen.manifest.json"):
+        a = (tmp_path / "a" / name).read_text()
+        b = (tmp_path / "b" / name).read_text()
+        assert a.replace(str(tmp_path / "a"), "") == \
+            b.replace(str(tmp_path / "b"), "")
+    assert isinstance(cli.build_parser(), type(cli._parser()))
+
+
 def test_eigen_sweep_csv(tmp_path):
     assert _run(tmp_path, "eigen", "--N", "3", "--W", "quadratic",
                 "--eps-sweep", "0.1:0.4:4", "--grid-n", "600") == 0

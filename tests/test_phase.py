@@ -119,14 +119,22 @@ def test_sweep_solves_on_callers_grid():
     assert one.points[0][0].ell == ell
 
 
-@pytest.mark.xfail(strict=True, raises=InconsistentError,
-                   reason="ROADMAP open item 1: Newton stops on an absolute "
-                          "residual, leaving max g just over ESCAPE_TOL at a "
-                          "point whose criterion is +3.1")
+def _confirm_column(n, eps):
+    # a column of the README lattice (--confirm 1.0). While Newton stopped
+    # on the residual alone, the walk left max g just over ESCAPE_TOL at a
+    # point whose criterion is positive, and the sweep raised
+    # InconsistentError
+    d = sweep(3, QUAD, LIN, (eps, 0.5), (0.1, 1.0), (1, 20),
+              confirm_fraction=1.0, grid=make_grid(3, n, {"graded": 2.0}))
+    assert all(pt.confirmed for pt in d.points[0] if pt.cls != "Boundary")
+
+
 def test_confirmed_column_on_default_grid():
-    # the README lattice's failing column (--confirm 1.0, n=2000)
-    sweep(3, QUAD, LIN, (0.11315789473684211, 0.5), (0.1, 1.0), (1, 20),
-          confirm_fraction=1.0, grid=make_grid(3, 2000, {"graded": 2.0}))
+    _confirm_column(2000, 0.11315789473684211)
+
+
+def test_confirmed_column_at_n3000():
+    _confirm_column(3000, 0.07105263157894737)
 
 
 def test_sweep_axis_validation():

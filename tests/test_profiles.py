@@ -51,6 +51,28 @@ def test_gl_small_eps_continuation(grid_n3):
     assert float(np.interp(0.2, grid_n3.nodes, prof.f)) > 0.9
 
 
+def test_newton_ends_on_a_correction(grid_n3):
+    # every stage ends on one simplified correction, traced as a
+    # (stage, norm) pair; a start that already meets tol takes a full step
+    p = solve_gl_profile(3, QUAD, 0.2, grid_n3)
+    assert [len(t) for t in p.solver_trace][-1] == 2
+    again = solve_gl_profile(3, QUAD, 0.2, grid_n3, v_init=p.v)
+    assert [len(t) for t in again.solver_trace] == [2]
+    assert again.solver_trace[0][0] == "gl eps=0.2"
+    assert np.max(np.abs(again.v - p.v)) < 1e-12
+    assert residual(again) <= SolverOptions().tol
+    with pytest.raises(InputError):
+        solve_gl_profile(3, QUAD, 0.2, grid_n3, v_init=p.v[1:])
+
+
+def test_gl_warm_start_matches_cold(grid_n3):
+    near = solve_gl_profile(3, QUAD, 0.11, grid_n3)
+    warm = solve_gl_profile(3, QUAD, 0.1, grid_n3, v_init=near.v)
+    cold = solve_gl_profile(3, QUAD, 0.1, grid_n3)
+    assert {t[0] for t in warm.solver_trace} == {"gl eps=0.1"}
+    assert np.max(np.abs(warm.v - cold.v)) < 1e-10
+
+
 def test_gl_energy_zero_well_exact():
     # I[r -> r] with the quadratic well at eps = 1, N = 2:
     # 1/2 int (1 + 1 + (1-r^2)^2/2 r...) -- frozen closed form 0.5 + 1/24

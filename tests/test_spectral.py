@@ -375,3 +375,107 @@ def test_threshold_needs_bracket(grid_n3):
         find_epsilon0(3, QUAD, (0.5, 1.0), grid=grid_n3)
     with pytest.raises(InputError):
         find_epsilon0(3, QUAD, (1.0, 0.5), grid=grid_n3)
+
+
+def test_cold_ell_does_not_depend_on_earlier_solves():
+    # the GL ladder's rungs are kept per grid: a cold solve on a grid that
+    # has solved other eps must give the bits of a fresh grid
+    def fresh():
+        return make_grid(3, 600, {"graded": 2.0})
+    used = fresh()
+    for e in (0.3, 0.06, 0.15):
+        gl_linearization_eigenvalue(3, QUAD, e, used)
+    for e in (0.1, 0.05, 0.2):
+        lam, pair, prof = gl_linearization_eigenvalue(3, QUAD, e, used)
+        ref, ref_pair, ref_prof = gl_linearization_eigenvalue(3, QUAD, e,
+                                                              fresh())
+        assert lam == ref
+        assert np.array_equal(prof.v, ref_prof.v)
+        assert np.array_equal(pair.q, ref_pair.q)
+    # a later cold solve pays only its own stage
+    prof = gl_linearization_eigenvalue(3, QUAD, 0.07, used)[2]
+    assert {t[0] for t in prof.solver_trace} == {"gl eps=0.07"}
+
+
+def test_threshold_never_solves_a_given_eps(grid_n3, monkeypatch):
+    from vortexlab import spectral
+    rows = linearization_eigenvalue_sweep(3, QUAD, [0.05, 0.15, 0.25, 0.6],
+                                          grid=grid_n3)
+    cold = find_epsilon0(3, QUAD, (0.05, 0.6), grid=grid_n3)
+    seen = []
+    real = spectral.gl_linearization_eigenvalue
+
+    def spy(N, W, eps, grid, opts=None, start=None):
+        seen.append((eps, grid is grid_n3, start is not None))
+        return real(N, W, eps, grid, opts, start=start)
+
+    monkeypatch.setattr(spectral, "gl_linearization_eigenvalue", spy)
+    eps0 = find_epsilon0(3, QUAD, (0.05, 0.6), grid=grid_n3, samples=rows)
+    assert abs(eps0 - cold) < 1e-8
+    given = {e for e, _ in rows}
+    assert seen and not given & {e for e, _, _ in seen}
+    # it starts inside the sign change of the samples, and each solve after
+    # the first continues from an earlier one
+    assert all(0.15 < e < 0.25 for e, _, _ in seen)
+    assert all(warm for _, _, warm in seen[1:])
+    # the last solve is the halved-r_min check at the answer
+    assert seen[-1][:2] == (eps0, False)
+
+
+def test_threshold_samples_must_straddle(grid_n3):
+    rows = [(0.5, 10.0), (0.7, 12.0)]
+    with pytest.raises(BracketError):
+        find_epsilon0(3, QUAD, (0.5, 0.7), grid=grid_n3, samples=rows)
+
+
+def test_ell_converged_in_the_unknowns(grid_n3):
+    # the Newton stop must not leave the answer where the path happened to
+    # end: at eps=0.05 the residual stop alone was off by 1.8e-7 (relative)
+    from vortexlab import SolverOptions
+    loose = gl_linearization_eigenvalue(3, QUAD, 0.05, grid_n3,
+                                        SolverOptions(tol=1e-10))[0]
+    tight = gl_linearization_eigenvalue(
+        3, QUAD, 0.05, make_grid(3, 2000, {"graded": 2.0}),
+        SolverOptions(tol=1e-12))[0]
+    assert abs(loose - tight) < 1e-8 * abs(tight)
+
+
+def test_start_vectors_give_the_certified_eigenvalue():
+    # a random start, the exact eigenvector and the second eigenvector
+    # (M-orthogonal to the wanted one) all end on the eigenvalue of the
+    # constant start, certified by inertia
+    rng = np.random.default_rng(1)
+    for pencil in STRESS_PENCILS[:60] + MISSING_PENCILS:
+        A, M = _random_pencil(*pencil)
+        lam, _, _, _ = pencil_smallest(A, M)
+        _, vecs = scipy.linalg.eigh(_dense(A), _dense(M))
+        for x0 in (rng.standard_normal(A.shape[1]), vecs[:, 0], vecs[:, 1]):
+            lam2, x, resid, trace = pencil_smallest(A, M, x0=x0)
+            _assert_certified_by_oracle(A, M, lam2, trace)
+            assert resid < 1e-9
+            assert abs(lam2 - lam) <= 2e-9 * (1.0 + abs(lam))
+
+
+def test_start_vector_validation():
+    A, M = _random_pencil(12, 1, 0, 0.0)
+    for bad in (np.zeros(12), np.ones(11), np.full(12, np.nan)):
+        with pytest.raises(InputError):
+            pencil_smallest(A, M, x0=bad)
+
+
+def test_eigenpair_start_cuts_bisection(grid_n3):
+    # 1 - r^2 meets the Dirichlet condition that the constant function
+    # breaks, and a nearby eps's eigenvector lies closer still
+    lam, pair, prof = gl_linearization_eigenvalue(3, QUAD, 0.2, grid_n3)
+    V = -QUAD.eval(1.0 - prof.f ** 2, 1) / 0.2 ** 2
+    op = assemble_radial_operator(3, grid_n3, 0.0, V)
+    near = gl_linearization_eigenvalue(3, QUAD, 0.21, grid_n3)[1]
+
+    def bisections(x0):
+        trace = pencil_smallest(op.A, op.M, x0=x0)[3]
+        return sum(1 for t in trace if len(t) == 3)
+    r = grid_n3.nodes[:op.size]
+    assert bisections(1.0 - r * r) < bisections(None)
+    assert bisections(near.q[:op.size]) <= 4
+    warm = smallest_eigenpair(op, q_init=near.q)
+    assert abs(warm.eigenvalue - lam) <= 2e-9 * (1.0 + abs(lam))
