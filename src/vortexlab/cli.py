@@ -334,8 +334,9 @@ def _run_eigen(cfg: RunConfig) -> tuple:
                                   cfg.eps["count"])
     else:
         eps_values = np.array([float(cfg.eps)])
+    opts = _solver_options(cfg)
     rows = linearization_eigenvalue_sweep(cfg.N, W, eps_values, grid=grid,
-                                          jobs=cfg.jobs)
+                                          jobs=cfg.jobs, opts=opts)
     artifacts = {"eigen.csv": sweep_to_csv(rows)}
     diag = {"count": len(rows)}
     if cfg.find_threshold:
@@ -343,7 +344,7 @@ def _run_eigen(cfg: RunConfig) -> tuple:
         hi = float(eps_values[-1])
         # the bisection's refinement acceptance must stay matched to what the
         # grid can resolve; the (much tighter) profile tol is not that knob
-        eps0 = find_epsilon0(cfg.N, W, (lo, hi), grid=grid,
+        eps0 = find_epsilon0(cfg.N, W, (lo, hi), grid=grid, opts=opts,
                              tol=max(cfg.tol, 1e-8), samples=rows)
         artifacts["eigen.json"] = json.dumps(
             {"eps0": eps0, "bracket": [lo, hi]}, indent=2) + "\n"

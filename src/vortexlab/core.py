@@ -105,6 +105,12 @@ def _moments(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     return (bq - aq) / q
 
 
+def _cubes(x: np.ndarray) -> np.ndarray:
+    """x**3 elementwise from libm, bit for bit with the scalar power (see
+    _moments)."""
+    return np.array([t**3 for t in x.tolist()])
+
+
 def _lagrange_weights(x: Sequence[np.ndarray], a: np.ndarray, b: np.ndarray,
                       p: float) -> np.ndarray:
     """Weights w[i] with sum_i w[i] phi(x[i]) = integral over [a,b] of the
@@ -250,19 +256,15 @@ class RadialGrid:
             t12 = np.empty(self.n - 1)
             t03 = np.empty(self.n - 1)
             near = a / h < 8.0
-            for j in np.nonzero(near)[0]:
-                aj, bj = a[j], b[j]
-                m0 = _moment(aj, bj, p)
-                m1 = _moment(aj, bj, p + 1)
-                m2 = _moment(aj, bj, p + 2)
-                m3 = _moment(aj, bj, p + 3)
-                h3 = h[j] ** 3
-                t30[j] = (bj**3 * m0 - 3 * bj * bj * m1 + 3 * bj * m2 - m3) / h3
-                t21[j] = (-aj * bj * bj * m0 + (bj * bj + 2 * aj * bj) * m1
-                          - (2 * bj + aj) * m2 + m3) / h3
-                t12[j] = (aj * aj * bj * m0 - (2 * aj * bj + aj * aj) * m1
-                          + (bj + 2 * aj) * m2 - m3) / h3
-                t03[j] = (-aj**3 * m0 + 3 * aj * aj * m1 - 3 * aj * m2 + m3) / h3
+            an, bn = a[near], b[near]
+            m0, m1, m2, m3 = (_moments(an, bn, p + k) for k in range(4))
+            a3, b3, h3 = (_cubes(x) for x in (an, bn, h[near]))
+            t30[near] = (b3 * m0 - 3 * bn * bn * m1 + 3 * bn * m2 - m3) / h3
+            t21[near] = (-an * bn * bn * m0 + (bn * bn + 2 * an * bn) * m1
+                         - (2 * bn + an) * m2 + m3) / h3
+            t12[near] = (an * an * bn * m0 - (2 * an * bn + an * an) * m1
+                         + (bn + 2 * an) * m2 - m3) / h3
+            t03[near] = (-a3 * m0 + 3 * an * an * m1 - 3 * an * m2 + m3) / h3
             far = ~near
             if np.any(far):
                 gx, gw = np.polynomial.legendre.leggauss(12)

@@ -123,8 +123,10 @@ def _confirm_against_solver(N, W, Wt, eps, eta, cls, crit, ell, grid, opts,
     """Escaping-branch solve from start must agree with the criterion sign.
 
     A warm solve (start an ExtendedProfile) whose Newton fails is redone
-    from the GL profile gl with the anchor search: a failure is not a
-    collapse. Returns the profile."""
+    cold from the GL profile gl, with solve_extended_profile's two seeds at
+    this eta: a failure is not a collapse. The solver never reads the
+    criterion, so agreement is an independent check. Returns the
+    profile."""
     try:
         prof = solve_extended_profile(N, W, Wt, eps, eta, grid,
                                       branch_hint="escaping", opts=opts,
@@ -254,13 +256,14 @@ def sweep(N: int, W, Wt, eps_range, eta_range, resolution,
     by index, so jobs > 1 cannot change the result).
 
     Each column walks its confirmed points down in eta. The first solve
-    starts from the column's GL profile (the one behind ell), each later one
-    from the last escaping profile (solve_extended_profile's start). Once a
-    solve collapses to g ≡ 0, every lower point of the column is confirmed
-    non-escaping without a solve: at fixed eps the escaping set is an up-set
-    in eta, and the top point's anchor search reaches above any lower
-    point's own. A warm solve whose Newton fails is redone from the GL
-    profile with the anchor search; it never counts as a collapse.
+    starts cold from the column's GL profile (the one behind ell), each
+    later one from the last escaping profile (solve_extended_profile's
+    start). Once a solve collapses to g ≡ 0, the solver has found no
+    escaping solution at that eta, and every lower point of the column is
+    confirmed non-escaping without a solve: at fixed eps the escaping set is
+    an up-set in eta, so no escaping solution exists below a point that has
+    none. A warm solve whose Newton fails is redone cold from the GL
+    profile; it never counts as a collapse.
     """
     W = Potential.from_spec(W)
     Wt = Potential.from_spec(Wt)

@@ -65,7 +65,6 @@ MIN_DAMPING = 2.0**-16
 ESCAPE_TOL = 1e-6                 # branch disambiguation threshold on max g
 EPS_DIRECT = 0.25                 # solve directly for eps >= this, else continue
 CONTINUATION_FACTOR = math.sqrt(2.0)
-ETA_ANCHORS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 COLLAPSE_ANGLE = 0.5              # θ(r_min) above this = equator collapse
 GLUE_GAP = 1e-4                   # π/2 − θ(1/2) below this = equator with a
                                   # spurious O(r_min) core; counts as collapse
@@ -304,11 +303,9 @@ class SphereProfile:
 # solvers
 
 
-def _check_potential(p: Potential, name: str, needs_cap: bool) -> None:
-    if not isinstance(p, Potential):
-        raise InputError(f"{name} must be a Potential")
-    if needs_cap and p.hi < 1.0:
-        raise InputError(f"{name} domain must reach 1 (solutions hit 1-f²-g²=0..1)")
+def _check_well(W: Potential) -> None:
+    if W.hi < 1.0:
+        raise InputError("W domain must reach 1 (solutions hit 1-f²-g²=0..1)")
 
 
 def solve_gl_profile(N: int, W: Potential, eps: float, grid: RadialGrid,
@@ -322,7 +319,7 @@ def solve_gl_profile(N: int, W: Potential, eps: float, grid: RadialGrid,
     replaces the continuation by one stage started from it.
     """
     W = Potential.from_spec(W)
-    _check_potential(W, "W", needs_cap=True)
+    _check_well(W)
     if eps <= 0:
         raise InputError("eps must be positive")
     if grid.N != N:
@@ -383,7 +380,6 @@ def solve_sphere_profile(N: int, Wt: Potential, eta: float, grid: RadialGrid,
     not an admissible finite-energy state, so collapse is a solver failure.
     """
     Wt = Potential.from_spec(Wt)
-    _check_potential(Wt, "Wt", needs_cap=False)
     if eta <= 0:
         raise InputError("eta must be positive")
     if grid.N != N:
@@ -474,28 +470,30 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
                            start=None) -> ExtendedProfile:
     """Two-field profile (f, g); branch per branch_hint.
 
-    hint non_escaping: returns (f_gl, 0), always a solution. hint escaping:
-    damped Newton with downward-in-η continuation from the first anchor in
-    ETA_ANCHORS·η that sustains g > ESCAPE_TOL; if the branch collapses
-    all the way to the target, the point has no escaping solution and the
-    non-escaping profile is returned with a diagnostic flag (not an error).
+    hint non_escaping: returns (f_gl, 0), always a solution. hint escaping,
+    cold: Newton at the target η from (f_gl, g_seed·(1 - r²)) and, only if
+    that collapses (max |g| <= ESCAPE_TOL) or stalls, from (f_gl, g_seed·q),
+    q the ground state of the g-operator at (f_gl, 0) scaled to max|q| = 1:
+    the direction in which the branch leaves g ≡ 0 at η*. q's eigenvalue
+    (the criterion's sign) is not read: the solver is an independent check.
+    No escape after a collapse gives (f_gl, 0) flagged "no_escape_found", a
+    finding; two stalls, or no certified q, raise ConvergenceError.
 
     start reuses earlier work at the same eps, grid and potentials:
 
     * None: the GL profile comes from its own eps-continuation;
-    * a GLProfile replaces that continuation; the anchor search runs as
-      above, so the profile is the one start=None gives;
-    * an escaping ExtendedProfile with start.eta >= eta: no anchor search.
-      η marches down from start.eta in CONTINUATION_FACTOR strides,
-      warm-started from (start.v, start.g). A collapse on the way is
-      definitive (the escaping set is an up-set in η at fixed eps) and gives
-      the non-escaping profile. A Newton failure, after the half-step retry,
-      decides nothing about the point and raises ConvergenceError.
+    * a GLProfile replaces that continuation, so the profile is the one
+      start=None gives;
+    * an escaping ExtendedProfile with start.eta >= eta: η marches down
+      from start.eta in CONTINUATION_FACTOR strides, warm-started from
+      (start.v, start.g). A collapse on the way is definitive (the escaping
+      set is an up-set in η at fixed eps) and gives the non-escaping
+      profile. A Newton failure, after the half-step retry, decides nothing
+      about the point and raises ConvergenceError.
     """
     W = Potential.from_spec(W)
     Wt = Potential.from_spec(Wt)
-    _check_potential(W, "W", needs_cap=True)
-    _check_potential(Wt, "Wt", needs_cap=False)
+    _check_well(W)
     if eps <= 0 or eta <= 0:
         raise InputError("eps and eta must be positive")
     if grid.N != N:
@@ -513,6 +511,9 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
     def collapsed(z):
         return float(np.max(np.abs(z[1::2]))) <= ESCAPE_TOL
 
+    def result(v, g, flags=()):
+        return _wrap_extended(grid, eps, eta, W, Wt, v, g, trace, flags)
+
     if isinstance(start, ExtendedProfile):
         try:
             z = _eta_march(stage, collapsed, eta, start.eta,
@@ -521,29 +522,39 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
             raise ConvergenceError(
                 f"warm escaping march from eta={start.eta:.6g} to "
                 f"eta={eta:.6g} failed at eps={eps:.6g}", trace) from None
-        return _march_result(grid, eps, eta, W, Wt, z, None, opts, trace)
-
-    if start is None:
-        v_gl = _gl_continuation(grid, W, eps, opts, trace)
+        if not collapsed(z):
+            return result(z[0::2], z[1::2])
+        # the branch merged with g ≡ 0 on the way down: no escaping solution
+        v_gl = _gl_continuation(grid, W, eps, opts, trace, v_init=z[0::2])
+        flags = ("boundary_ambiguous",) if z[1::2].any() else ()
     else:
-        v_gl = start.v[:-1]
+        v_gl = (_gl_continuation(grid, W, eps, opts, trace) if start is None
+                else start.v[:-1])
+        if branch_hint == "non_escaping":
+            return result(v_gl, None)
+        flags, stalled = (), 0
+        for seed in (lambda: 1.0 - grid.nodes[:-1] ** 2,
+                     lambda: _kernel_direction(grid, eps, W, v_gl)):
+            z = _interleave(v_gl, opts.g_seed * seed())
+            try:
+                z = stage(eta, z)
+            except ConvergenceError:
+                stalled += 1
+                continue
+            if not collapsed(z):
+                return result(z[0::2], z[1::2])
+        if stalled == 2:
+            raise ConvergenceError(f"escaping Newton stalled from both seeds "
+                                   f"at eps={eps:.6g}, eta={eta:.6g}", trace)
+    return result(v_gl, None, flags + ("no_escape_found",))
 
-    if branch_hint == "non_escaping":
-        return _wrap_extended(grid, eps, eta, W, Wt,
-                              np.append(v_gl, 1.0), np.zeros(grid.n),
-                              "non_escaping", trace, ())
 
-    for factor in ETA_ANCHORS:
-        z = _interleave(v_gl, opts.g_seed * (1.0 - grid.nodes[:-1] ** 2))
-        try:
-            z = _eta_march(stage, collapsed, eta, factor * eta, z)
-        except ConvergenceError:
-            continue              # anchor stalled; go deeper
-        if z is not None:         # else the anchor collapsed; go deeper
-            return _march_result(grid, eps, eta, W, Wt, z, v_gl, opts, trace)
-    return _wrap_extended(grid, eps, eta, W, Wt,
-                          np.append(v_gl, 1.0), np.zeros(grid.n),
-                          "non_escaping", trace, ("no_escape_found",))
+def _kernel_direction(grid, eps, W, v_gl):
+    """Ground state q of the g-operator at (f_gl, 0), nodes 0..n-2, max|q|=1."""
+    from .spectral import gl_linearization_operator, smallest_eigenpair
+    f = grid.nodes * np.append(v_gl, 1.0)
+    q = smallest_eigenpair(gl_linearization_operator(W, eps, grid, f)).q[:-1]
+    return q / np.max(np.abs(q))
 
 
 def _interleave(v, g):
@@ -572,28 +583,16 @@ def _check_start(start, eps, eta, grid, W, Wt, branch_hint) -> None:
                          "branch_hint='escaping'")
 
 
-def _march_result(grid, eps, eta, W, Wt, z, v_gl, opts, trace):
-    """The profile at the end of an escaping march: escaping if g survived,
-    else (f_gl, 0); v_gl None (warm march) solves f_gl from z's v part."""
-    v = np.append(z[0::2], 1.0)
-    g = np.append(z[1::2], 0.0)
-    gmax = float(np.max(np.abs(g)))
-    if gmax > ESCAPE_TOL:
+def _wrap_extended(grid, eps, eta, W, Wt, v, g, trace, flags):
+    """The profile from the v- and g-unknowns at nodes 0..n-2: escaping and
+    reported with g > 0, or non-escaping (g ≡ 0) when g is None."""
+    v = np.append(v, 1.0)
+    if g is None:
+        branch, g = "non_escaping", np.zeros(grid.n)
+    else:
+        branch, g = "escaping", np.append(g, 0.0)
         if g[np.argmax(np.abs(g))] < 0:
-            g = -g                # report the g > 0 representative
-        return _wrap_extended(grid, eps, eta, W, Wt, v, g,
-                              "escaping", trace, ())
-    # the branch merged with g ≡ 0 on the way down: no escaping solution
-    if v_gl is None:
-        v_gl = _gl_continuation(grid, W, eps, opts, trace, v_init=z[0::2])
-    flags = ("boundary_ambiguous",) if gmax > 0 else ()
-    return _wrap_extended(grid, eps, eta, W, Wt,
-                          np.append(v_gl, 1.0), np.zeros(grid.n),
-                          "non_escaping", trace,
-                          flags + ("no_escape_found",))
-
-
-def _wrap_extended(grid, eps, eta, W, Wt, v, g, branch, trace, flags):
+            g = -g
     res_v, res_g, *_ = _extended_residual_full(grid, eps, eta, W, Wt, v, g)
     rn = float(max(np.max(np.abs(res_v)), np.max(np.abs(res_g))))
     return ExtendedProfile(grid=grid, eps=eps, eta=eta, well=W, penalty=Wt,

@@ -286,7 +286,12 @@ def smallest_eigenpair(op: SLOperator, which: int = 0,
     Inverse iteration starts from q_init (node samples on the grid, say the
     eigenfunction at a nearby eps), or else from 1 - r^2, which meets the
     boundary conditions: the constant function jumps at the Dirichlet node
-    r = 1, and its Rayleigh quotient lies decades above the eigenvalue."""
+    r = 1, and its Rayleigh quotient lies decades above the eigenvalue.
+
+    The inertia certificate says which eigenvalue the pair belongs to; the
+    vector's entries are not tested for sign. (A Sturm-Liouville ground
+    state has one sign, but inverse iteration leaves noise of the order of
+    its backward error where the mode is exponentially small.)"""
     if which not in (0, 1):
         raise InputError("only the smallest and second eigenpairs are "
                          "supported")
@@ -298,19 +303,12 @@ def smallest_eigenpair(op: SLOperator, which: int = 0,
         if q_init.shape != op.grid.nodes.shape:
             raise InputError("q_init must be sampled on the grid nodes")
         x0 = q_init[active]
-    lam, x, resid, trace = pencil_smallest(op.A, op.M, which=which, x0=x0)
+    lam, x, resid, _ = pencil_smallest(op.A, op.M, which=which, x0=x0)
     q = op.embed(x)
     nrm = math.sqrt(op.grid.quadrature(q * q))
     q = q / nrm
-    first = q[op.start]
-    if first < 0:
+    if q[op.start] < 0:
         q = -q
-    if which == 0:
-        interior = q[op.start:op.grid.n - 1]
-        tiny = 1e-10 * float(np.max(np.abs(interior)))
-        if np.any(interior < -tiny):
-            raise ConvergenceError(
-                "smallest mode came back with a sign change", trace)
     q.setflags(write=False)
     return EigenPair(eigenvalue=lam, q=q, grid=op.grid, mu=op.mu,
                      residual=resid)
@@ -318,6 +316,16 @@ def smallest_eigenpair(op: SLOperator, which: int = 0,
 
 # ---------------------------------------------------------------------------
 # vortex linearization
+
+
+def gl_linearization_operator(W: Potential, eps: float, grid: RadialGrid,
+                              f: np.ndarray) -> SLOperator:
+    """The amplitude linearization's pencil around node samples f of a
+    vortex profile: potential V(r) = -W'(1 - f(r)^2)/eps^2, no angular
+    term. At (f, 0) it is also the g-operator of the two-field model
+    without its transverse term Wt'(0)/eta^2."""
+    return assemble_radial_operator(grid.N, grid, 0.0,
+                                    -W.eval(1.0 - f ** 2, 1) / eps ** 2)
 
 
 def gl_linearization_eigenvalue(N: int, W, eps: float, grid: RadialGrid,
@@ -338,10 +346,9 @@ def gl_linearization_eigenvalue(N: int, W, eps: float, grid: RadialGrid,
     W = Potential.from_spec(W)
     v_init, q_init = (None, None) if start is None else start
     profile = solve_gl_profile(N, W, eps, grid, opts, v_init=v_init)
-    X = 1.0 - profile.f ** 2
-    V = -W.eval(X, 1) / eps ** 2
-    op = assemble_radial_operator(N, grid, 0.0, V)
-    pair = smallest_eigenpair(op, q_init=q_init)
+    pair = smallest_eigenpair(gl_linearization_operator(W, eps, grid,
+                                                        profile.f),
+                              q_init=q_init)
     lam = pair.eigenvalue
     lower = -W.eval(1.0, 1) / eps ** 2
     if lam <= lower - 1e-9 * (1.0 + abs(lower)):
@@ -460,27 +467,31 @@ def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
 
 
 def _sweep_worker(args):
-    N, wspec, eps, grid = args
+    N, wspec, eps, grid, opts = args
     val, _, _ = gl_linearization_eigenvalue(N, Potential.from_spec(wspec),
-                                            eps, grid)
+                                            eps, grid, opts)
     return val
+
 
 def linearization_eigenvalue_sweep(N: int, W, eps_values,
                                    grid: RadialGrid | None = None,
-                                   jobs: int = 1) -> list[tuple[float, float]]:
-    """(eps, eigenvalue) rows across eps values; columns are independent so
-    they parallelize across processes when jobs > 1."""
+                                   jobs: int = 1,
+                                   opts: SolverOptions = SolverOptions()
+                                   ) -> list[tuple[float, float]]:
+    """(eps, eigenvalue) rows across eps values, each profile solved with
+    opts; columns are independent so they parallelize across processes when
+    jobs > 1."""
     W = Potential.from_spec(W)
     if grid is None:
         grid = make_grid(N, 2000, {"graded": 2.0})
     eps_values = [float(e) for e in eps_values]
     if jobs > 1:
         # the grid itself, not its spec: a spec does not rebuild every grid
-        payload = [(N, W.spec(), e, grid) for e in eps_values]
+        payload = [(N, W.spec(), e, grid, opts) for e in eps_values]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             vals = list(pool.map(_sweep_worker, payload))
     else:
-        vals = [gl_linearization_eigenvalue(N, W, e, grid)[0]
+        vals = [gl_linearization_eigenvalue(N, W, e, grid, opts)[0]
                 for e in eps_values]
     return list(zip(eps_values, vals))
 

@@ -146,6 +146,45 @@ def test_eigen_threshold(tmp_path):
     assert data["bracket"] == [0.05, 1.0]
 
 
+@pytest.mark.parametrize("eps", ["0.02", "0.018"])
+def test_eigen_n2_small_eps(tmp_path, eps):
+    # the ground state's exponentially small tail carries rounding noise of
+    # either sign; the inertia certificate, not a sign test, decides
+    assert _run(tmp_path, "eigen", "--N", "2", "--W", "quadratic",
+                "--eps", eps) == 0
+    _, rows = _read_csv(tmp_path / "eigen.csv")
+    assert float(rows[0]["eigenvalue"]) < 0
+
+
+def test_eigen_solver_options_reach_profiles(tmp_path, monkeypatch):
+    from vortexlab import SolverOptions, spectral
+    seen = []
+    real = spectral.solve_gl_profile
+
+    def recording(N, W, eps, grid, opts, **kw):
+        seen.append(opts)
+        return real(N, W, eps, grid, opts, **kw)
+
+    monkeypatch.setattr(spectral, "solve_gl_profile", recording)
+    assert _run(tmp_path, "eigen", "--N", "3", "--W", "quadratic",
+                "--eps-sweep", "0.1:0.4:3", "--find-threshold",
+                "--tol", "1e-11", "--max-iter", "40", "--grid-n", "600") == 0
+    # three sweep rows, the threshold's own solves and its halved-r_min check
+    assert len(seen) > 4
+    assert set(seen) == {SolverOptions(tol=1e-11, max_iter=40)}
+
+
+def test_eigen_max_iter_reaches_workers(tmp_path, capsys):
+    # two Newton steps cannot solve the eps = 0.3 profile from v = 1, in this
+    # process or in a worker
+    for jobs in ("1", "2"):
+        assert _run(tmp_path, "eigen", "--N", "3", "--W", "quadratic",
+                    "--eps-sweep", "0.3:0.5:2", "--max-iter", "2",
+                    "--jobs", jobs, "--grid-n", "400") == 1
+        payload = _one_line_json(capsys.readouterr().err)
+        assert payload["error"] == "ConvergenceError"
+
+
 def test_error_report(tmp_path, capsys):
     # no sign change: the threshold search must fail loudly, as JSON
     assert _run(tmp_path, "eigen", "--N", "7", "--W", "quadratic",

@@ -185,6 +185,36 @@ def test_moment_weights_match_cell_loops(N, n, grading):
     assert np.array_equal(h.weights, _ref_product_weights(h.nodes, N - 1))
 
 
+def _ref_p1_near(r, p, j):
+    """The cell integrals T(s,t) of one near-origin cell, as a scalar loop."""
+    a, b = r[j], r[j + 1]
+    m0, m1, m2, m3 = (_ref_moment(a, b, p + k) for k in range(4))
+    h3 = (b - a) ** 3
+    return ((b**3 * m0 - 3 * b * b * m1 + 3 * b * m2 - m3) / h3,
+            (-a * b * b * m0 + (b * b + 2 * a * b) * m1
+             - (2 * b + a) * m2 + m3) / h3,
+            (a * a * b * m0 - (2 * a * b + a * a) * m1
+             + (b + 2 * a) * m2 - m3) / h3,
+            (-a**3 * m0 + 3 * a * a * m1 - 3 * a * m2 + m3) / h3)
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [16, 401, 2000])
+@pytest.mark.parametrize("grading", ["uniform", {"graded": 2.0},
+                                     {"graded": 3.0}])
+def test_p1_tables_near_origin_match_cell_loop(N, n, grading):
+    g = make_grid(N, n, grading)
+    for grid in (g, g.halve_rmin()):
+        r = grid.nodes
+        near = np.nonzero(r[:-1] / grid.h < 8.0)[0]
+        assert near.size > 0
+        for shift in (-2, 0, 2):
+            tables = grid._p1_tables(shift)[:4]
+            for j in near:
+                ref = _ref_p1_near(r, N - 1 + shift, j)
+                assert all(t[j] == x for t, x in zip(tables, ref))
+
+
 def _ref_flux_residual(c, u):
     res = np.zeros(u.size - 1)
     for j in range(u.size - 1):

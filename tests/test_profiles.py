@@ -133,6 +133,108 @@ def test_extended_no_escape_above_threshold(grid_n3, eps0_n3):
     assert "no_escape_found" in prof.flags
 
 
+# A coarse subset of the agreement lattice N 2-6 x {quadratic, flat_well:0.3}
+# x {linear, quadratic} x eps {0.04..0.6} x eta {0.05..3.2}. It holds the two
+# flat-well N=4 points whose first seed, g_seed*(1 - r^2), misses the branch
+# on this grid, so the second seed (the kernel direction) decides them.
+LATTICE_EPS = (0.04, 0.08, 0.3)
+LATTICE_ETA = (0.05, 0.4, 3.2)
+SECOND_SEED = {(4, "flat_well:0.3", "linear", 0.04, 0.4),
+               (4, "flat_well:0.3", "quadratic", 0.08, 0.4)}
+
+
+def _count_stages(monkeypatch):
+    """Extended Newton stages run, and calls of the second seed."""
+    from vortexlab import profiles
+    seen = {"ext": 0, "kernel": 0}
+    newton, kernel = profiles._newton, profiles._kernel_direction
+
+    def counting_newton(assemble, u0, opts, stage, trace):
+        seen["ext"] += stage.startswith("ext")
+        return newton(assemble, u0, opts, stage, trace)
+
+    def counting_kernel(*args):
+        seen["kernel"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(profiles, "_newton", counting_newton)
+    monkeypatch.setattr(profiles, "_kernel_direction", counting_kernel)
+    return seen
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_cold_branch_agrees_with_criterion(monkeypatch, N):
+    from vortexlab.spectral import gl_linearization_eigenvalue
+    grid = make_grid(N, 800, {"graded": 3.0})
+    seen = _count_stages(monkeypatch)
+    for wspec in ("quadratic", "flat_well:0.3"):
+        W = Potential.from_spec(wspec)
+        for eps in LATTICE_EPS:
+            ell, _, gl = gl_linearization_eigenvalue(N, W, eps, grid)
+            for wtspec in ("linear", "quadratic"):
+                wt0 = Potential.from_spec(wtspec).eval(0.0, 1)
+                for eta in LATTICE_ETA:
+                    crit = ell + wt0 / eta ** 2
+                    assert abs(crit) > 1e-2 * (1.0 + abs(ell))
+                    seen.update(ext=0, kernel=0)
+                    p = solve_extended_profile(N, W, wtspec, eps, eta, grid,
+                                               start=gl)
+                    point = (N, wspec, wtspec, eps, eta)
+                    assert p.branch == ("escaping" if crit < 0
+                                        else "non_escaping"), point
+                    assert p.residual_norm < 1e-9
+                    assert seen["ext"] <= 2
+                    if p.branch == "non_escaping":
+                        assert p.flags == ("no_escape_found",)
+                        assert seen["ext"] == 2 and not p.g.any()
+                    else:
+                        assert np.min(p.g[:-1]) > 0 and not p.flags
+                    assert (seen["kernel"] == 1) == (
+                        point in SECOND_SEED or p.branch == "non_escaping")
+
+
+def _stall_ext(monkeypatch, which):
+    """The extended Newton stages numbered in `which` (0, 1) fail."""
+    from vortexlab import profiles
+    newton, count = profiles._newton, [0]
+
+    def stalling(assemble, u0, opts, stage, trace):
+        if stage.startswith("ext"):
+            count[0] += 1
+            if count[0] - 1 in which:
+                raise ConvergenceError(f"forced stall in {stage!r}", trace)
+        return newton(assemble, u0, opts, stage, trace)
+
+    monkeypatch.setattr(profiles, "_newton", stalling)
+
+
+@pytest.mark.parametrize("eta", [0.6, 0.2])       # escaping, non-escaping
+def test_cold_stall_from_both_seeds_raises(monkeypatch, eta):
+    grid = make_grid(3, 600, {"graded": 2.0})
+    _stall_ext(monkeypatch, {0, 1})
+    with pytest.raises(ConvergenceError, match="both seeds"):
+        solve_extended_profile(3, QUAD, LIN, 0.1, eta, grid)
+
+
+@pytest.mark.parametrize("eta", [0.6, 0.2])
+def test_cold_one_stall_falls_to_the_other_seed(monkeypatch, eta):
+    grid = make_grid(3, 600, {"graded": 2.0})
+    ref = solve_extended_profile(3, QUAD, LIN, 0.1, eta, grid)
+    for which in ({0}, {1}):
+        monkeypatch.undo()
+        _stall_ext(monkeypatch, which)
+        p = solve_extended_profile(3, QUAD, LIN, 0.1, eta, grid)
+        assert p.branch == ref.branch and p.flags == ref.flags
+        assert np.max(np.abs(p.g - ref.g)) < 1e-7
+
+
+def test_cold_non_escaping_at_n2_small_eps(grid_n2):
+    # the second seed's pencil at N=2, eps=0.02 once failed a sign test on
+    # the rounding noise of its exponentially small tail
+    p = solve_extended_profile(2, QUAD, LIN, 0.02, 0.03, grid_n2)
+    assert p.branch == "non_escaping" and p.flags == ("no_escape_found",)
+
+
 def test_extended_unique_solution_from_three_guesses(escaping_point, grid_n3):
     eps, eta, _ = escaping_point
     opts = [SolverOptions(g_seed=s) for s in (0.2, 0.5, 0.9)]
