@@ -65,9 +65,6 @@ MIN_DAMPING = 2.0**-16
 ESCAPE_TOL = 1e-6                 # branch disambiguation threshold on max g
 EPS_DIRECT = 0.25                 # solve directly for eps >= this, else continue
 CONTINUATION_FACTOR = math.sqrt(2.0)
-COLLAPSE_ANGLE = 0.5              # θ(r_min) above this = equator collapse
-GLUE_GAP = 1e-4                   # π/2 − θ(1/2) below this = equator with a
-                                  # spurious O(r_min) core; counts as collapse
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +292,8 @@ class SphereProfile:
     penalty: Potential
     theta: np.ndarray
     residual_norm: float
-    no_escape: bool = False       # True: collapsed to the equator branch
+    no_escape: bool = False       # True: theta is the equator θ ≡ π/2, as
+                                  # no solution found beats its energy
     solver_trace: list = field(repr=False, default_factory=list)
 
 
@@ -374,10 +372,14 @@ def solve_sphere_profile(N: int, Wt: Potential, eta: float, grid: RadialGrid,
                          opts: SolverOptions = SolverOptions()) -> SphereProfile:
     """Sphere-valued polar-angle profile with θ(1) = π/2.
 
-    Seeks the escaping branch (θ(0)=0). If every attempt collapses to the
-    equator θ ≡ π/2 (which happens for N ≥ 7), returns the equator profile
-    with no_escape=True — detection, not assertion. For N = 2 the equator is
-    not an admissible finite-energy state, so collapse is a solver failure.
+    One Newton stage at eta from θ₀ = (π/2)·atan(r/η)/atan(1/η), which rises
+    from 0 on the core scale η (and tends to (π/2)·r as η grows). Energy
+    decides the branch: for N ≥ 3 the result is the escaping profile when
+    its reduced_energy_mm is below that of the equator θ ≡ π/2 on the same
+    grid, and otherwise the equator is returned with no_escape=True (which
+    happens for N ≥ 7) — detection, not assertion. For N = 2 the equator
+    has infinite energy and is not admissible, so a result equal to it to
+    rounding is a solver failure. A Newton stall raises ConvergenceError.
     """
     Wt = Potential.from_spec(Wt)
     if eta <= 0:
@@ -385,82 +387,29 @@ def solve_sphere_profile(N: int, Wt: Potential, eta: float, grid: RadialGrid,
     if grid.N != N:
         raise InputError("grid dimension does not match N")
     trace: list = []
+    seed = 0.5 * math.pi * np.arctan(grid.nodes[:-1] / eta) / math.atan(
+        1.0 / eta)
+    theta = np.append(_newton(_sphere_assemble(grid, eta, Wt), seed, opts,
+                              f"sphere eta={eta:.6g}", trace)[0],
+                      0.5 * math.pi)
 
-    def stage(e, theta):
-        return _newton(_sphere_assemble(grid, e, Wt), theta, opts,
-                       f"sphere eta={e:.6g}", trace)[0]
+    def profile(t, no_escape=False):
+        res, _ = _sphere_residual_full(grid, eta, Wt, t)
+        return SphereProfile(grid=grid, eta=eta, penalty=Wt, theta=t,
+                             residual_norm=float(np.max(np.abs(res))),
+                             no_escape=no_escape, solver_trace=trace)
 
-    theta = None
-    saw_collapse = False
-    for anchor in (1.0, 4.0, 16.0, 64.0):
-        try:
-            theta = _eta_march(stage, lambda t: _theta_collapsed(grid, t),
-                               eta, anchor * eta,
-                               0.5 * math.pi * grid.nodes[:-1])
-        except ConvergenceError:
-            continue
-        if theta is not None:
-            break
-        saw_collapse = True   # this anchor converged straight to the equator
-    no_escape = theta is None or _theta_collapsed(grid, theta)
-    if no_escape:
-        if N == 2:
+    found = profile(theta)
+    if N == 2:
+        if np.all(np.sin(theta) == 1.0):      # θ ≡ π/2 to rounding
             raise ConvergenceError(
                 "sphere solver collapsed to the equator at N=2 "
                 "(no admissible equator branch)", trace)
-        if theta is None and not saw_collapse:
-            raise ConvergenceError("sphere solver failed to converge", trace)
-        tfull = np.full(grid.n, 0.5 * math.pi)
-    else:
-        tfull = np.append(theta, 0.5 * math.pi)
-    res, _ = _sphere_residual_full(grid, eta, Wt, tfull)
-    return SphereProfile(grid=grid, eta=eta, penalty=Wt, theta=tfull,
-                         residual_norm=float(np.max(np.abs(res))),
-                         no_escape=no_escape, solver_trace=trace)
-
-
-def _theta_collapsed(grid, theta):
-    """True when an iterate has fallen onto the equator: either outright
-    (θ(r_min) large) or glued to it away from a spurious mesh-scale core near
-    the origin, which the zero-flux closure can sustain when no true escaping
-    branch exists. Genuine branches keep a macroscopic gap at r = 1/2 (worst
-    case, N=6: about 1e-2); the artifacts sit within ~1e-6 of π/2 there."""
-    if theta[0] > COLLAPSE_ANGLE:
-        return True
-    mid = np.searchsorted(grid.nodes, 0.5)
-    return bool(0.5 * math.pi - theta[min(mid, len(theta) - 1)] < GLUE_GAP)
-
-
-def _eta_march(stage, collapsed, eta, start, u, warm=False):
-    """March η from start down to eta in CONTINUATION_FACTOR strides, where
-    stage(e, u) is one Newton stage at η = e from u and collapsed(u) says
-    that an iterate has left the branch.
-
-    Cold (warm False): u is a guess at the anchor η = start; None when the
-    anchor itself collapsed (the caller tries a deeper one), and a Newton
-    failure there propagates. Warm: u already solves the branch at
-    η = start, so the march starts one stride below it. A failed stride
-    other than a cold anchor is retried in two half-steps before its
-    ConvergenceError propagates. Otherwise returns the iterate at eta, or
-    the first collapsed one: definitive, since the η at which the branch
-    exists form an up-set."""
-    first = not warm
-    prev, u_prev = start, u
-    e = max(eta, start / CONTINUATION_FACTOR) if warm else start
-    while True:
-        try:
-            u = stage(e, u)
-        except ConvergenceError:
-            if first:
-                raise
-            u = stage(e, stage(math.sqrt(e * prev), u_prev))
-        if collapsed(u):
-            return None if first else u
-        if e == eta:
-            return u
-        first = False
-        prev, u_prev = e, u
-        e = max(eta, e / CONTINUATION_FACTOR)
+        return found
+    flat = profile(np.full(grid.n, 0.5 * math.pi), no_escape=True)
+    if reduced_energy_mm(found, Wt, eta) < reduced_energy_mm(flat, Wt, eta):
+        return found
+    return flat
 
 
 def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
@@ -488,8 +437,8 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
       from start.eta in CONTINUATION_FACTOR strides, warm-started from
       (start.v, start.g). A collapse on the way is definitive (the escaping
       set is an up-set in η at fixed eps) and gives the non-escaping
-      profile. A Newton failure, after the half-step retry, decides nothing
-      about the point and raises ConvergenceError.
+      profile. A failed stride decides nothing about the point and raises
+      ConvergenceError; a caller can redo the point cold.
     """
     W = Potential.from_spec(W)
     Wt = Potential.from_spec(Wt)
@@ -515,24 +464,27 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
         return _wrap_extended(grid, eps, eta, W, Wt, v, g, trace, flags)
 
     if isinstance(start, ExtendedProfile):
-        try:
-            z = _eta_march(stage, collapsed, eta, start.eta,
-                           _interleave(start.v[:-1], start.g[:-1]), warm=True)
-        except ConvergenceError:
-            raise ConvergenceError(
-                f"warm escaping march from eta={start.eta:.6g} to "
-                f"eta={eta:.6g} failed at eps={eps:.6g}", trace) from None
-        if not collapsed(z):
-            return result(z[0::2], z[1::2])
+        e, z = start.eta, _interleave(start.v[:-1], start.g[:-1])
+        while True:
+            e = max(eta, e / CONTINUATION_FACTOR)
+            try:
+                z = stage(e, z)
+            except ConvergenceError:
+                raise ConvergenceError(
+                    f"warm escaping march from eta={start.eta:.6g} to "
+                    f"eta={eta:.6g} failed at eps={eps:.6g}", trace) from None
+            if collapsed(z):
+                break
+            if e == eta:
+                return result(z[0::2], z[1::2])
         # the branch merged with g ≡ 0 on the way down: no escaping solution
         v_gl = _gl_continuation(grid, W, eps, opts, trace, v_init=z[0::2])
-        flags = ("boundary_ambiguous",) if z[1::2].any() else ()
     else:
         v_gl = (_gl_continuation(grid, W, eps, opts, trace) if start is None
                 else start.v[:-1])
         if branch_hint == "non_escaping":
             return result(v_gl, None)
-        flags, stalled = (), 0
+        stalled = 0
         for seed in (lambda: 1.0 - grid.nodes[:-1] ** 2,
                      lambda: _kernel_direction(grid, eps, W, v_gl)):
             z = _interleave(v_gl, opts.g_seed * seed())
@@ -546,7 +498,7 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
         if stalled == 2:
             raise ConvergenceError(f"escaping Newton stalled from both seeds "
                                    f"at eps={eps:.6g}, eta={eta:.6g}", trace)
-    return result(v_gl, None, flags + ("no_escape_found",))
+    return result(v_gl, None, ("no_escape_found",))
 
 
 def _kernel_direction(grid, eps, W, v_gl):

@@ -290,6 +290,17 @@ def test_stability_report(tmp_path):
     assert manifest["diagnostics"]["verdict"] == "PositiveDefinite"
 
 
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_stability_sphere_small_eta(tmp_path, N):
+    # claim (d) at eta = 0.05, where the escaping angle comes within 1e-4
+    # of pi/2 at r = 1/2 and must not be mistaken for the equator
+    assert _run(tmp_path, "stability", "--N", str(N), "--Wt", "linear",
+                "--point", "eta=0.05", "--lambda-max", "6.0") == 0
+    data = json.loads((tmp_path / "stability.json").read_text())
+    assert data["profile"] == "SphereProfile"
+    assert data["verdict"] == "PositiveDefinite"
+
+
 def test_energy_gl(tmp_path):
     # zero well, f = r: the energy has the closed value N/2 * (1/N) = 1/2
     assert _run(tmp_path, "energy", "--N", "5", "--W", "zero",

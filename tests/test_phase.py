@@ -230,11 +230,13 @@ def test_warm_start_marches_and_collapses():
     # 1.0 -> 0.5 is two sqrt(2) strides, with no anchor search
     stages = {t[0] for t in down.solver_trace}
     assert stages == {"ext eta=0.707107", "ext eta=0.5"}
-    gone = solve_extended_profile(3, QUAD, LIN, 0.1, 0.2, WALK_GRID, start=top)
-    assert gone.branch == "non_escaping"
-    assert "no_escape_found" in gone.flags
     gl = solve_gl_profile(3, QUAD, 0.1, WALK_GRID)
-    assert np.max(np.abs(gone.f - gl.f)) < 1e-9 and not gone.g.any()
+    for eta in (0.25, 0.2, 0.1):      # all below eta* ≈ 0.29
+        gone = solve_extended_profile(3, QUAD, LIN, 0.1, eta, WALK_GRID,
+                                      start=top)
+        assert gone.branch == "non_escaping"
+        assert gone.flags == ("no_escape_found",)
+        assert np.max(np.abs(gone.f - gl.f)) < 1e-9 and not gone.g.any()
 
 
 def test_start_validation():

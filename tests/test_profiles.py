@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,6 +280,62 @@ def test_sphere_n2_has_no_equator_branch():
     grid = make_grid(2, 800, {"graded": 2.0})
     prof = solve_sphere_profile(2, LIN, 1.0, grid)
     assert not prof.no_escape          # the flat branch is not admissible
+
+
+SPHERE_ETAS = (0.02, 0.05, 0.1, 1.0, 100.0)
+
+
+@pytest.mark.parametrize("grading", [2.0, 3.0])
+def test_sphere_lattice_branches(grading):
+    # one Newton stage per solve; the branch is the lower of the Newton
+    # result's energy and the equator's
+    for N in range(2, 9):
+        grid = make_grid(N, 800, {"graded": grading})
+        for wt in (LIN, QUAD):
+            for eta in SPHERE_ETAS:
+                point = (N, wt.kind, eta, grading)
+                p = solve_sphere_profile(N, wt, eta, grid)
+                assert len({t[0] for t in p.solver_trace}) == 1, point
+                assert p.solver_trace[0][0] == f"sphere eta={eta:.6g}"
+                if N >= 7:
+                    assert p.no_escape, point
+                    assert np.all(p.theta == 0.5 * math.pi)
+                    continue
+                if N <= 5 or not (wt is LIN and eta <= 0.05):
+                    assert not p.no_escape, point
+                if p.no_escape:
+                    continue
+                th = p.theta
+                assert np.all(np.diff(th) >= 0), point
+                assert th[0] >= 0 and th[-1] == 0.5 * math.pi, point
+                if N >= 3:
+                    flat = replace(p, theta=np.full(grid.n, 0.5 * math.pi))
+                    assert (reduced_energy_mm(p, wt, eta)
+                            < reduced_energy_mm(flat, wt, eta)), point
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_sphere_stall_raises(N):
+    # a tol below the residual's rounding floor makes the line search stall
+    grid = make_grid(N, 800, {"graded": 2.0})
+    with pytest.raises(ConvergenceError, match="stalled"):
+        solve_sphere_profile(N, LIN, 1.0, grid, SolverOptions(tol=1e-20))
+
+
+def test_sphere_n2_equator_landing_raises(monkeypatch):
+    from vortexlab import profiles
+    newton = profiles._newton
+
+    def from_equator(assemble, u0, *args):
+        return newton(assemble, np.full_like(u0, 0.5 * math.pi), *args)
+
+    monkeypatch.setattr(profiles, "_newton", from_equator)
+    grid = make_grid(2, 800, {"graded": 2.0})
+    with pytest.raises(ConvergenceError, match="equator at N=2"):
+        solve_sphere_profile(2, LIN, 1.0, grid)
+    # at N >= 3 the same landing is a finding: the equator, no_escape
+    p = solve_sphere_profile(3, LIN, 1.0, make_grid(3, 800, {"graded": 2.0}))
+    assert p.no_escape and np.all(p.theta == 0.5 * math.pi)
 
 
 def test_equator_pohozaev_identity():
