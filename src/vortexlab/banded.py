@@ -7,13 +7,51 @@ Two storage forms:
 * full band, shape (2b+1, m): ab[b + i - j, j] = A[i, j], LAPACK's general
   band (gb) layout with b sub- and b superdiagonals, without the b rows of
   fill-in space that dgbtrf adds on top.
+
+The LAPACK routines (dgbtrf, dgbtrs, dgtsv, dpbtrf, dpttrf) are scipy's own
+f2py wrappers, loaded from its extension module scipy/linalg/_flapack without
+running the scipy.linalg package's __init__: that package's array-API layer
+imports numpy.f2py, numpy.testing, numpy.ma and numpy.random, which doubled
+the start-up of every command. They are the very objects that
+scipy.linalg.lapack re-exports, so results are the same bits. If the direct
+load fails, scipy.linalg.lapack is imported instead.
 """
 from __future__ import annotations
 
+import os
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
+from importlib.util import find_spec, module_from_spec
+
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv, dpbtrf, dpttrf
 
 from .core import InputError
+
+
+def _load_lapack():
+    """scipy's LAPACK wrapper module: the extension scipy.linalg._flapack
+    loaded on its own (find_spec of a top-level package does not import it),
+    or scipy.linalg.lapack if that extension is not found or fails to load."""
+    scipy = find_spec("scipy")
+    if scipy is not None and scipy.origin:
+        finder = FileFinder(os.path.join(os.path.dirname(scipy.origin),
+                                         "linalg"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec("scipy.linalg._flapack")
+        if spec is not None:
+            try:
+                module = module_from_spec(spec)
+                spec.loader.exec_module(module)
+                return module
+            except ImportError:
+                pass
+    from scipy.linalg import lapack
+    return lapack
+
+
+LAPACK = _load_lapack()
+dgbtrf, dgbtrs, dgtsv, dpbtrf, dpttrf = (
+    LAPACK.dgbtrf, LAPACK.dgbtrs, LAPACK.dgtsv, LAPACK.dpbtrf, LAPACK.dpttrf)
 
 __all__ = ["sym_matvec", "sym_to_full", "equilibrate", "count_below",
            "lu_solver"]

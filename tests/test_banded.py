@@ -1,9 +1,19 @@
+import json
+import os
+import subprocess
+import sys
+from importlib.machinery import ExtensionFileLoader
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg.lapack import dpbtrf
 
+from vortexlab import banded
 from vortexlab.banded import count_below, lu_solver, sym_matvec, sym_to_full
+
+ROUTINES = ("dgbtrf", "dgbtrs", "dgtsv", "dpbtrf", "dpttrf")
 
 
 def _dense(ab):
@@ -168,3 +178,93 @@ def test_symmetric_storage_round_trip(b):
         assert np.array_equal(np.diag(A, -d), band[d, :m - d])
     x = rng.standard_normal(m)
     assert np.allclose(sym_matvec(band, x), A @ x, rtol=1e-14, atol=1e-14)
+
+
+def test_package_import_leaves_scipy_linalg_out():
+    """A fresh `import vortexlab.cli` loads the LAPACK wrappers from scipy's
+    extension module alone; a later `import scipy.linalg` still works and
+    re-exports the very same wrapper objects."""
+    code = (
+        "import json, sys\n"
+        "import vortexlab.cli\n"
+        "from vortexlab import banded\n"
+        "heavy = [m for m in ('scipy.linalg', 'scipy._lib._array_api')\n"
+        "         if m in sys.modules]\n"
+        "import scipy.linalg\n"
+        "x = scipy.linalg.solve_banded((1, 1), [[0., 1.], [2., 2.], [1., 0.]],\n"
+        "                              [3., 3.])\n"
+        "same = all(getattr(scipy.linalg.lapack, n) is getattr(banded, n)\n"
+        f"           for n in {ROUTINES!r})\n"
+        "print(json.dumps([heavy, banded.LAPACK.__name__,\n"
+        "                  type(banded.dpttrf).__name__, same, list(x)]))\n")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    heavy, name, kind, same, x = json.loads(proc.stdout)
+    assert heavy == []
+    assert name == "scipy.linalg._flapack" and kind == "fortran"
+    assert same and x == [1.0, 1.0]
+
+
+def _banded_pencil(rng, b, m):
+    """Symmetric A (indefinite) and diagonally dominant SPD M, both with
+    bandwidth b, in lower storage."""
+    A = rng.uniform(-1.0, 1.0, (b + 1, m))
+    M = rng.uniform(-1.0, 1.0, (b + 1, m))
+    for d in range(1, b + 1):
+        A[d, m - d:] = 0.0
+        M[d, m - d:] = 0.0
+    M[0] = 2.0 * b + rng.uniform(0.1, 1.0, m)
+    return A, M
+
+
+def _lapack_outputs():
+    """What the five routines give through banded on fixed inputs:
+    lu_solver at bandwidth 1 (dgtsv) and 2 (dgbtrf/dgbtrs), count_below on a
+    tridiagonal (dpttrf) and a b = 2 pencil (dpbtrf), and the two Cholesky
+    factors themselves."""
+    rng = np.random.default_rng(14)
+    out = []
+    for b in (1, 2):
+        ab, _ = _graded_band(rng, b, 60, decades=30)
+        solve = lu_solver(ab)
+        out += [solve(rng.standard_normal(60)) for _ in range(2)]
+    for Ab, Mb in (_graded_tridiagonal_pencil(rng, 50, decades=4),
+                   _banded_pencil(rng, 2, 50)):
+        lam = scipy.linalg.eigh(_dense(sym_to_full(Ab)),
+                                _dense(sym_to_full(Mb)), eigvals_only=True)
+        shifts = np.concatenate([lam[:2] - 1e-9, lam[:2] + 1e-9,
+                                 [lam[0] - 1.0]])
+        out.append(np.array([count_below(Ab, Mb, s) for s in shifts]))
+        S = Ab - (lam[0] - 1.0) * Mb
+        if Ab.shape[0] == 2:
+            out += banded.dpttrf(S[0], S[1, :-1])
+        else:
+            out += banded.dpbtrf(S, lower=1)
+    return out
+
+
+class _FailingLoader(ExtensionFileLoader):
+    def create_module(self, spec):
+        raise ImportError("extension could not be loaded")
+
+
+@pytest.mark.parametrize("failure", [
+    ("find_spec", lambda name: None),
+    ("EXTENSION_SUFFIXES", []),
+    ("ExtensionFileLoader", _FailingLoader),
+], ids=["no_scipy_spec", "no_extension_file", "extension_fails_to_load"])
+def test_lapack_fallback_gives_the_same_bits(monkeypatch, failure):
+    direct = _lapack_outputs()
+    assert banded.LAPACK.__name__ == "scipy.linalg._flapack"
+    monkeypatch.setattr(banded, *failure)
+    fallback = banded._load_lapack()
+    assert fallback is scipy.linalg.lapack
+    for name in ROUTINES:
+        monkeypatch.setattr(banded, name, getattr(fallback, name))
+    got = _lapack_outputs()
+    assert len(got) == len(direct) == 11
+    for a, b in zip(direct, got):
+        assert np.array_equal(a, b)
