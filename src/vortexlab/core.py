@@ -11,6 +11,8 @@ moments the solvers and quadratic-form assemblies need.
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -79,6 +81,18 @@ class InconsistentError(VortexLabError):
 def format_float(x: float) -> str:
     """17 significant digits: guarantees binary round-trip of doubles."""
     return f"{float(x):.17g}"
+
+
+def csv_rows(*cols) -> str:
+    """CSV lines, each ending in a newline, from equal-length columns: string
+    columns as they are, every other column as floats in format_float's text.
+    One format string is mapped over the columns' .tolist(), so a long
+    profile does not pay a Python-level join per row."""
+    arrays = [np.asarray(c) for c in cols]
+    text = [a.dtype.kind in "US" for a in arrays]
+    fmt = ",".join("{}" if t else "{:.17g}" for t in text) + "\n"
+    return "".join(map(fmt.format, *(
+        (a if t else a.astype(float)).tolist() for a, t in zip(arrays, text))))
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +164,13 @@ def _product_weights(nodes: np.ndarray, p: float) -> np.ndarray:
     return w
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Graded mesh 0 < r_1 < ... < r_n = 1 with quadrature for r^(N-1) dr.
 
-    Immutable after construction (arrays are write-locked); safe to share
-    across workers.
+    Immutable after construction (frozen, arrays write-locked): make_grid
+    hands the same grid to every caller in a process, and the derived tables
+    in its cache are pure functions of the nodes. Safe to send to workers.
     """
 
     N: int
@@ -393,16 +408,22 @@ class RadialGrid:
 
     def halve_rmin(self) -> "RadialGrid":
         """The same grid with one more node at r_min/2 (probes the origin
-        cutoff; spec() is unchanged, so it does not rebuild this grid)."""
-        nodes = np.concatenate(([0.5 * self.r_min], self.nodes))
-        return RadialGrid(N=self.N, nodes=nodes,
-                          weights=_product_weights(nodes, self.N - 1),
-                          grading=dict(self.grading))
+        cutoff; spec() is unchanged, so it does not rebuild this grid).
+        Built once per grid and kept in its cache, so the halved grid's own
+        tables and GL ladder live as long as this grid does."""
+        def build():
+            nodes = np.concatenate(([0.5 * self.r_min], self.nodes))
+            return RadialGrid(N=self.N, nodes=nodes,
+                              weights=_product_weights(nodes, self.N - 1),
+                              grading=self.grading)
+
+        return self._cached("halved", build)
 
     # -- serialization ------------------------------------------------------
 
     def spec(self) -> dict:
-        return {"n": self.n, **self.grading}
+        """{"n": n, "grading": ...}; a copy, since the grid is shared."""
+        return {"n": self.n, **copy.deepcopy(self.grading)}
 
 
 def _parse_grading(grading) -> tuple[str, float]:
@@ -423,24 +444,40 @@ def _parse_grading(grading) -> tuple[str, float]:
         raise InputError(f"unrecognized grading spec: {grading!r}") from None
 
 
+# distinct grids kept alive per process (a benchmark workload uses at most 6)
+GRID_CACHE_SIZE = 16
+
+
 def make_grid(N: int, n: int, grading="uniform") -> RadialGrid:
     """Mesh with n nodes in (0, 1], last node exactly 1.
 
     grading "uniform" gives r_j = j/n; {"graded": beta} clusters nodes near the
     origin via r_j = (j/n)^beta, beta >= 1 (keeps r_min <= 1/n).
+
+    Every spelling of one (N, n, grading) returns the same shared, immutable
+    grid for the life of the process (the last GRID_CACHE_SIZE distinct
+    grids are kept), so its quadrature tables, stencils, halved-r_min grid
+    and GL ladder rungs are built once, not once per request.
     """
     if not isinstance(N, (int, np.integer)) or N < 2:
         raise InputError("dimension N must be an integer >= 2")
     if not isinstance(n, (int, np.integer)) or n < 16:
         raise InputError("need at least 16 nodes")
     kind, beta = _parse_grading(grading)
-    if beta < 1.0:
-        raise InputError("grading exponent must be >= 1")
+    if not 1.0 <= beta < math.inf:       # NaN fails too
+        raise InputError("grading exponent must be finite and >= 1")
+    return _build_grid(int(N), int(n), kind, beta)
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _build_grid(N: int, n: int, kind: str, beta: float) -> RadialGrid:
+    """The grid of a validated, normalized spec (kind "uniform" has beta 1.0).
+    `_build_grid.__wrapped__` builds an unshared one."""
     j = np.arange(1, n + 1, dtype=float)
     nodes = (j / n)**beta if kind == "graded" else j / n
     nodes[-1] = 1.0
     spec = {"grading": "uniform"} if kind == "uniform" else {"grading": {"graded": beta}}
-    return RadialGrid(N=int(N), nodes=nodes,
+    return RadialGrid(N=N, nodes=nodes,
                       weights=_product_weights(nodes, N - 1), grading=spec)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (ConvergenceError, InconsistentError, InputError,
                    NoEscapingRegionError, OutOfRangeError, Potential,
-                   RadialGrid, format_float, make_grid)
+                   RadialGrid, csv_rows, make_grid)
 from .profiles import ExtendedProfile, SolverOptions, solve_extended_profile
 from .spectral import gl_linearization_eigenvalue
 
@@ -48,13 +48,10 @@ class PhaseDiagram:
     eta0_samples: list             # per eps: sqrt(Wt'(0)/|ell|) or None
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("eps,eta,class,criterion\n")
-        for row in self.points:
-            for pt in row:
-                buf.write(f"{format_float(pt.eps)},{format_float(pt.eta)},"
-                          f"{pt.cls},{format_float(pt.criterion)}\n")
-        return buf.getvalue()
+        pts = [pt for row in self.points for pt in row]
+        return "eps,eta,class,criterion\n" + csv_rows(
+            [pt.eps for pt in pts], [pt.eta for pt in pts],
+            [pt.cls for pt in pts], [pt.criterion for pt in pts])
 
     def to_svg(self) -> str:
         """Static region rendering: escaping cells hatched, non-escaping

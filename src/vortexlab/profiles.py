@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,7 +32,7 @@ from .core import (
     InputError,
     Potential,
     RadialGrid,
-    format_float,
+    csv_rows,
     make_grid,
 )
 
@@ -337,6 +338,9 @@ def solve_gl_profile(N: int, W: Potential, eps: float, grid: RadialGrid,
                      solver_trace=trace)
 
 
+_LADDER_LOCK = threading.Lock()
+
+
 def _gl_continuation(grid, W, eps, opts, trace, v_init=None):
     """Newton path to the v-unknowns (length n-1) at the target eps.
 
@@ -345,24 +349,27 @@ def _gl_continuation(grid, W, eps, opts, trace, v_init=None):
     not depend on eps, so its rungs are solved once per grid, W and opts
     and kept in the grid's cache: a later cold solve on the grid solves
     only its own stage, from the same rung and to the same bits as a solve
-    on a fresh grid."""
+    on a fresh grid. make_grid shares each grid across the process, so the
+    rungs outlive a request; a lock keeps threads that extend one ladder at
+    once from appending a rung twice."""
     if v_init is not None:
         start = v_init
     elif eps * CONTINUATION_FACTOR >= EPS_DIRECT:
         start = np.ones(grid.n - 1)
     else:
         key = ("gl_ladder", json.dumps(W.spec(), sort_keys=True), opts)
-        rungs = grid._cached(key, list)
         e, k = EPS_DIRECT, 0
-        while e > eps * CONTINUATION_FACTOR:
-            if k == len(rungs):
-                v = _newton(_gl_assemble(grid, e, W),
-                            rungs[-1] if rungs else np.ones(grid.n - 1),
-                            opts, f"gl eps={e:.6g}", trace)[0]
-                v.setflags(write=False)
-                rungs.append(v)
-            e /= CONTINUATION_FACTOR
-            k += 1
+        with _LADDER_LOCK:
+            rungs = grid._cached(key, list)
+            while e > eps * CONTINUATION_FACTOR:
+                if k == len(rungs):
+                    v = _newton(_gl_assemble(grid, e, W),
+                                rungs[-1] if rungs else np.ones(grid.n - 1),
+                                opts, f"gl eps={e:.6g}", trace)[0]
+                    v.setflags(write=False)
+                    rungs.append(v)
+                e /= CONTINUATION_FACTOR
+                k += 1
         start = rungs[k - 1]
     return _newton(_gl_assemble(grid, eps, W), start, opts,
                    f"gl eps={eps:.6g}", trace)[0]
@@ -669,20 +676,15 @@ def _meta(profile) -> dict:
 def profile_to_csv(profile) -> str:
     """CSV text: one JSON metadata comment line, column header, 17-digit rows."""
     meta = _meta(profile)
-    lines = ["# " + json.dumps(meta, sort_keys=True)]
     r = profile.grid.nodes
     if isinstance(profile, GLProfile):
-        lines.append("r,f")
-        cols = (r, profile.f)
+        header, cols = "r,f", (r, profile.f)
     elif isinstance(profile, ExtendedProfile):
-        lines.append("r,f,g")
-        cols = (r, profile.f, profile.g)
+        header, cols = "r,f,g", (r, profile.f, profile.g)
     else:
-        lines.append("r,theta")
-        cols = (r, profile.theta)
-    for row in zip(*cols):
-        lines.append(",".join(format_float(x) for x in row))
-    return "\n".join(lines) + "\n"
+        header, cols = "r,theta", (r, profile.theta)
+    return ("# " + json.dumps(meta, sort_keys=True) + "\n" + header + "\n"
+            + csv_rows(*cols))
 
 
 def profile_to_json(profile) -> str:

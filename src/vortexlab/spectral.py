@@ -12,7 +12,6 @@ zero-flux closure at r_min); its r_min row is kept when mu = 0 and dropped
 """
 from __future__ import annotations
 
-import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,8 +21,7 @@ import numpy as np
 from .banded import (count_below, equilibrate, lu_solver, sym_matvec,
                      sym_to_full)
 from .core import (ConvergenceError, InputError, NoThresholdError,
-                   BracketError, Potential, RadialGrid, format_float,
-                   make_grid)
+                   BracketError, Potential, RadialGrid, csv_rows, make_grid)
 from .profiles import (CONTINUATION_FACTOR, GLProfile, SolverOptions,
                        solve_gl_profile)
 
@@ -271,11 +269,7 @@ class EigenPair:
     residual: float
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("r,q\n")
-        for rr, qq in zip(self.grid.nodes, self.q):
-            buf.write(f"{format_float(rr)},{format_float(qq)}\n")
-        return buf.getvalue()
+        return "r,q\n" + csv_rows(self.grid.nodes, self.q)
 
 
 def smallest_eigenpair(op: SLOperator, which: int = 0,
@@ -497,9 +491,7 @@ def linearization_eigenvalue_sweep(N: int, W, eps_values,
 
 
 def sweep_to_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write("eps,eigenvalue,eps2_eigenvalue\n")
-    for eps, val in rows:
-        buf.write(f"{format_float(eps)},{format_float(val)},"
-                  f"{format_float(eps * eps * val)}\n")
-    return buf.getvalue()
+    eps = np.array([e for e, _ in rows], dtype=float)
+    val = np.array([v for _, v in rows], dtype=float)
+    return "eps,eigenvalue,eps2_eigenvalue\n" + csv_rows(eps, val,
+                                                        eps * eps * val)

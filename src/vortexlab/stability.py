@@ -14,7 +14,6 @@ verdicts are only reported after an r_min-refinement stability check.
 """
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -23,7 +22,7 @@ import numpy as np
 
 from .banded import sym_matvec
 from .core import (ConvergenceError, InputError, Potential, RadialGrid,
-                   format_float)
+                   csv_rows)
 from .profiles import ExtendedProfile, GLProfile, SphereProfile
 from .spectral import pencil_smallest
 
@@ -492,15 +491,10 @@ class StabilityReport:
     def kernel_csv(self) -> str:
         if not self.kernel:
             return ""
-        buf = io.StringIO()
         names = sorted(k for k in self.kernel if k != "__r__")
-        buf.write("r," + ",".join(names) + "\n")
-        grid_r = self.kernel["__r__"]
-        for i, rr in enumerate(grid_r):
-            buf.write(format_float(rr) + ","
-                      + ",".join(format_float(self.kernel[n][i])
-                                 for n in names) + "\n")
-        return buf.getvalue()
+        return ("r," + ",".join(names) + "\n"
+                + csv_rows(self.kernel["__r__"],
+                           *(self.kernel[n] for n in names)))
 
 
 def _refined_profile(profile):

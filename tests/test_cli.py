@@ -125,6 +125,51 @@ def test_parser_built_once_and_reusable(tmp_path):
     assert isinstance(cli.build_parser(), type(cli._parser()))
 
 
+def test_shared_grids_give_the_bytes_of_unshared_ones(tmp_path, monkeypatch):
+    # make_grid shares each grid, its tables, halved-r_min grid and GL ladder
+    # across the requests of a process: a mixed sequence, run twice, writes
+    # the bytes of the same requests on grids built afresh for each
+    from vortexlab import core
+    monkeypatch.delenv("VORTEXLAB_CACHE_DIR", raising=False)
+    grid = ("--grid-n", "600")
+    requests = {
+        "threshold": ("eigen", "--N", "3", "--W", "quadratic", "--eps-sweep",
+                      "0.05:1.0:6", "--find-threshold"),
+        "gl": ("profile", "--N", "3", "--W", "quadratic", "--eps", "0.03"),
+        "extended": ("profile", "--N", "3", "--W", "quadratic", "--Wt",
+                     "linear", "--eps", "0.1", "--eta", "0.6"),
+        "sphere": ("profile", "--N", "3", "--Wt", "quadratic", "--eta",
+                   "1.0"),
+        "stability": ("stability", "--N", "3", "--Wt", "quadratic",
+                      "--point", "eta=1.0", "--lambda-max", "6.0"),
+        "stability_ext": ("stability", "--N", "3", "--point",
+                          "eps=0.1,eta=0.6", "--lambda-max", "6.0"),
+    }
+
+    def run_all(tag):
+        out = {}
+        for name, args in requests.items():
+            d = tmp_path / tag / name
+            assert main([*args, *grid, "--outdir", str(d)]) == 0
+            for p in d.iterdir():
+                data = p.read_bytes()
+                if p.name.endswith(".manifest.json"):
+                    data = json.loads(data)
+                    assert data["config"].pop("outdir") == str(d)
+                out[name, p.name] = data
+        return out
+
+    shared = [run_all("a"), run_all("b")]
+    g = core.make_grid(3, 600, {"graded": 2.0})
+    assert "halved" in g._cache
+    assert any(k[0] == "gl_ladder" for k in g._cache if isinstance(k, tuple))
+    monkeypatch.setattr(core, "_build_grid", core._build_grid.__wrapped__)
+    assert core.make_grid(3, 600, {"graded": 2.0}) is not g
+    unshared = run_all("c")
+    assert len(unshared) == 13
+    assert shared[0] == unshared and shared[1] == unshared
+
+
 def test_eigen_sweep_csv(tmp_path):
     assert _run(tmp_path, "eigen", "--N", "3", "--W", "quadratic",
                 "--eps-sweep", "0.1:0.4:4", "--grid-n", "600") == 0

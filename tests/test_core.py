@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from vortexlab import (DomainError, InputError, Potential, format_float,
                        grid_from_spec, make_grid, potential_eval)
+from vortexlab.core import _build_grid, csv_rows
 
 
 # ---------------------------------------------------------------------------
@@ -20,6 +22,9 @@ def test_make_grid_validation():
         make_grid(3, 8)
     with pytest.raises(InputError):
         make_grid(3, 100, {"graded": 0.5})
+    for beta in ("nan", "inf"):         # would give NaN or zero nodes
+        with pytest.raises(InputError):
+            make_grid(3, 100, f"graded:{beta}")
     with pytest.raises(InputError):
         make_grid(2.5, 100)
 
@@ -52,6 +57,40 @@ def test_grid_spec_round_trip():
     gu = make_grid(2, 50, "uniform")
     gu2 = grid_from_spec(2, gu.spec())
     assert np.array_equal(gu.nodes, gu2.nodes)
+    # the spec names the shared grid, and is a copy of the grid's own
+    assert g2 is g and gu2 is gu
+    spec = g.spec()
+    spec["grading"]["graded"] = 9.0
+    assert g.spec() == {"n": 123, "grading": {"graded": 2.5}}
+
+
+def test_make_grid_shares_one_grid_per_spec():
+    g = make_grid(3, 321, "graded:2.0")
+    for N, n, grading in ((3, 321, {"graded": 2.0}), (3, 321, ("graded", 2)),
+                          (np.int64(3), np.int64(321), "graded(2)")):
+        assert make_grid(N, n, grading) is g
+    assert make_grid(3, 321, None) is make_grid(3, 321, "uniform")
+    assert make_grid(3, 321) is not g and make_grid(4, 321, "graded:2") is not g
+    # the unshared builder gives a distinct grid with the same bits
+    fresh = _build_grid.__wrapped__(3, 321, "graded", 2.0)
+    assert fresh is not g and np.array_equal(fresh.nodes, g.nodes)
+    assert np.array_equal(fresh.weights, g.weights)
+    # the halved-r_min grid is built once per grid
+    assert g.halve_rmin() is g.halve_rmin()
+    assert fresh.halve_rmin() is not g.halve_rmin()
+
+
+def test_grid_is_frozen():
+    g = make_grid(3, 64, "graded:2.0")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.N = 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.nodes = np.ones(64)
+    with pytest.raises(ValueError):
+        g.nodes[0] = 0.5
+    with pytest.raises(ValueError):
+        g.product_weights(2)[0] = 0.5
+    assert g.N == 3 and g.nodes[0] == (1 / 64) ** 2
 
 
 def test_node_gradient_cubic_exact():
@@ -331,3 +370,16 @@ def test_quadratic_well_values(t):
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_format_float_round_trip(x):
     assert float(format_float(x)) == x
+
+
+def test_csv_rows_matches_format_float():
+    x = np.array([-0.0, 1.0, 5e-324, 2.2250738585072014e-308 / 3, 0.1,
+                  -1.7976931348623157e308, 1e22, np.inf, -np.inf, np.nan])
+    y = x[::-1] / 3.0
+    names = ["a", "b,c", "escaping", "", "x", "y", "z", "w", "v", "u"]
+    ref = "".join(f"{format_float(p)},{s},{format_float(q)}\n"
+                  for p, s, q in zip(x, names, y))
+    assert csv_rows(x, names, y) == ref
+    # lists and integer columns are written as floats, like format_float
+    assert csv_rows([1, 2], np.array([3, -4])) == "1,3\n2,-4\n"
+    assert csv_rows(np.array([]), []) == ""

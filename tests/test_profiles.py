@@ -66,6 +66,52 @@ def test_newton_ends_on_a_correction(grid_n3):
         solve_gl_profile(3, QUAD, 0.2, grid_n3, v_init=p.v[1:])
 
 
+def test_threads_extend_one_gl_ladder_once():
+    # make_grid shares a grid across the process, so threads may cold-solve
+    # on one grid at once: the ladder they build together must be the one a
+    # single caller builds, rung for rung, and each answer keep its bits
+    import sys
+    import threading
+    from vortexlab.core import _build_grid
+
+    def unshared():
+        return _build_grid.__wrapped__(3, 300, "graded", 2.0)
+
+    eps = (0.02, 0.03, 0.015, 0.05) * 2
+    serial = unshared()
+    ref = {e: solve_gl_profile(3, QUAD, e, serial).v for e in sorted(eps)}
+
+    def ladders(grid):
+        return [v for k, v in grid._cache.items()
+                if isinstance(k, tuple) and k[0] == "gl_ladder"]
+    (mine,) = ladders(serial)
+    assert len(mine) == 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            shared = unshared()
+            out = {}
+
+            def work(i, e):
+                out[i] = solve_gl_profile(3, QUAD, e, shared).v
+
+            threads = [threading.Thread(target=work, args=(i, e))
+                       for i, e in enumerate(eps)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert all(np.array_equal(out[i], ref[e])
+                       for i, e in enumerate(eps))
+            (theirs,) = ladders(shared)
+            assert len(theirs) == len(mine)
+            assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_gl_warm_start_matches_cold(grid_n3):
     near = solve_gl_profile(3, QUAD, 0.11, grid_n3)
     warm = solve_gl_profile(3, QUAD, 0.1, grid_n3, v_init=near.v)

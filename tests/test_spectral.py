@@ -12,6 +12,7 @@ from vortexlab import (BracketError, ConvergenceError, InputError,
                        linearization_eigenvalue_sweep, make_grid,
                        smallest_eigenpair, sweep_to_csv)
 from vortexlab.banded import count_below
+from vortexlab.core import _build_grid
 from vortexlab.spectral import pencil_smallest
 
 QUAD = Potential.quadratic()
@@ -379,9 +380,10 @@ def test_threshold_needs_bracket(grid_n3):
 
 def test_cold_ell_does_not_depend_on_earlier_solves():
     # the GL ladder's rungs are kept per grid: a cold solve on a grid that
-    # has solved other eps must give the bits of a fresh grid
+    # has solved other eps must give the bits of a fresh grid (an unshared
+    # one: make_grid would hand back the grid in use)
     def fresh():
-        return make_grid(3, 600, {"graded": 2.0})
+        return _build_grid.__wrapped__(3, 600, "graded", 2.0)
     used = fresh()
     for e in (0.3, 0.06, 0.15):
         gl_linearization_eigenvalue(3, QUAD, e, used)
