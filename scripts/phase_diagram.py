@@ -5,6 +5,7 @@ import argparse
 import pathlib
 
 from vortexlab import Potential, make_grid
+from vortexlab.cli import _parse_range
 from vortexlab.phase import sweep
 
 
@@ -22,17 +23,12 @@ def main():
     ap.add_argument("--outdir", default="out/phase")
     args = ap.parse_args()
 
-    def rng(text):
-        lo, hi, count = text.split(":")
-        return (float(lo), float(hi)), int(count)
-
-    (e_lo, e_hi), e_n = rng(args.eps)
-    (t_lo, t_hi), t_n = rng(args.eta)
+    eps, eta = _parse_range(args.eps), _parse_range(args.eta)
     grid = make_grid(args.N, args.grid_n, {"graded": 2.0})
     diagram = sweep(args.N, Potential.from_spec(args.W),
-                    Potential.from_spec(args.Wt), (e_lo, e_hi), (t_lo, t_hi),
-                    (e_n, t_n), confirm_fraction=args.confirm, grid=grid,
-                    seed=args.seed)
+                    Potential.from_spec(args.Wt), (eps["lo"], eps["hi"]),
+                    (eta["lo"], eta["hi"]), (eps["count"], eta["count"]),
+                    confirm_fraction=args.confirm, grid=grid, seed=args.seed)
 
     out = pathlib.Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)

@@ -95,51 +95,24 @@ def equilibrate(Ab: np.ndarray, Mb: np.ndarray):
     return A2, M2, d
 
 
-def count_below(Ab: np.ndarray, Mb: np.ndarray, sigma: float,
-                which: int = 0) -> int:
-    """Eigenvalues of the pencil at or below sigma, capped at which + 1
-    (Sylvester inertia of A - sigma*M).
+def count_below(Ab: np.ndarray, Mb: np.ndarray, sigma: float) -> int:
+    """0 if the pencil has no eigenvalue at or below sigma, else 1: the
+    definiteness test of A - sigma*M (Sylvester inertia, capped at one).
 
-    For which = 0 only definiteness matters: a factorization of A - sigma*M
-    fails exactly when a pivot is <= 0, that is when the matrix is not
-    positive definite. A tridiagonal pencil takes LAPACK dpttrf (LDL^T,
-    O(n)), a wider one the banded Cholesky dpbtrf (same lower storage).
-    Larger `which` needs the count itself, kept for tridiagonal pencils:
-    LDL^T pivots, with pivots that vanish relative to their own row clamped
-    negative (sigma numerically on an eigenvalue counts as at or below it).
+    A factorization of A - sigma*M fails exactly when a pivot is <= 0, that
+    is when the matrix is not positive definite. A tridiagonal pencil takes
+    LAPACK dpttrf (LDL^T, O(n)), a wider one the banded Cholesky dpbtrf
+    (same lower storage).
     """
-    tridiagonal = Ab.shape[0] == 2
-    if which == 0:
-        if tridiagonal:
-            *_, info = dpttrf(Ab[0] - sigma * Mb[0],
-                              Ab[1, :-1] - sigma * Mb[1, :-1],
-                              overwrite_d=1, overwrite_e=1)
-        else:
-            _, info = dpbtrf(Ab - sigma * Mb, lower=1)
-        if info < 0:
-            raise InputError(f"LAPACK rejected argument {-info}")
-        return int(info > 0)
-    if not tridiagonal:
-        raise InputError("eigenpairs past the smallest need a tridiagonal "
-                         "pencil")
-    S = Ab - sigma * Mb
-    diag, off = S[0], S[1]
-    rowmax = np.abs(diag)
-    rowmax[1:] += np.abs(off[:-1])
-    rowmax[:-1] += np.abs(off[:-1])
-    pivmin = 2e-16 * np.maximum(rowmax, 1e-290)
-    neg = 0
-    d = diag[0]
-    for j in range(diag.shape[0]):
-        if j:
-            d = diag[j] - off[j - 1] ** 2 / d
-        if abs(d) < pivmin[j]:
-            d = -pivmin[j]
-        if d < 0:
-            neg += 1
-            if neg > which:
-                break
-    return neg
+    if Ab.shape[0] == 2:
+        *_, info = dpttrf(Ab[0] - sigma * Mb[0],
+                          Ab[1, :-1] - sigma * Mb[1, :-1],
+                          overwrite_d=1, overwrite_e=1)
+    else:
+        _, info = dpbtrf(Ab - sigma * Mb, lower=1)
+    if info < 0:
+        raise InputError(f"LAPACK rejected argument {-info}")
+    return int(info > 0)
 
 
 def lu_solver(ab: np.ndarray, scale: bool = True):

@@ -419,6 +419,12 @@ class RadialGrid:
 
         return self._cached("halved", build)
 
+    @staticmethod
+    def onto_halved(u: np.ndarray, odd: bool = False) -> np.ndarray:
+        """Node samples u on halve_rmin()'s grid: u(r_min) at r_min/2 for an
+        even field (u'(0) = 0), u(r_min)/2 for an odd one (u ~ c r)."""
+        return np.concatenate(([0.5 * u[0] if odd else u[0]], u))
+
     # -- serialization ------------------------------------------------------
 
     def spec(self) -> dict:

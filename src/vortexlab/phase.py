@@ -21,7 +21,7 @@ from .core import (ConvergenceError, InconsistentError, InputError,
                    NoEscapingRegionError, OutOfRangeError, Potential,
                    RadialGrid, csv_rows, make_grid)
 from .profiles import ExtendedProfile, SolverOptions, solve_extended_profile
-from .spectral import gl_linearization_eigenvalue
+from .spectral import find_epsilon0, gl_linearization_eigenvalue
 
 BOUNDARY_BAND = 1e-6      # |criterion| < band*(1+|ell|) -> Boundary
 
@@ -299,7 +299,6 @@ def sweep(N: int, W, Wt, eps_range, eta_range, resolution,
                        for i in range(len(ells) - 1)
                        if ells[i] < 0 <= ells[i + 1]]
         if sign_change:
-            from .spectral import find_epsilon0
             # annotation only: a loose tolerance keeps coarse sweep grids
             # from tripping the threshold's refinement acceptance
             eps0 = find_epsilon0(N, W, sign_change[0], tol=1e-6, grid=grid,

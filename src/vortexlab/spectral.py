@@ -2,7 +2,7 @@
 
 Assembles the weighted form  ∫ (q'^2 + (mu/r^2) q^2 + V q^2) r^(N-1) dr
 against the mass  ∫ q^2 r^(N-1) dr  as a symmetric banded pencil (A, M) and
-computes its smallest eigenpairs by inertia bisection plus inverse iteration.
+computes its smallest eigenpair by inertia bisection plus inverse iteration.
 The banded machinery is bandwidth-generic so the coupled stability blocks can
 reuse it; here everything is tridiagonal.
 
@@ -25,27 +25,30 @@ from .core import (ConvergenceError, InputError, NoThresholdError,
 from .profiles import (CONTINUATION_FACTOR, GLProfile, SolverOptions,
                        solve_gl_profile)
 
+_BACKWARD_TOL = 1e-9        # normwise backward error an eigenpair must meet
+
 
 def _abs_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return sym_matvec(np.abs(band), np.abs(x))
 
 
-def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
-                    tol: float = 1e-9, x0: np.ndarray | None = None
+def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray,
+                    x0: np.ndarray | None = None
                     ) -> tuple[float, np.ndarray, float, list]:
-    """Smallest (or `which`-th) eigenpair of the symmetric banded pencil
-    A q = lambda M q with M positive definite.
+    """Smallest eigenpair of the symmetric banded pencil A q = lambda M q
+    with M positive definite.
 
     The start vector x0 is given in the caller's unknowns (default: the
     constant function) and M-normalized. Its Rayleigh quotient (a few times
     the smallest eigenvalue for the constant function on the radial
     pencils; a supplied start gets a first width on the scale of the
     coarse bisection) seeds the first bracket, which is widened until
-    inertia counts straddle the eigenvalue. Inertia bisection narrows the
+    definiteness tests straddle the eigenvalue: A - lo*M positive definite,
+    A - hi*M not (banded.count_below). Bisection on that test narrows the
     bracket only to 1e-2 (relative), and inverse iteration from x0 with
-    Rayleigh-quotient shifts delivers the pair. Two more inertia tests decide
-    it: at most `which` eigenvalues lie at or below lambda - delta and more
-    than `which` at or below lambda + delta, with delta = 1e-9 (1 + |lambda|).
+    Rayleigh-quotient shifts delivers the pair. Two more tests certify it:
+    A - (lambda - delta)*M is positive definite and A - (lambda + delta)*M
+    is not, with delta = 1e-9 (1 + |lambda|).
 
     A miss is a bracket update: if the tests show that inverse iteration
     landed on another eigenvalue, the bracket moves past it; a Rayleigh
@@ -53,14 +56,13 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
     every shift stays inside. The bracket is then bisected to 1e-6
     (relative) and inverse iteration restarts from the constant function
     (for the default start, x0 again). A second miss raises
-    ConvergenceError, as does a backward error that stays above `tol`.
+    ConvergenceError, as does a backward error that stays above 1e-9.
 
     Returns (eigenvalue, vector, residual, trace). The trace holds the
     bisection steps as (lo, hi, count) and every other event as a
     (tag, value) pair, among them ("missed", lambda), and ends with
     ("certified", (lambda - delta, lambda + delta)). Shared by the radial
-    operators here and the coupled stability blocks; which > 0 needs a
-    tridiagonal pencil.
+    operators here and the coupled stability blocks.
     """
     if np.any(Mb[0] <= 0):
         raise InputError("mass diagonal must be positive")
@@ -68,7 +70,7 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
     trace: list = []
 
     def count(sigma: float) -> int:
-        return count_below(Ab, Mb, sigma, which)
+        return count_below(Ab, Mb, sigma)
 
     const = 1.0 / dscale                    # the constant function
     const /= math.sqrt(sym_matvec(Mb, const) @ const)
@@ -94,21 +96,21 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
     else:
         width = max(1.0, 0.1 * abs(hi))
     lo = hi - width
-    while count(lo) > which:
+    while count(lo):
         width *= 4.0
         lo -= width
         trace.append(("expand", lo))
         if width > 1e18:
             raise ConvergenceError("failed to bracket the eigenvalue from "
                                    "below", trace)
-    while count(hi) <= which:
+    while not count(hi):
         hi += max(1.0, abs(hi))
         trace.append(("raise", hi))
         if hi > 1e18:
             raise ConvergenceError("failed to bracket the eigenvalue from "
                                    "above", trace)
 
-    # invariant: count(lo) <= which < count(hi). The coarse bracket only
+    # invariant: count(lo) == 0 < count(hi). The coarse bracket only
     # steers the shift; the inertia certificate decides the result
     # a restart after a miss comes from the constant function: a supplied
     # start that missed once (one orthogonal to the wanted vector, say)
@@ -118,7 +120,7 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
             mid = 0.5 * (lo + hi)
             c = count(mid)
             trace.append((lo, hi, c))
-            if c > which:
+            if c:
                 hi = mid
             else:
                 lo = mid
@@ -151,10 +153,10 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
             resid = float(np.linalg.norm(r)) / max(denom, 1e-300)
             # a Rayleigh quotient that leaves the bracket is heading for
             # another eigenvalue: stop, so every shift stays inside
-            if resid < tol or not lo < lam < hi:
+            if resid < _BACKWARD_TOL or not lo < lam < hi:
                 break
             sigma = lam
-        if resid >= tol and lo < lam < hi:
+        if resid >= _BACKWARD_TOL and lo < lam < hi:
             raise ConvergenceError(
                 f"inverse iteration stalled (backward error {resid:.3e})",
                 trace)
@@ -162,18 +164,18 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray, which: int = 0,
         # a small backward error alone does not say which eigenvalue lam is
         delta = 1e-9 * (1.0 + abs(lam))
         below, above = count(lam - delta), count(lam + delta)
-        if resid < tol and below <= which < above:
+        if resid < _BACKWARD_TOL and not below and above:
             break
         trace.append(("missed", lam))
-        if below > which:
+        if below:
             hi = min(hi, lam - delta)
-        elif above <= which:
+        elif not above:
             lo = max(lo, lam + delta)
     else:
         raise ConvergenceError(
             f"eigenvalue {lam!r} (backward error {resid:.1e}) not certified "
             f"by inertia: counts {below} at lam - {delta:.1e} and {above} at "
-            f"lam + {delta:.1e} (want <= {which} and > {which})", trace)
+            f"lam + {delta:.1e} (want 0 and 1)", trace)
     trace.append(("certified", (lam - delta, lam + delta)))
     return lam, x * dscale, resid, trace
 
@@ -272,10 +274,10 @@ class EigenPair:
         return "r,q\n" + csv_rows(self.grid.nodes, self.q)
 
 
-def smallest_eigenpair(op: SLOperator, which: int = 0,
+def smallest_eigenpair(op: SLOperator,
                        q_init: np.ndarray | None = None) -> EigenPair:
-    """Smallest (or next, which=1, for gap diagnostics) eigenpair of the
-    assembled pencil via inertia bisection + inverse iteration.
+    """Smallest eigenpair of the assembled pencil via inertia bisection +
+    inverse iteration.
 
     Inverse iteration starts from q_init (node samples on the grid, say the
     eigenfunction at a nearby eps), or else from 1 - r^2, which meets the
@@ -286,9 +288,6 @@ def smallest_eigenpair(op: SLOperator, which: int = 0,
     vector's entries are not tested for sign. (A Sturm-Liouville ground
     state has one sign, but inverse iteration leaves noise of the order of
     its backward error where the mode is exponentially small.)"""
-    if which not in (0, 1):
-        raise InputError("only the smallest and second eigenpairs are "
-                         "supported")
     active = slice(op.start, op.start + op.size)
     if q_init is None:
         x0 = 1.0 - op.grid.nodes[active] ** 2
@@ -297,7 +296,7 @@ def smallest_eigenpair(op: SLOperator, which: int = 0,
         if q_init.shape != op.grid.nodes.shape:
             raise InputError("q_init must be sampled on the grid nodes")
         x0 = q_init[active]
-    lam, x, resid, _ = pencil_smallest(op.A, op.M, which=which, x0=x0)
+    lam, x, resid, _ = pencil_smallest(op.A, op.M, x0=x0)
     q = op.embed(x)
     nrm = math.sqrt(op.grid.quadrature(q * q))
     q = q / nrm
@@ -444,10 +443,10 @@ def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
             f"threshold search stalled at eigenvalue {f_mid:.3e}",
             [("bracket", (lo, hi))])
 
-    # the stretch of stability._refined_profile: v'(0) = q'(0) = 0
-    v, q = (np.concatenate(([u[0]], u)) for u in solved[e_mid])
-    shifted = gl_linearization_eigenvalue(N, W, e_mid, grid.halve_rmin(),
-                                          opts, start=(v, q))[0]
+    # v and q are even at the origin: v'(0) = q'(0) = 0
+    shifted = gl_linearization_eigenvalue(
+        N, W, e_mid, grid.halve_rmin(), opts,
+        start=tuple(map(grid.onto_halved, solved[e_mid])))[0]
     if abs(shifted - f_mid) > 0.1 * tol:
         raise ConvergenceError(
             "threshold rejected: halving r_min moved the eigenvalue by "

@@ -22,9 +22,9 @@ import numpy as np
 
 from .banded import sym_matvec
 from .core import (ConvergenceError, InputError, Potential, RadialGrid,
-                   csv_rows)
+                   csv_rows, make_grid)
 from .profiles import ExtendedProfile, GLProfile, SphereProfile
-from .spectral import pencil_smallest
+from .spectral import gl_linearization_eigenvalue, pencil_smallest
 
 _CONVERGED_RESIDUAL = 1e-6
 
@@ -300,13 +300,7 @@ def mode_form_value(profile, W, Wt, eps, eta, lam, trial: dict) -> float:
 
 def mode_min_eigenvalue(block: ModeBlock) -> float:
     """Smallest generalized eigenvalue of the block pencil."""
-    val, _, _, _ = pencil_smallest(block.A, block.M)
-    return val
-
-
-def _block_smallest(block: ModeBlock):
-    val, x, resid, _ = pencil_smallest(block.A, block.M)
-    return val, block.embed(x)
+    return pencil_smallest(block.A, block.M)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +337,6 @@ def hardy_identity_check(profile: ExtendedProfile, W, Wt, eps, eta,
     if np.any(g[:-1] <= 0):
         raise InputError("factored form divides by g: g must be positive "
                          "inside")
-    u = np.zeros_like(s)
     w = np.zeros_like(q)
     u = s / f
     w[:-1] = q[:-1] / g[:-1]
@@ -438,7 +431,6 @@ def equator_instability_value(N: int, Wt, eta: float, a: float, b: float,
         * omega2 / (4.0 * (4.0 + omega2))
 
     if grid is None:
-        from .core import make_grid
         grid = make_grid(N, 4000, {"graded": 2.0})
     r = grid.nodes
     q = np.zeros(grid.n)
@@ -502,22 +494,15 @@ def _refined_profile(profile):
     behavior; no re-solve — this only probes the Dirichlet cutoff, and the
     coefficient perturbation is O(r_min^2))."""
     newgrid = profile.grid.halve_rmin()
-
-    def stretch(u, like):
-        if like == "linear":                    # u ~ c r near 0
-            return np.concatenate(([0.5 * u[0]], u))
-        return np.concatenate(([u[0]], u))      # u'(0) = 0
-
-    if isinstance(profile, SphereProfile):
+    stretch = profile.grid.onto_halved
+    if isinstance(profile, SphereProfile):      # theta ~ c r off the equator
         return replace(profile, grid=newgrid,
-                       theta=stretch(profile.theta,
-                                     "flat" if profile.no_escape else "linear"))
+                       theta=stretch(profile.theta, odd=not profile.no_escape))
+    v = stretch(profile.v)
     if isinstance(profile, GLProfile):
-        return replace(profile, grid=newgrid, v=stretch(profile.v, "flat"),
-                       f=newgrid.nodes * stretch(profile.v, "flat"))
-    v = stretch(profile.v, "flat")
+        return replace(profile, grid=newgrid, v=v, f=newgrid.nodes * v)
     return replace(profile, grid=newgrid, v=v, f=newgrid.nodes * v,
-                   g=stretch(profile.g, "flat"))
+                   g=stretch(profile.g))
 
 
 def spectrum_summary(profile, W, Wt, eps, eta,
@@ -533,7 +518,6 @@ def spectrum_summary(profile, W, Wt, eps, eta,
 
     ell = None
     if isinstance(profile, (GLProfile, ExtendedProfile)):
-        from .spectral import gl_linearization_eigenvalue
         Wv = Potential.from_spec(W if W is not None else profile.well)
         epsv = float(eps if eps is not None else profile.eps)
         ell, _, _ = gl_linearization_eigenvalue(N, Wv, epsv, grid)
@@ -547,12 +531,12 @@ def spectrum_summary(profile, W, Wt, eps, eta,
 
     for lam in lams:
         blk = mode_block(profile, W, Wt, eps, eta, lam)
-        val, vecs = _block_smallest(blk)
+        val, x, _, _ = pencil_smallest(blk.A, blk.M)
         rblk = mode_block(refined, W, Wt, eps, eta, lam)
         rval = mode_min_eigenvalue(rblk)
         mins.append(val)
         shifts.append(rval - val)
-        vectors.append(vecs)
+        vectors.append(blk.embed(x))
         # the verdict may not depend on the origin cutoff: extrapolate the
         # halving shift (x4 covers slow, even logarithmic, relaxation) and
         # demand the sign classification survive it
@@ -572,7 +556,6 @@ def spectrum_summary(profile, W, Wt, eps, eta,
                 f"non-decreasing in lambda, got {rest}",
                 [("lams", lams), ("mins", mins)])
 
-    monotone_ok = True
     if isinstance(profile, (GLProfile, ExtendedProfile)):
         monotone_ok = bool(np.all(np.diff(profile.f) > -1e-12))
     else:

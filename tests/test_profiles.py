@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -463,15 +463,44 @@ def test_sphere_jacobian_matches_differences(monkeypatch):
 # serialization
 
 
-def test_profile_csv_and_json_round_trip(escaping_profile):
-    text = profile_to_csv(escaping_profile)
-    assert text.splitlines()[1].startswith("r,")
-    blob = profile_to_json(escaping_profile)
+def _grid400(N):
+    return make_grid(N, 400, {"graded": 2.0})
+
+
+ROUND_TRIP = {
+    "gl": lambda: solve_gl_profile(3, QUAD, 0.3, _grid400(3)),
+    "escaping": lambda: solve_extended_profile(3, QUAD, LIN, 0.1, 0.6,
+                                               _grid400(3)),
+    "no_escape_found": lambda: solve_extended_profile(3, QUAD, LIN, 1.0, 1.0,
+                                                      _grid400(3)),
+    "sphere": lambda: solve_sphere_profile(3, LIN, 1.0, _grid400(3)),
+    "equator": lambda: solve_sphere_profile(7, LIN, 1.0, _grid400(7)),
+}
+
+
+@pytest.mark.parametrize("kind", ROUND_TRIP)
+def test_profile_csv_and_json_round_trip(kind):
+    prof = ROUND_TRIP[kind]()
+    # flags and no_escape are set in exactly one case each
+    assert (kind == "no_escape_found") == bool(getattr(prof, "flags", ()))
+    assert (kind == "equator") == getattr(prof, "no_escape", False)
+    header = profile_to_csv(prof).splitlines()[1]
+    assert header == {"gl": "r,f", "sphere": "r,theta",
+                      "equator": "r,theta"}.get(kind, "r,f,g")
+    blob = profile_to_json(prof)
     back = profile_from_json(blob)
-    assert np.array_equal(back.f, escaping_profile.f)
-    assert np.array_equal(back.g, escaping_profile.g)
-    assert back.branch == escaping_profile.branch
-    assert np.array_equal(back.grid.nodes, escaping_profile.grid.nodes)
+    assert type(back) is type(prof)
+    for f in fields(prof):
+        if f.name == "solver_trace":
+            continue
+        a, b = getattr(back, f.name), getattr(prof, f.name)
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b), f.name
+        elif isinstance(b, Potential):
+            assert a.spec() == b.spec(), f.name
+        else:
+            assert a == b, f.name
+    assert profile_to_json(back) == blob
 
 
 @given(st.floats(0.3, 3.0))
