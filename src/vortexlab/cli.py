@@ -375,6 +375,8 @@ def _run_phase(cfg: RunConfig) -> tuple:
 
 
 def _run_stability(cfg: RunConfig) -> tuple:
+    if cfg.eta is None:
+        raise InputError("stability needs eta in --point")
     W = Potential.from_spec(cfg.W if cfg.W is not None else "quadratic")
     Wt = Potential.from_spec(cfg.Wt if cfg.Wt is not None else "linear")
     grid = make_grid(cfg.N, cfg.grid["n"], cfg.grid["grading"])

@@ -44,6 +44,8 @@ def _angular_check(N: int, lam: float) -> None:
 
 def sphere_eigenvalues(N: int, lam_max: float) -> list[float]:
     """Angular eigenvalues k(k+N-2) up to lam_max, k = 0, 1, 2, ..."""
+    if not (math.isfinite(lam_max) and lam_max >= 0):
+        raise InputError(f"lambda_max must be finite and >= 0, got {lam_max}")
     out, k = [], 0
     while True:
         lam = float(k * (k + N - 2))
@@ -184,6 +186,16 @@ class ModeBlock:
             out[name] = q
         return out
 
+    def interior(self, fields: dict) -> np.ndarray:
+        """Per-field full-grid arrays -> interleaved interior vector (the
+        inverse of embed on Dirichlet fields)."""
+        F = len(self.fields)
+        m = self.size // F
+        x = np.zeros(self.size)
+        for i, name in enumerate(self.fields):
+            x[i::F] = np.asarray(fields[name])[1:1 + m]
+        return x
+
     def sector(self, *names) -> "ModeBlock":
         """Sub-pencil on a subset of fields; valid only when couplings to the
         dropped fields vanish (checked)."""
@@ -218,14 +230,15 @@ def _assemble_pencil(grid, fields, stiff, mass, terms):
     md, mo = grid.p1_mass(0)
     mdi, moi = md[1:n - 1], mo[1:n - 2]
 
+    # field o of node j is column o + F*j: the field's nodes are the
+    # stride-F slice [o::F], and all but its last node [o:size-F:F]
     for name in fields:
         o = pos[name]
         w = stiff[name]
-        idx = o + F * np.arange(m)
-        A[0, idx] += w * sd
-        A[F, idx[:-1]] += w * so
-        M[0, idx] += mass[name] * mdi
-        M[F, idx[:-1]] += mass[name] * moi
+        A[0, o::F] += w * sd
+        A[F, o:size - F:F] += w * so
+        M[0, o::F] += mass[name] * mdi
+        M[F, o:size - F:F] += mass[name] * moi
 
     for (a, b, vals, shift) in terms:
         if a not in pos or b not in pos:
@@ -233,20 +246,18 @@ def _assemble_pencil(grid, fields, stiff, mass, terms):
         d, off = grid.p1_weighted_mass(vals, shift)
         di, offi = d[1:n - 1], off[1:n - 2]
         oa, ob = pos[a], pos[b]
-        ia = oa + F * np.arange(m)
-        ib = ob + F * np.arange(m)
         if a == b:
-            A[0, ia] += di
-            A[F, ia[:-1]] += offi
+            A[0, oa::F] += di
+            A[F, oa:size - F:F] += offi
         else:
             # cross coupling c(r) a b: each undirected matrix entry is half the
             # form coefficient since x^T A x counts it twice; (a_j, b_{j+1})
             # and (a_{j+1}, b_j) sit F + ob - oa and F + oa - ob below the
             # diagonal
             lo, hi = min(oa, ob), max(oa, ob)
-            A[hi - lo, lo + F * np.arange(m)] += 0.5 * di
-            A[F + ob - oa, ia[:-1]] += 0.5 * offi
-            A[F + oa - ob, ib[:-1]] += 0.5 * offi
+            A[hi - lo, lo::F] += 0.5 * di
+            A[F + ob - oa, oa:size - F:F] += 0.5 * offi
+            A[F + oa - ob, ob:size - F:F] += 0.5 * offi
     A.setflags(write=False)
     M.setflags(write=False)
     return A, M
@@ -509,7 +520,13 @@ def spectrum_summary(profile, W, Wt, eps, eta,
                      lam_max: float | None = None) -> StabilityReport:
     """Smallest eigenvalue of every harmonic block up to lam_max, with the
     divergence-free certificate, an r_min-refinement stability check, and the
-    verdict {PositiveDefinite, Kernel(dim), Indefinite}."""
+    verdict {PositiveDefinite, Kernel(dim), Indefinite}.
+
+    The refinement check solves each block again on the halved-r_min grid,
+    which is the same pencil plus one node next to the origin; that solve
+    starts from the block's certified eigenvector, prolonged by
+    RadialGrid.onto_halved, and is certified by inertia like the first.
+    lam_max must be finite and >= 0 (InputError otherwise)."""
     grid = profile.grid
     N = grid.N
     if lam_max is None:
@@ -532,11 +549,16 @@ def spectrum_summary(profile, W, Wt, eps, eta,
     for lam in lams:
         blk = mode_block(profile, W, Wt, eps, eta, lam)
         val, x, _, _ = pencil_smallest(blk.A, blk.M)
+        efun = blk.embed(x)
         rblk = mode_block(refined, W, Wt, eps, eta, lam)
-        rval = mode_min_eigenvalue(rblk)
+        # the refined pencil is this one plus a node at r_min/2: start it
+        # from x, whose fields are 0 at the old r_min node, now interior
+        x0 = rblk.interior({k: RadialGrid.onto_halved(u)
+                            for k, u in efun.items()})
+        rval = pencil_smallest(rblk.A, rblk.M, x0)[0]
         mins.append(val)
         shifts.append(rval - val)
-        vectors.append(blk.embed(x))
+        vectors.append(efun)
         # the verdict may not depend on the origin cutoff: extrapolate the
         # halving shift (x4 covers slow, even logarithmic, relaxation) and
         # demand the sign classification survive it
@@ -602,11 +624,7 @@ def decomposition_check(profile, W, Wt, eps, eta, trials: dict) -> tuple:
     joint = 0.0
     for lam, tr in trials.items():
         blk = mode_block(profile, W, Wt, eps, eta, lam)
-        F = len(blk.fields)
-        m = blk.size // F
-        x = np.zeros(blk.size)
-        for i, name in enumerate(blk.fields):
-            x[i::F] = np.asarray(tr[name])[1:1 + m]
+        x = blk.interior(tr)
         joint += float(sym_matvec(blk.A, x) @ x)
         total += mode_form_value(profile, W, Wt, eps, eta, lam, tr)
     return joint, total

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -79,3 +84,23 @@ def escaping_profile(escaping_point, grid_n3):
     eps, eta, _ = escaping_point
     return solve_extended_profile(3, Potential.quadratic(),
                                   Potential.linear(), eps, eta, grid_n3)
+
+
+@pytest.fixture
+def guarded_python():
+    """Run python code in a child process capped at 1 GiB of address space
+    and 60 s, and return its stdout parsed as JSON: a regression to an
+    unbounded loop fails the test instead of hanging the suite or exhausting
+    memory."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cap = ("import resource\n"
+           "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n")
+
+    def run(code: str):
+        proc = subprocess.run([sys.executable, "-c", cap + code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    return run

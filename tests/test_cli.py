@@ -335,6 +335,40 @@ def test_stability_report(tmp_path):
     assert manifest["diagnostics"]["verdict"] == "PositiveDefinite"
 
 
+def test_stability_needs_eta(tmp_path, capsys):
+    # eps alone used to die in float(None) with a traceback
+    assert _run(tmp_path, "stability", "--N", "3", "--Wt", "linear",
+                "--point", "eps=0.1") == 1
+    payload = _one_line_json(capsys.readouterr().err)
+    assert payload == {"error": "InputError",
+                       "message": "stability needs eta in --point"}
+
+
+def test_stability_lambda_max_validation(tmp_path, guarded_python):
+    # -1 gave zero blocks and a PositiveDefinite verdict; nan and inf never
+    # ended. Each must take the JSON error path and exit 1
+    out = guarded_python(
+        "import contextlib, io, json\n"
+        "from vortexlab.cli import main\n"
+        "out = []\n"
+        "for v in ('-1', 'nan', 'inf'):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        code = main(['stability', '--N', '3', '--Wt', 'linear',\n"
+        "                     '--point', 'eta=1.0', '--grid-n', '200',\n"
+        "                     '--lambda-max', v,\n"
+        f"                     '--outdir', {str(tmp_path)!r}])\n"
+        "    out.append([code, err.getvalue()])\n"
+        "print(json.dumps(out))\n")
+    assert len(out) == 3
+    for code, err in out:
+        assert code == 1
+        payload = _one_line_json(err)
+        assert payload["error"] == "InputError"
+        assert payload["message"].startswith("lambda_max must be finite")
+    assert not (tmp_path / "stability.json").exists()
+
+
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_stability_sphere_small_eta(tmp_path, N):
     # claim (d) at eta = 0.05, where the escaping angle comes within 1e-4

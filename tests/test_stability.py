@@ -121,6 +121,135 @@ def test_cross_coupling_matches_entry_loop(a, b):
     assert np.any(A[F + ob - oa] != 0) and np.any(A[F + oa - ob] != 0)
 
 
+def _fancy_index_assemble(grid, fields, stiff, mass, terms):
+    """Block assembly with index-array scatters: the oracle that the
+    library's strided-slice assembly must match bit for bit."""
+    n = grid.n
+    m = n - 2
+    F = len(fields)
+    pos = {name: i for i, name in enumerate(fields)}
+    size = F * m
+    bw = max(2 * F - 1, F)
+    A = np.zeros((bw + 1, size))
+    M = np.zeros((bw + 1, size))
+    sd, so = grid.stiffness(grid.N - 1)
+    sd, so = sd[1:], so[1:]
+    md, mo = grid.p1_mass(0)
+    mdi, moi = md[1:n - 1], mo[1:n - 2]
+    for name in fields:
+        o = pos[name]
+        w = stiff[name]
+        idx = o + F * np.arange(m)
+        A[0, idx] += w * sd
+        A[F, idx[:-1]] += w * so
+        M[0, idx] += mass[name] * mdi
+        M[F, idx[:-1]] += mass[name] * moi
+    for (a, b, vals, shift) in terms:
+        if a not in pos or b not in pos:
+            continue
+        d, off = grid.p1_weighted_mass(vals, shift)
+        di, offi = d[1:n - 1], off[1:n - 2]
+        oa, ob = pos[a], pos[b]
+        ia = oa + F * np.arange(m)
+        ib = ob + F * np.arange(m)
+        if a == b:
+            A[0, ia] += di
+            A[F, ia[:-1]] += offi
+        else:
+            lo, hi = min(oa, ob), max(oa, ob)
+            A[hi - lo, lo + F * np.arange(m)] += 0.5 * di
+            A[F + ob - oa, ia[:-1]] += 0.5 * offi
+            A[F + oa - ob, ib[:-1]] += 0.5 * offi
+    return A, M
+
+
+@pytest.fixture(scope="module")
+def small_profiles():
+    """(profile, W, Wt, eps, eta) for each model on one small N = 3 grid:
+    GL, extended escaping, extended non-escaping (indefinite at this eta)
+    and sphere."""
+    grid = make_grid(3, 400, {"graded": 3.0})
+    return {
+        "gl": (solve_gl_profile(3, QUAD, 0.3, grid), QUAD, None, 0.3, None),
+        "escaping": (solve_extended_profile(3, QUAD, LIN, 0.1, 1.0, grid),
+                     QUAD, LIN, 0.1, 1.0),
+        "non_escaping": (solve_extended_profile(
+            3, QUAD, LIN, 0.1, 1.0, grid, branch_hint="non_escaping"),
+            QUAD, LIN, 0.1, 1.0),
+        "sphere": (solve_sphere_profile(3, LIN, 1.0, grid), None, LIN, None,
+                   1.0),
+    }
+
+
+def _assert_same_pencil(blk):
+    A, M = _fancy_index_assemble(blk.grid, blk.fields, blk.stiff, blk.mass,
+                                 blk._terms)
+    assert np.array_equal(blk.A, A) and np.array_equal(blk.M, M)
+
+
+def test_slice_assembly_matches_fancy_index_oracle(small_profiles):
+    N = 3
+    widths = set()
+    for kind in ("gl", "escaping", "non_escaping", "sphere"):
+        prof, W, Wt, eps, eta = small_profiles[kind]
+        for lam in (0.0, N - 1.0, 2.0 * N):
+            blk = mode_block(prof, W, Wt, eps, eta, lam)
+            _assert_same_pencil(blk)
+            widths.add(len(blk.fields))
+            if kind == "non_escaping":
+                # g = 0: q decouples from s and psi
+                rest = tuple(f for f in blk.fields if f != "q")
+                for sub in (blk.sector("q"), blk.sector(*rest)):
+                    _assert_same_pencil(sub)
+                    widths.add(len(sub.fields))
+    assert widths == {1, 2, 3}
+
+    # every cross term in both orders, with random weights
+    from vortexlab.stability import _assemble_pencil
+    grid = make_grid(N, 40, {"graded": 2.0})
+    rng = np.random.default_rng(18)
+    fields = ("s", "psi", "q")
+    stiff = {f: float(rng.uniform(0.5, 2.0)) for f in fields}
+    mass = {f: float(rng.uniform(0.5, 2.0)) for f in fields}
+    terms = [(a, b, rng.standard_normal(grid.n), int(rng.integers(-2, 1)))
+             for a in fields for b in fields]
+    for F in (1, 2, 3):
+        got = _assemble_pencil(grid, fields[:F], stiff, mass, terms)
+        ref = _fancy_index_assemble(grid, fields[:F], stiff, mass, terms)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+
+
+@pytest.mark.parametrize("kind", ["gl", "escaping", "non_escaping",
+                                  "sphere"])
+def test_refined_pencil_starts_warm(small_profiles, monkeypatch, kind):
+    # spectrum_summary solves each block, then the same block on the
+    # halved-r_min grid from the first eigenvector: the warm solve certifies
+    # the cold solve's eigenvalue, in a few bisection steps
+    import vortexlab.stability as stab
+    from vortexlab.spectral import pencil_smallest
+    calls = []
+
+    def recording(Ab, Mb, x0=None):
+        out = pencil_smallest(Ab, Mb, x0)
+        calls.append((Ab, Mb, out))
+        return out
+
+    monkeypatch.setattr(stab, "pencil_smallest", recording)
+    prof, W, Wt, eps, eta = small_profiles[kind]
+    rep = spectrum_summary(prof, W, Wt, eps, eta, lam_max=6.0)
+    assert rep.lam_values == (0.0, 2.0, 6.0)
+    assert len(calls) == 2 * len(rep.lam_values)
+    for val, shift, (Ab, Mb, warm) in zip(rep.min_eigenvalues,
+                                          rep.refinement_shifts, calls[1::2]):
+        lam, _, _, trace = warm
+        assert shift == lam - val
+        steps = [t for t in trace if len(t) == 3]
+        assert len(steps) <= 5, trace
+        cold = pencil_smallest(Ab, Mb)[0]
+        assert abs(lam - cold) <= 2e-9 * (1.0 + abs(cold))
+
+
 def test_invalid_angular_eigenvalue(escaping_profile, escaping_point):
     eps, eta, _ = escaping_point
     with pytest.raises(InputError):
@@ -132,6 +261,34 @@ def test_invalid_angular_eigenvalue(escaping_profile, escaping_point):
 def test_sphere_eigenvalue_list():
     assert sphere_eigenvalues(3, 12.0) == [0.0, 2.0, 6.0, 12.0]
     assert sphere_eigenvalues(2, 9.0) == [0.0, 1.0, 4.0, 9.0]
+    assert sphere_eigenvalues(3, 0.0) == [0.0]
+
+
+def test_lambda_max_validation(guarded_python):
+    # a negative lam_max gave no blocks (and so a verdict without evidence),
+    # nan and inf an endless list: run in a capped child process
+    out = guarded_python(
+        "import json, math\n"
+        "from vortexlab import (InputError, Potential, make_grid,\n"
+        "                       solve_sphere_profile, spectrum_summary,\n"
+        "                       sphere_eigenvalues)\n"
+        "lin = Potential.linear()\n"
+        "prof = solve_sphere_profile(3, lin, 1.0,\n"
+        "                            make_grid(3, 200, {'graded': 2.0}))\n"
+        "out = []\n"
+        "for v in (-1.0, math.nan, math.inf):\n"
+        "    for call in (lambda: sphere_eigenvalues(3, v),\n"
+        "                 lambda: spectrum_summary(prof, None, lin, None, 1.0,\n"
+        "                                          lam_max=v)):\n"
+        "        try:\n"
+        "            call()\n"
+        "            out.append('returned')\n"
+        "        except InputError as exc:\n"
+        "            out.append(str(exc))\n"
+        "print(json.dumps(out))\n")
+    assert len(out) == 6
+    assert all(msg.startswith("lambda_max must be finite and >= 0")
+               for msg in out), out
 
 
 def test_sector_requires_decoupling(escaping_profile, escaping_point,
