@@ -20,7 +20,8 @@ import numpy as np
 from .core import (ConvergenceError, InconsistentError, InputError,
                    NoEscapingRegionError, OutOfRangeError, Potential,
                    RadialGrid, csv_rows, make_grid)
-from .profiles import ExtendedProfile, SolverOptions, solve_extended_profile
+from .profiles import (PREDICTOR_POINTS, SolverOptions,
+                       solve_extended_profile)
 from .spectral import find_epsilon0, gl_linearization_eigenvalue
 
 BOUNDARY_BAND = 1e-6      # |criterion| < band*(1+|ell|) -> Boundary
@@ -116,24 +117,29 @@ def _disagreement(eps, eta, cls, crit, ell, found: str) -> InconsistentError:
 
 
 def _confirm_against_solver(N, W, Wt, eps, eta, cls, crit, ell, grid, opts,
-                            start=None, gl=None):
-    """Escaping-branch solve from start must agree with the criterion sign.
+                            gl, pair, path=()):
+    """Escaping-branch solve that must agree with the criterion sign.
 
-    A warm solve (start an ExtendedProfile) whose Newton fails is redone
-    cold from the GL profile gl, with solve_extended_profile's two seeds at
-    this eta: a failure is not a collapse. The solver never reads the
+    path holds the column's last escaping profiles, oldest first: the solve
+    marches warm from path[-1], and the earlier ones feed its predictor.
+    Without a path, or when a warm solve's Newton fails (a failure is not a
+    collapse), the point is solved cold from the GL profile gl, with
+    solve_extended_profile's two seeds at this eta; pair, the ground state
+    ell came from, is the second seed. The solver never reads the
     criterion, so agreement is an independent check. Returns the
     profile."""
-    try:
-        prof = solve_extended_profile(N, W, Wt, eps, eta, grid,
+    def solve(start, **kw):
+        return solve_extended_profile(N, W, Wt, eps, eta, grid,
                                       branch_hint="escaping", opts=opts,
-                                      start=start)
-    except ConvergenceError:
-        if not isinstance(start, ExtendedProfile):
-            raise
-        prof = solve_extended_profile(N, W, Wt, eps, eta, grid,
-                                      branch_hint="escaping", opts=opts,
-                                      start=gl)
+                                      start=start, **kw)
+    prof = None
+    if path:
+        try:
+            prof = solve(path[-1], history=path[:-1])
+        except ConvergenceError:
+            pass
+    if prof is None:
+        prof = solve(gl, ground_state=pair)
     if (prof.branch == "escaping") != (cls == "Escaping"):
         gmax = float(np.max(np.abs(prof.g)))
         raise _disagreement(eps, eta, cls, crit, ell,
@@ -160,7 +166,7 @@ def eta0(N: int, W, Wt, eps: float, grid: RadialGrid | None = None,
         raise NoEscapingRegionError(
             "no escaping region: the well has zero slope at full depletion, "
             "so the linearization eigenvalue is positive for every eps")
-    if eps <= 0:
+    if not eps > 0:                 # NaN fails this test too
         raise InputError("eps must be positive")
     if grid is None:
         grid = make_grid(N, 2000, {"graded": 2.0})
@@ -179,16 +185,16 @@ def classify_point(N: int, W, Wt, eps: float, eta: float,
     cross-check against the nonlinear escaping-branch solver."""
     W = Potential.from_spec(W)
     Wt = Potential.from_spec(Wt)
-    if eps <= 0 or eta <= 0:
+    if not (eps > 0 and eta > 0):   # NaN fails this test too
         raise InputError("eps and eta must be positive")
     if grid is None:
         grid = make_grid(N, 2000, {"graded": 2.0})
-    ell, _, _ = gl_linearization_eigenvalue(N, W, eps, grid, opts)
+    ell, pair, gl = gl_linearization_eigenvalue(N, W, eps, grid, opts)
     cls, crit = _classify(ell, Wt.eval(0.0, 1), eta)
     confirmed = False
     if confirm and cls != "Boundary":
         _confirm_against_solver(N, W, Wt, eps, eta, cls, crit, ell, grid,
-                                opts)
+                                opts, gl, pair)
         confirmed = True
     return PhasePoint(eps=eps, eta=eta, cls=cls, criterion=crit, ell=ell,
                       confirmed=confirmed)
@@ -198,7 +204,7 @@ def axis_samples(rng, count) -> np.ndarray:
     """count samples of the range (lo, hi); lo == 0 starts one step in (the
     axes are open at 0)."""
     lo, hi = float(rng[0]), float(rng[1])
-    if hi <= lo or lo < 0:
+    if not 0 <= lo < hi:            # NaN fails this test too
         raise InputError("range must satisfy 0 <= lo < hi")
     if count < 1:
         raise InputError("resolution must be at least 1")
@@ -212,22 +218,22 @@ def _column_worker(payload):
     W = Potential.from_spec(wspec)
     Wt = Potential.from_spec(wtspec)
     opts = SolverOptions()
-    ell, _, gl = gl_linearization_eigenvalue(N, W, eps, grid, opts)
+    ell, pair, gl = gl_linearization_eigenvalue(N, W, eps, grid, opts)
     wt0 = Wt.eval(0.0, 1)
     classes = [_classify(ell, wt0, eta_j) for eta_j in etas]
     confirmed = set()
-    start, collapsed_at = gl, None
+    path, collapsed_at = (), None
     # etas ascend: walk the confirmed points down in eta, each solve
-    # warm-started from the last escaping profile
+    # predicted from the last escaping profiles
     for j in sorted(confirm_js, reverse=True):
         cls, crit = classes[j]
         if cls == "Boundary":
             continue
         if collapsed_at is None:
             prof = _confirm_against_solver(N, W, Wt, eps, etas[j], cls, crit,
-                                           ell, grid, opts, start, gl)
+                                           ell, grid, opts, gl, pair, path)
             if prof.branch == "escaping":
-                start = prof
+                path = (*path, prof)[-PREDICTOR_POINTS:]
             else:
                 collapsed_at = etas[j]
         elif cls == "Escaping":   # below a collapse: the up-set property
@@ -253,14 +259,17 @@ def sweep(N: int, W, Wt, eps_range, eta_range, resolution,
     by index, so jobs > 1 cannot change the result).
 
     Each column walks its confirmed points down in eta. The first solve
-    starts cold from the column's GL profile (the one behind ell), each
-    later one from the last escaping profile (solve_extended_profile's
-    start). Once a solve collapses to g ≡ 0, the solver has found no
-    escaping solution at that eta, and every lower point of the column is
-    confirmed non-escaping without a solve: at fixed eps the escaping set is
-    an up-set in eta, so no escaping solution exists below a point that has
-    none. A warm solve whose Newton fails is redone cold from the GL
-    profile; it never counts as a collapse.
+    starts cold from the column's GL profile and takes its second seed
+    from the ground state, both the ones behind ell, so that pencil is
+    solved once per column. Each later solve marches warm from the
+    column's last PREDICTOR_POINTS escaping profiles: the latest is
+    solve_extended_profile's start, and all of them feed the extrapolation
+    that starts each eta-stride. Once a solve collapses to g ≡ 0, the
+    solver has found no escaping solution at that eta, and every lower
+    point of the column is confirmed non-escaping without a solve: at fixed
+    eps the escaping set is an up-set in eta, so no escaping solution
+    exists below a point that has none. A warm solve whose Newton fails is
+    redone cold from the GL profile; it never counts as a collapse.
     """
     W = Potential.from_spec(W)
     Wt = Potential.from_spec(Wt)

@@ -66,6 +66,7 @@ MIN_DAMPING = 2.0**-16
 ESCAPE_TOL = 1e-6                 # branch disambiguation threshold on max g
 EPS_DIRECT = 0.25                 # solve directly for eps >= this, else continue
 CONTINUATION_FACTOR = math.sqrt(2.0)
+PREDICTOR_POINTS = 3              # a warm η-stride extrapolates through these
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +320,7 @@ def solve_gl_profile(N: int, W: Potential, eps: float, grid: RadialGrid,
     """
     W = Potential.from_spec(W)
     _check_well(W)
-    if eps <= 0:
+    if not eps > 0:                 # NaN fails this test too
         raise InputError("eps must be positive")
     if grid.N != N:
         raise InputError("grid dimension does not match N")
@@ -389,7 +390,7 @@ def solve_sphere_profile(N: int, Wt: Potential, eta: float, grid: RadialGrid,
     rounding is a solver failure. A Newton stall raises ConvergenceError.
     """
     Wt = Potential.from_spec(Wt)
-    if eta <= 0:
+    if not eta > 0:                 # NaN fails this test too
         raise InputError("eta must be positive")
     if grid.N != N:
         raise InputError("grid dimension does not match N")
@@ -423,7 +424,8 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
                            eta: float, grid: RadialGrid,
                            branch_hint: str = "escaping",
                            opts: SolverOptions = SolverOptions(),
-                           start=None) -> ExtendedProfile:
+                           start=None, history=(),
+                           ground_state=None) -> ExtendedProfile:
     """Two-field profile (f, g); branch per branch_hint.
 
     hint non_escaping: returns (f_gl, 0), always a solution. hint escaping,
@@ -439,24 +441,33 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
 
     * None: the GL profile comes from its own eps-continuation;
     * a GLProfile replaces that continuation, so the profile is the one
-      start=None gives;
+      start=None gives. ground_state, the EigenPair of the g-operator at
+      (start.f, 0) (the pencil gl_linearization_eigenvalue solves for ell),
+      replaces the solve behind the second seed, with the same result;
     * an escaping ExtendedProfile with start.eta >= eta: η marches down
-      from start.eta in CONTINUATION_FACTOR strides, warm-started from
-      (start.v, start.g). A collapse on the way is definitive (the escaping
-      set is an up-set in η at fixed eps) and gives the non-escaping
-      profile. A failed stride decides nothing about the point and raises
-      ConvergenceError; a caller can redo the point cold.
+      from start.eta in CONTINUATION_FACTOR strides. Each stride starts
+      from the Lagrange extrapolation in 1/η² of (v, g) through the last
+      PREDICTOR_POINTS solutions on the branch: history (earlier escaping
+      profiles at distinct η >= eta, oldest first, say the last points of
+      a column walk), then start, then the strides taken so far. Without
+      history the first stride starts from (start.v, start.g) itself. A
+      collapse on the way is definitive (the escaping set is an up-set in
+      η at fixed eps) and gives the non-escaping profile. A failed stride
+      decides nothing about the point and raises ConvergenceError; a
+      caller can redo the point cold.
     """
     W = Potential.from_spec(W)
     Wt = Potential.from_spec(Wt)
     _check_well(W)
-    if eps <= 0 or eta <= 0:
+    if not (eps > 0 and eta > 0):   # NaN fails this test too
         raise InputError("eps and eta must be positive")
     if grid.N != N:
         raise InputError("grid dimension does not match N")
     if branch_hint not in ("escaping", "non_escaping"):
         raise InputError("branch_hint must be 'escaping' or 'non_escaping'")
-    _check_start(start, eps, eta, grid, W, Wt, branch_hint)
+    history = tuple(history)
+    _check_start(start, history, ground_state, eps, eta, grid, W, Wt,
+                 branch_hint)
 
     trace: list = []
 
@@ -471,11 +482,13 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
         return _wrap_extended(grid, eps, eta, W, Wt, v, g, trace, flags)
 
     if isinstance(start, ExtendedProfile):
-        e, z = start.eta, _interleave(start.v[:-1], start.g[:-1])
+        path = [(p.eta, _interleave(p.v[:-1], p.g[:-1]))
+                for p in (*history, start)]
+        e = start.eta
         while True:
             e = max(eta, e / CONTINUATION_FACTOR)
             try:
-                z = stage(e, z)
+                z = stage(e, _extrapolate(path[-PREDICTOR_POINTS:], e))
             except ConvergenceError:
                 raise ConvergenceError(
                     f"warm escaping march from eta={start.eta:.6g} to "
@@ -484,6 +497,7 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
                 break
             if e == eta:
                 return result(z[0::2], z[1::2])
+            path.append((e, z))
         # the branch merged with g ≡ 0 on the way down: no escaping solution
         v_gl = _gl_continuation(grid, W, eps, opts, trace, v_init=z[0::2])
     else:
@@ -493,7 +507,8 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
             return result(v_gl, None)
         stalled = 0
         for seed in (lambda: 1.0 - grid.nodes[:-1] ** 2,
-                     lambda: _kernel_direction(grid, eps, W, v_gl)):
+                     lambda: _kernel_direction(grid, eps, W, v_gl,
+                                               ground_state)):
             z = _interleave(v_gl, opts.g_seed * seed())
             try:
                 z = stage(eta, z)
@@ -508,11 +523,28 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
     return result(v_gl, None, ("no_escape_found",))
 
 
-def _kernel_direction(grid, eps, W, v_gl):
-    """Ground state q of the g-operator at (f_gl, 0), nodes 0..n-2, max|q|=1."""
-    from .spectral import gl_linearization_operator, smallest_eigenpair
-    f = grid.nodes * np.append(v_gl, 1.0)
-    q = smallest_eigenpair(gl_linearization_operator(W, eps, grid, f)).q[:-1]
+def _extrapolate(path, e):
+    """Lagrange extrapolation to η = e of the unknowns z through path, a
+    list of (η_k, z_k) with distinct η_k. The interpolation variable is
+    s = 1/η², in which the two-field equations are affine (η enters only
+    through Wt'(g²)/η²). One pair gives its z_k itself, bit for bit (its
+    weight is the empty product 1)."""
+    z = None
+    for k, (ek, zk) in enumerate(path):
+        w = math.prod((e**-2 - ej**-2) / (ek**-2 - ej**-2)
+                      for j, (ej, _) in enumerate(path) if j != k)
+        z = w * zk if z is None else z + w * zk
+    return z
+
+
+def _kernel_direction(grid, eps, W, v_gl, pair=None):
+    """Ground state q of the g-operator at (f_gl, 0), nodes 0..n-2, max|q|=1.
+    pair, that operator's certified EigenPair, spares solving it again."""
+    if pair is None:
+        from .spectral import gl_linearization_operator, smallest_eigenpair
+        f = grid.nodes * np.append(v_gl, 1.0)
+        pair = smallest_eigenpair(gl_linearization_operator(W, eps, grid, f))
+    q = pair.q[:-1]
     return q / np.max(np.abs(q))
 
 
@@ -524,22 +556,40 @@ def _interleave(v, g):
     return z
 
 
-def _check_start(start, eps, eta, grid, W, Wt, branch_hint) -> None:
+def _same_grid(a: RadialGrid, b: RadialGrid) -> bool:
+    return a is b or (a.spec() == b.spec()
+                      and np.array_equal(a.nodes, b.nodes))
+
+
+def _check_start(start, history, ground_state, eps, eta, grid, W, Wt,
+                 branch_hint) -> None:
+    if history and not isinstance(start, ExtendedProfile):
+        raise InputError("history needs an ExtendedProfile start")
+    if ground_state is not None and not isinstance(start, GLProfile):
+        raise InputError("ground_state needs a GLProfile start")
     if start is None:
         return
     if not isinstance(start, (GLProfile, ExtendedProfile)):
         raise InputError("start must be a GLProfile or an ExtendedProfile")
-    same_grid = start.grid is grid or (
-        start.grid.spec() == grid.spec()
-        and np.array_equal(start.grid.nodes, grid.nodes))
-    if start.eps != eps or not same_grid or start.well.spec() != W.spec():
+    if not all(isinstance(p, ExtendedProfile) for p in history):
+        raise InputError("history must hold ExtendedProfiles")
+    profiles = (*history, start)
+    if any(p.eps != eps or not _same_grid(p.grid, grid)
+           or p.well.spec() != W.spec() for p in profiles):
         raise InputError("start must share eps, grid and W with the solve")
-    if isinstance(start, ExtendedProfile) and not (
-            branch_hint == "escaping" and start.branch == "escaping"
-            and start.penalty.spec() == Wt.spec() and start.eta >= eta):
-        raise InputError("an ExtendedProfile start must be escaping, share Wt "
-                         "and lie at eta >= the target, with "
-                         "branch_hint='escaping'")
+    if isinstance(start, ExtendedProfile):
+        if not (branch_hint == "escaping" and all(
+                p.branch == "escaping" and p.penalty.spec() == Wt.spec()
+                and p.eta >= eta for p in profiles)):
+            raise InputError("an ExtendedProfile start and its history must "
+                             "be escaping, share Wt and lie at eta >= the "
+                             "target, with branch_hint='escaping'")
+        if len({p.eta for p in profiles}) < len(profiles):
+            raise InputError("start and history must lie at distinct eta")
+    if ground_state is not None and not (
+            _same_grid(ground_state.grid, grid) and ground_state.mu == 0):
+        raise InputError("ground_state must be an eigenpair of the "
+                         "g-operator (mu = 0) on the solve's grid")
 
 
 def _wrap_extended(grid, eps, eta, W, Wt, v, g, trace, flags):

@@ -344,6 +344,23 @@ def test_stability_needs_eta(tmp_path, capsys):
                        "message": "stability needs eta in --point"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "--N", "3", "--W", "quadratic", "--eps", "nan"],
+    ["eigen", "--N", "3", "--W", "quadratic", "--eps", "nan"],
+    ["stability", "--N", "3", "--Wt", "linear", "--point", "eps=nan,eta=1"],
+    ["stability", "--N", "3", "--Wt", "linear", "--point", "eta=nan"],
+    ["profile", "--N", "3", "--Wt", "linear", "--eta", "nan"],
+    ["energy", "--N", "3", "--W", "quadratic", "--Wt", "linear",
+     "--eps", "0.1", "--eta", "nan"],
+])
+def test_nan_parameter_is_an_input_error(tmp_path, capsys, argv):
+    # each one used to end in an IndexError or ValueError traceback
+    assert _run(tmp_path, *argv, "--grid-n", "200") == 1
+    payload = _one_line_json(capsys.readouterr().err)
+    assert payload["error"] == "InputError"
+    assert "must be positive" in payload["message"]
+
+
 def test_stability_lambda_max_validation(tmp_path, guarded_python):
     # -1 gave zero blocks and a PositiveDefinite verdict; nan and inf never
     # ended. Each must take the JSON error path and exit 1

@@ -251,6 +251,172 @@ def test_start_validation():
                                make_grid(3, 400, {"graded": 2.0}), start=gl)
 
 
+def _ext_iterations(prof):
+    """Two-field Newton steps in a profile's solver trace."""
+    return sum(1 for t in prof.solver_trace
+               if len(t) == 4 and t[0].startswith("ext"))
+
+
+def test_predictor_extrapolates_in_inverse_eta_squared():
+    from vortexlab.profiles import _extrapolate
+    a, b, c = np.random.default_rng(0).normal(size=(3, 7))
+
+    def z(eta):
+        s = eta ** -2
+        return a + b * s + c * s * s
+
+    # three points reproduce a quadratic in 1/eta^2
+    path = [(eta, z(eta)) for eta in (1.2, 1.0, 0.8)]
+    assert np.allclose(_extrapolate(path, 0.6), z(0.6), rtol=1e-12,
+                       atol=1e-12)
+    # one point is the start itself, bit for bit
+    one = z(0.8)
+    assert _extrapolate([(0.8, one)], 0.6).tobytes() == one.tobytes()
+
+
+def test_march_from_three_profiles_matches_cold():
+    # tol=1e-12 for the reason given in test_walk_matches_cold_solves
+    opts = SolverOptions(tol=1e-12)
+    *history, top = [solve_extended_profile(3, QUAD, LIN, 0.1, eta,
+                                            WALK_GRID, opts=opts)
+                     for eta in (1.2, 1.0, 0.85)]
+    for eta in (0.7, 0.4):            # one stride, then three
+        down = solve_extended_profile(3, QUAD, LIN, 0.1, eta, WALK_GRID,
+                                      opts=opts, start=top, history=history)
+        cold = solve_extended_profile(3, QUAD, LIN, 0.1, eta, WALK_GRID,
+                                      opts=opts)
+        assert down.branch == cold.branch == "escaping"
+        assert np.max(np.abs(down.f - cold.f)) < 1e-8
+        assert np.max(np.abs(down.g - cold.g)) < 1e-8
+        plain = solve_extended_profile(3, QUAD, LIN, 0.1, eta, WALK_GRID,
+                                       opts=opts, start=top)
+        assert _ext_iterations(down) < _ext_iterations(plain)
+    stages = [t[0] for t in down.solver_trace if len(t) == 4]
+    assert sorted(set(stages), reverse=True) == [
+        "ext eta=0.601041", "ext eta=0.425", "ext eta=0.4"]
+    gl = solve_gl_profile(3, QUAD, 0.1, WALK_GRID)
+    for eta in (0.25, 0.2, 0.1):      # all below eta* ≈ 0.29
+        gone = solve_extended_profile(3, QUAD, LIN, 0.1, eta, WALK_GRID,
+                                      start=top, history=history)
+        assert gone.branch == "non_escaping"
+        assert gone.flags == ("no_escape_found",)
+        assert np.max(np.abs(gone.f - gl.f)) < 1e-9 and not gone.g.any()
+
+
+def test_history_validation():
+    from vortexlab import gl_linearization_eigenvalue
+
+    def solve(eps, eta, **kw):
+        return solve_extended_profile(3, QUAD, LIN, eps, eta, WALK_GRID,
+                                      **kw)
+    top, high = solve(0.1, 1.0), solve(0.1, 1.2)
+    _, pair, gl = gl_linearization_eigenvalue(3, QUAD, 0.1, WALK_GRID)
+    coarse = make_grid(3, 400, {"graded": 2.0})
+    bad = [
+        dict(start=top, history=[solve(0.12, 1.2)]),          # eps differs
+        dict(start=top, history=[solve(0.1, 1.2, branch_hint="non_escaping")]),
+        dict(start=top, history=[solve_extended_profile(
+            3, QUAD, Potential.quadratic(), 0.1, 1.2, WALK_GRID)]),  # Wt
+        dict(start=top, history=[top]),                       # same eta
+        dict(start=top, history=[solve(0.1, 0.4)]),           # below target
+        dict(start=top, history=[gl]),                        # not extended
+        dict(start=gl, history=[high]),                       # cold start
+        dict(start=None, history=[high]),
+        dict(start=top, ground_state=pair),                   # warm start
+        dict(start=None, ground_state=pair),
+        dict(start=gl, ground_state=gl_linearization_eigenvalue(
+            3, QUAD, 0.1, coarse)[1]),                        # grid differs
+    ]
+    for kw in bad:
+        with pytest.raises(InputError):
+            solve(0.1, 0.5, **kw)
+    # the same profiles in a valid order are accepted
+    assert solve(0.1, 0.5, start=top, history=[high]).branch == "escaping"
+
+
+def test_walk_newton_iteration_bound(monkeypatch):
+    # acceptance 06's lattice: 493 two-field Newton iterations when every
+    # warm point started from the last escaping profile as it stood
+    from vortexlab import phase
+    iters = []
+    real = phase.solve_extended_profile
+
+    def counting(*args, **kw):
+        prof = real(*args, **kw)
+        iters.append(_ext_iterations(prof))
+        return prof
+
+    monkeypatch.setattr(phase, "solve_extended_profile", counting)
+    sweep(3, QUAD, LIN, (0.05, 0.45), (0.1, 1.0), (20, 20),
+          confirm_fraction=1.0, grid=make_grid(3, 800, {"graded": 2.0}))
+    assert len(iters) == 116
+    assert sum(iters) <= 420
+
+
+def test_sweep_solves_each_ground_state_once(monkeypatch):
+    from vortexlab import phase, spectral
+    calls = {"column": 0, "threshold": 0}
+    in_threshold = []
+    real_pair, real_find = spectral.smallest_eigenpair, phase.find_epsilon0
+
+    def pair(*args, **kw):
+        calls["threshold" if in_threshold else "column"] += 1
+        return real_pair(*args, **kw)
+
+    def find(*args, **kw):
+        in_threshold.append(True)
+        try:
+            return real_find(*args, **kw)
+        finally:
+            in_threshold.pop()
+
+    monkeypatch.setattr(spectral, "smallest_eigenpair", pair)
+    monkeypatch.setattr(phase, "find_epsilon0", find)
+    d = sweep(3, QUAD, LIN, *WALK_LATTICE, confirm_fraction=1.0,
+              grid=WALK_GRID)
+    # the eps=0.3 column's cold solve collapses from the first seed and
+    # takes the second one from the column's pair
+    assert d.points[1][-1].confirmed and d.points[1][-1].cls == "NonEscaping"
+    assert d.eps0 is not None and calls["threshold"] > 0
+    assert calls["column"] == len(d.eps_samples)
+
+
+@pytest.mark.parametrize("N,W,eps,eta,grading", [
+    (3, "quadratic", 0.1, 0.2, 2.0),           # both seeds collapse
+    (4, "flat_well:0.3", 0.04, 0.4, 3.0),      # the second seed escapes
+])
+def test_ground_state_reuse_is_bitwise(monkeypatch, N, W, eps, eta, grading):
+    from vortexlab import gl_linearization_eigenvalue, spectral
+    grid = make_grid(N, 800, {"graded": grading})
+    _, pair, gl = gl_linearization_eigenvalue(N, W, eps, grid)
+    own = solve_extended_profile(N, W, LIN, eps, eta, grid, start=gl)
+    solves = []
+    monkeypatch.setattr(spectral, "smallest_eigenpair",
+                        lambda *args, **kw: solves.append(args))
+    given = solve_extended_profile(N, W, LIN, eps, eta, grid, start=gl,
+                                   ground_state=pair)
+    assert not solves
+    assert (given.branch, given.flags) == (own.branch, own.flags)
+    assert given.f.tobytes() == own.f.tobytes()
+    assert given.g.tobytes() == own.g.tobytes()
+    assert given.solver_trace == own.solver_trace
+    # the second seed ran in both
+    assert sum(t[1] == 0 for t in own.solver_trace if len(t) == 4) == 2
+
+
+def test_nan_eps_or_eta_rejected():
+    nan = float("nan")
+    for call in (lambda: classify_point(3, QUAD, LIN, nan, 1.0,
+                                        grid=WALK_GRID),
+                 lambda: classify_point(3, QUAD, LIN, 0.1, nan,
+                                        grid=WALK_GRID),
+                 lambda: eta0(3, QUAD, LIN, nan, grid=WALK_GRID),
+                 lambda: sweep(3, QUAD, LIN, (nan, 0.3), (0.2, 1.0), (2, 2),
+                               grid=WALK_GRID)):
+        with pytest.raises(InputError):
+            call()
+
+
 def _fail_warm_newton(monkeypatch):
     """Every extended Newton stage of a solve started from an
     ExtendedProfile fails; returns the start type of each solve."""

@@ -136,6 +136,24 @@ def test_gl_rejects_bad_input(grid_n3):
         solve_gl_profile(3, QUAD, -1.0, grid_n3)
 
 
+def test_nan_parameters_rejected():
+    # NaN passed the old `eps <= 0` tests and died later in the ladder's
+    # indexing or in the banded LU's finiteness check
+    grid = make_grid(3, 200, {"graded": 2.0})
+    nan = float("nan")
+    cases = [
+        lambda: solve_gl_profile(3, QUAD, nan, grid),
+        lambda: solve_sphere_profile(3, LIN, nan, grid),
+        lambda: solve_extended_profile(3, QUAD, LIN, nan, 1.0, grid),
+        lambda: solve_extended_profile(3, QUAD, LIN, 0.1, nan, grid),
+        lambda: solve_extended_profile(3, QUAD, LIN, 0.1, nan, grid,
+                                       branch_hint="non_escaping"),
+    ]
+    for solve in cases:
+        with pytest.raises(InputError, match="must be positive"):
+            solve()
+
+
 def test_scaling_comparison():
     # rescaled profiles are ordered in eps on the common inner range: the
     # larger eps sees the Dirichlet boundary sooner and lies above
