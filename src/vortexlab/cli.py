@@ -8,17 +8,18 @@ configs give byte-identical CSV/JSON payloads (timestamps never appear).
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import (InputError, Potential, VortexLabError, _parse_grading,
-                   make_grid)
+from .core import (DEFAULT_GRID, InputError, Potential, VortexLabError,
+                   _parse_grading, make_grid)
 from .phase import axis_samples, sweep as phase_sweep
 from .profiles import (SolverOptions, profile_to_csv, reduced_energy_extended,
                        reduced_energy_gl, reduced_energy_mm,
@@ -42,8 +43,7 @@ class RunConfig:
     model: str | None = None          # gl | extended | sphere (profile/energy)
     branch: str = "escaping"
     lam_max: float | None = None
-    grid: dict = field(default_factory=lambda: {"n": 2000,
-                                                "grading": {"graded": 2.0}})
+    grid: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_GRID))
     tol: float = 1e-10
     max_iter: int = 60
     confirm: float = 0.0
@@ -133,13 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_wt:
             sp.add_argument("--Wt", default=None,
                             help="transverse penalty spec")
-        sp.add_argument("--grid-n", type=int, default=2000)
-        sp.add_argument("--grid-grading", default="graded:2.0",
+        sp.add_argument("--grid-n", type=int, default=DEFAULT_GRID["n"])
+        sp.add_argument("--grid-grading", default=DEFAULT_GRID["grading"],
                         help="uniform or graded:BETA")
         sp.add_argument("--tol", type=float, default=1e-10)
         sp.add_argument("--max-iter", type=int, default=60)
         sp.add_argument("--outdir", default=".")
-        sp.add_argument("--jobs", type=int, default=1)
 
     sp = sub.add_parser("profile", help="solve a radial profile, emit CSV")
     common(sp)
@@ -156,6 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps-sweep", default=None, metavar="LO:HI:COUNT")
     sp.add_argument("--find-threshold", action="store_true",
                     help="also bisect for the eigenvalue sign change eps0")
+    sp.add_argument("--jobs", type=int, default=1)
 
     sp = sub.add_parser("phase", help="phase-diagram commands")
     psub = sp.add_subparsers(dest="phase_command", required=True)
@@ -166,6 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp2.add_argument("--confirm", type=float, default=0.0,
                      help="fraction of points cross-checked by the solver")
     sp2.add_argument("--seed", type=int, default=0)
+    sp2.add_argument("--jobs", type=int, default=1)
 
     sp = sub.add_parser("stability", help="second-variation spectrum report")
     common(sp)
@@ -186,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(ns) -> RunConfig:
     cfg = RunConfig(command=ns.command, N=ns.N, grid=_parse_grid(ns),
                     tol=ns.tol, max_iter=ns.max_iter, outdir=ns.outdir,
-                    jobs=ns.jobs)
+                    jobs=getattr(ns, "jobs", 1))
     cfg.W = getattr(ns, "W", None)
     cfg.Wt = getattr(ns, "Wt", None)
     cfg.eps = getattr(ns, "eps", None)
@@ -295,30 +296,35 @@ def _emit(cfg: RunConfig, artifacts: dict, diagnostics: dict) -> list:
 # subcommand runners
 
 
+def _solve_profile(cfg: RunConfig, model: str, grid, opts: SolverOptions,
+                   branch: str):
+    """The model's profile at cfg's potentials, eps and eta on grid (the
+    two-field one on branch)."""
+    if model == "gl":
+        return solve_gl_profile(cfg.N, Potential.from_spec(cfg.W),
+                                float(cfg.eps), grid, opts)
+    if model == "sphere":
+        return solve_sphere_profile(cfg.N, Potential.from_spec(cfg.Wt),
+                                    float(cfg.eta), grid, opts)
+    return solve_extended_profile(cfg.N, Potential.from_spec(cfg.W),
+                                  Potential.from_spec(cfg.Wt), float(cfg.eps),
+                                  float(cfg.eta), grid, branch_hint=branch,
+                                  opts=opts)
+
+
 def _run_profile(cfg: RunConfig) -> tuple:
     model = cfg.model = _infer_model(cfg)   # resolve before the cache key
     cached = _cache_load(cfg)
     if cached is not None:
         return cached["artifacts"], cached["diagnostics"]
     grid = make_grid(cfg.N, cfg.grid["n"], cfg.grid["grading"])
-    opts = _solver_options(cfg)
-    if model == "gl":
-        prof = solve_gl_profile(cfg.N, Potential.from_spec(cfg.W),
-                                float(cfg.eps), grid, opts)
-        diag = {"residual": prof.residual_norm}
-    elif model == "sphere":
-        prof = solve_sphere_profile(cfg.N, Potential.from_spec(cfg.Wt),
-                                    float(cfg.eta), grid, opts)
-        diag = {"residual": prof.residual_norm, "no_escape": prof.no_escape}
-    else:
-        prof = solve_extended_profile(cfg.N, Potential.from_spec(cfg.W),
-                                      Potential.from_spec(cfg.Wt),
-                                      float(cfg.eps), float(cfg.eta), grid,
-                                      branch_hint=cfg.branch, opts=opts)
-        diag = {"residual": prof.residual_norm, "branch": prof.branch,
-                "flags": list(prof.flags)}
+    prof = _solve_profile(cfg, model, grid, _solver_options(cfg), cfg.branch)
+    diag = {"residual": prof.residual_norm, "model": model}
+    if model == "sphere":
+        diag["no_escape"] = prof.no_escape
+    elif model == "extended":
+        diag.update(branch=prof.branch, flags=list(prof.flags))
     artifacts = {"profile.csv": profile_to_csv(prof)}
-    diag["model"] = model
     _cache_store(cfg, {"artifacts": artifacts, "diagnostics": diag})
     return artifacts, diag
 
@@ -362,7 +368,8 @@ def _run_phase(cfg: RunConfig) -> tuple:
                           (cfg.eta["lo"], cfg.eta["hi"]),
                           (cfg.eps["count"], cfg.eta["count"]),
                           confirm_fraction=cfg.confirm, grid=grid,
-                          jobs=cfg.jobs, seed=cfg.seed)
+                          jobs=cfg.jobs, seed=cfg.seed,
+                          opts=_solver_options(cfg))
     artifacts = {"phase.csv": diagram.to_csv(), "phase.svg": diagram.to_svg()}
     counts = {}
     for row in diagram.points:
@@ -377,20 +384,14 @@ def _run_phase(cfg: RunConfig) -> tuple:
 def _run_stability(cfg: RunConfig) -> tuple:
     if cfg.eta is None:
         raise InputError("stability needs eta in --point")
-    W = Potential.from_spec(cfg.W if cfg.W is not None else "quadratic")
-    Wt = Potential.from_spec(cfg.Wt if cfg.Wt is not None else "linear")
     grid = make_grid(cfg.N, cfg.grid["n"], cfg.grid["grading"])
-    opts = _solver_options(cfg)
-    if cfg.eps is None:          # sphere-map stability at eta
-        prof = solve_sphere_profile(cfg.N, Wt, float(cfg.eta), grid, opts)
-        report = spectrum_summary(prof, None, Wt, None, float(cfg.eta),
-                                  lam_max=cfg.lam_max)
-    else:
-        prof = solve_extended_profile(cfg.N, W, Wt, float(cfg.eps),
-                                      float(cfg.eta), grid,
-                                      branch_hint=cfg.branch, opts=opts)
-        report = spectrum_summary(prof, W, Wt, float(cfg.eps),
-                                  float(cfg.eta), lam_max=cfg.lam_max)
+    # the sphere map without eps; W and Wt default to quadratic and linear
+    model = "sphere" if cfg.eps is None else "extended"
+    prof = _solve_profile(replace(cfg, W=cfg.W or "quadratic",
+                                  Wt=cfg.Wt or "linear"),
+                          model, grid, _solver_options(cfg), cfg.branch)
+    report = spectrum_summary(prof, None, None, None, None,
+                              lam_max=cfg.lam_max)
     artifacts = {"stability.json": report.to_json() + "\n"}
     diag = {"verdict": report.verdict,
             "profile_residual": prof.residual_norm,
@@ -403,27 +404,19 @@ def _run_energy(cfg: RunConfig) -> tuple:
     grid = make_grid(cfg.N, cfg.grid["n"], cfg.grid["grading"])
     opts = _solver_options(cfg)
     out = {"model": model, "N": cfg.N}
-    if model == "gl":
-        W = Potential.from_spec(cfg.W)
-        prof = solve_gl_profile(cfg.N, W, float(cfg.eps), grid, opts)
-        out["energy"] = reduced_energy_gl(prof, W, float(cfg.eps))
-        diag = {"residual": prof.residual_norm}
-    elif model == "sphere":
-        Wt = Potential.from_spec(cfg.Wt)
-        prof = solve_sphere_profile(cfg.N, Wt, float(cfg.eta), grid, opts)
-        out["energy"] = reduced_energy_mm(prof, Wt, float(cfg.eta))
-        out["no_escape"] = prof.no_escape
+    if model != "extended":
+        prof = _solve_profile(cfg, model, grid, opts, cfg.branch)
+        if model == "gl":
+            out["energy"] = reduced_energy_gl(prof, prof.well, prof.eps)
+        else:
+            out["energy"] = reduced_energy_mm(prof, prof.penalty, prof.eta)
+            out["no_escape"] = prof.no_escape
         diag = {"residual": prof.residual_norm}
     else:
-        W = Potential.from_spec(cfg.W)
-        Wt = Potential.from_spec(cfg.Wt)
-        eps, eta = float(cfg.eps), float(cfg.eta)
-        esc = solve_extended_profile(cfg.N, W, Wt, eps, eta, grid,
-                                     branch_hint="escaping", opts=opts)
-        non = solve_extended_profile(cfg.N, W, Wt, eps, eta, grid,
-                                     branch_hint="non_escaping", opts=opts)
-        e_esc = reduced_energy_extended(esc, W, Wt, eps, eta)
-        e_non = reduced_energy_extended(non, W, Wt, eps, eta)
+        esc, non = (_solve_profile(cfg, model, grid, opts, branch)
+                    for branch in ("escaping", "non_escaping"))
+        e_esc, e_non = (reduced_energy_extended(p, p.well, p.penalty, p.eps,
+                                                p.eta) for p in (esc, non))
         out["energy_escaping"] = e_esc
         out["energy_non_escaping"] = e_non
         out["gap"] = e_non - e_esc

@@ -453,6 +453,9 @@ def _parse_grading(grading) -> tuple[str, float]:
 # distinct grids kept alive per process (a benchmark workload uses at most 6)
 GRID_CACHE_SIZE = 16
 
+# the grid of every solve that names none: make_grid(N, **DEFAULT_GRID)
+DEFAULT_GRID = {"n": 2000, "grading": {"graded": 2.0}}
+
 
 def make_grid(N: int, n: int, grading="uniform") -> RadialGrid:
     """Mesh with n nodes in (0, 1], last node exactly 1.

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConvergenceError, InconsistentError, InputError,
-                   NoEscapingRegionError, OutOfRangeError, Potential,
-                   RadialGrid, csv_rows, make_grid)
+from .core import (DEFAULT_GRID, ConvergenceError, InconsistentError,
+                   InputError, NoEscapingRegionError, OutOfRangeError,
+                   Potential, RadialGrid, csv_rows, make_grid)
 from .profiles import (PREDICTOR_POINTS, SolverOptions,
                        solve_extended_profile)
 from .spectral import find_epsilon0, gl_linearization_eigenvalue
@@ -169,7 +169,7 @@ def eta0(N: int, W, Wt, eps: float, grid: RadialGrid | None = None,
     if not eps > 0:                 # NaN fails this test too
         raise InputError("eps must be positive")
     if grid is None:
-        grid = make_grid(N, 2000, {"graded": 2.0})
+        grid = make_grid(N, **DEFAULT_GRID)
     ell, _, _ = gl_linearization_eigenvalue(N, W, eps, grid, opts)
     if ell >= 0:
         raise OutOfRangeError(
@@ -188,7 +188,7 @@ def classify_point(N: int, W, Wt, eps: float, eta: float,
     if not (eps > 0 and eta > 0):   # NaN fails this test too
         raise InputError("eps and eta must be positive")
     if grid is None:
-        grid = make_grid(N, 2000, {"graded": 2.0})
+        grid = make_grid(N, **DEFAULT_GRID)
     ell, pair, gl = gl_linearization_eigenvalue(N, W, eps, grid, opts)
     cls, crit = _classify(ell, Wt.eval(0.0, 1), eta)
     confirmed = False
@@ -214,10 +214,9 @@ def axis_samples(rng, count) -> np.ndarray:
 
 
 def _column_worker(payload):
-    (N, wspec, wtspec, eps, etas, grid, confirm_js) = payload
+    (N, wspec, wtspec, eps, etas, grid, confirm_js, opts) = payload
     W = Potential.from_spec(wspec)
     Wt = Potential.from_spec(wtspec)
-    opts = SolverOptions()
     ell, pair, gl = gl_linearization_eigenvalue(N, W, eps, grid, opts)
     wt0 = Wt.eval(0.0, 1)
     classes = [_classify(ell, wt0, eta_j) for eta_j in etas]
@@ -249,8 +248,9 @@ def _column_worker(payload):
 
 def sweep(N: int, W, Wt, eps_range, eta_range, resolution,
           confirm_fraction: float = 0.0, grid: RadialGrid | None = None,
-          jobs: int = 1, seed: int = 0) -> PhaseDiagram:
-    """Classify a grid of (eps, eta) points.
+          jobs: int = 1, seed: int = 0,
+          opts: SolverOptions = SolverOptions()) -> PhaseDiagram:
+    """Classify a grid of (eps, eta) points, every profile solved with opts.
 
     The eigenvalue is computed once per eps-column and reused across the
     eta-row. A seeded random confirm_fraction of non-boundary points is
@@ -282,14 +282,14 @@ def sweep(N: int, W, Wt, eps_range, eta_range, resolution,
     eps_samples = axis_samples(eps_range, n_eps)
     eta_samples = axis_samples(eta_range, n_eta)
     if grid is None:
-        grid = make_grid(N, 2000, {"graded": 2.0})
+        grid = make_grid(N, **DEFAULT_GRID)
 
     rng = np.random.default_rng(seed)
     mask = rng.random((n_eps, len(eta_samples))) < confirm_fraction
     # the grid itself, not its spec: a spec does not rebuild every grid (a
     # refined r_min, say), and columns must solve on the caller's mesh
     payloads = [(N, W.spec(), Wt.spec(), float(e), eta_samples, grid,
-                 set(np.nonzero(mask[i])[0].tolist()))
+                 set(np.nonzero(mask[i])[0].tolist()), opts)
                 for i, e in enumerate(eps_samples)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -311,7 +311,7 @@ def sweep(N: int, W, Wt, eps_range, eta_range, resolution,
             # annotation only: a loose tolerance keeps coarse sweep grids
             # from tripping the threshold's refinement acceptance
             eps0 = find_epsilon0(N, W, sign_change[0], tol=1e-6, grid=grid,
-                                 samples=zip(eps_samples, ells))
+                                 opts=opts, samples=zip(eps_samples, ells))
 
     return PhaseDiagram(N=N, W_spec=W.spec(), Wt_spec=Wt.spec(),
                         eps_samples=eps_samples, eta_samples=eta_samples,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -33,7 +33,7 @@ from .core import (
     Potential,
     RadialGrid,
     csv_rows,
-    make_grid,
+    grid_from_spec,
 )
 
 __all__ = [
@@ -260,35 +260,71 @@ def _sphere_assemble(grid, eta, penalty):
 # profile records
 
 
+class _Record:
+    """What a profile record states about its model, once: model (its name
+    in JSON), params (the parameters its metadata carries), unknowns (the
+    stored fields) and columns (the CSV columns after r)."""
+
+
+class _Amplitude(_Record):
+    """A record that stores v = f/r."""
+
+    @property
+    def f(self) -> np.ndarray:
+        """Amplitude at the nodes, f = r·v."""
+        return self.grid.nodes * self.v
+
+
 @dataclass(frozen=True)
-class GLProfile:
+class GLProfile(_Amplitude):
+    model = "gl"
+    params = ("eps", "well")
+    unknowns = ("v",)
+    columns = ("f",)
+
     grid: RadialGrid
     eps: float
     well: Potential
     v: np.ndarray                 # f/r at nodes, the solved unknown
-    f: np.ndarray                 # amplitude at nodes, f = r·v
     residual_norm: float
     solver_trace: list = field(repr=False, default_factory=list)
 
+    def _residual_parts(self):
+        return _gl_residual_full(self.grid, self.eps, self.well, self.v)[:1]
+
 
 @dataclass(frozen=True)
-class ExtendedProfile:
+class ExtendedProfile(_Amplitude):
+    model = "extended"
+    params = ("eps", "eta", "well", "penalty", "branch", "flags")
+    unknowns = ("v", "g")
+    columns = ("f", "g")
+
     grid: RadialGrid
     eps: float
     eta: float
     well: Potential
     penalty: Potential
     v: np.ndarray
-    f: np.ndarray
     g: np.ndarray
     branch: str                   # "escaping" | "non_escaping"
     residual_norm: float
     solver_trace: list = field(repr=False, default_factory=list)
     flags: tuple = ()
 
+    def _residual_parts(self):
+        return _extended_residual_full(self.grid, self.eps, self.eta,
+                                       self.well, self.penalty, self.v,
+                                       self.g)[:2]
+
 
 @dataclass(frozen=True)
-class SphereProfile:
+class SphereProfile(_Record):
+    model = "sphere"
+    params = ("eta", "penalty", "no_escape")
+    unknowns = ("theta",)
+    columns = ("theta",)
+
     grid: RadialGrid
     eta: float
     penalty: Potential
@@ -297,6 +333,26 @@ class SphereProfile:
     no_escape: bool = False       # True: theta is the equator θ ≡ π/2, as
                                   # no solution found beats its energy
     solver_trace: list = field(repr=False, default_factory=list)
+
+    def _residual_parts(self):
+        return _sphere_residual_full(self.grid, self.eta, self.penalty,
+                                     self.theta)[:1]
+
+
+_RECORDS = {cls.model: cls for cls in (GLProfile, ExtendedProfile,
+                                       SphereProfile)}
+
+
+def _record(profile):
+    if not isinstance(profile, _Record):
+        raise InputError(f"not a profile: {profile!r}")
+    return profile
+
+
+def _solved(cls, **fields):
+    """The record of solved fields, its residual_norm from residual()."""
+    record = cls(residual_norm=math.nan, **fields)
+    return replace(record, residual_norm=residual(record))
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +387,8 @@ def solve_gl_profile(N: int, W: Potential, eps: float, grid: RadialGrid,
         v_init = v_init[:-1]
     trace: list = []
     v = _gl_continuation(grid, W, eps, opts, trace, v_init)
-    vfull = np.append(v, 1.0)
-    res, _, _ = _gl_residual_full(grid, eps, W, vfull)
-    return GLProfile(grid=grid, eps=eps, well=W, v=vfull,
-                     f=grid.nodes * vfull,
-                     residual_norm=float(np.max(np.abs(res))),
-                     solver_trace=trace)
+    return _solved(GLProfile, grid=grid, eps=eps, well=W,
+                   v=np.append(v, 1.0), solver_trace=trace)
 
 
 _LADDER_LOCK = threading.Lock()
@@ -395,17 +447,16 @@ def solve_sphere_profile(N: int, Wt: Potential, eta: float, grid: RadialGrid,
     if grid.N != N:
         raise InputError("grid dimension does not match N")
     trace: list = []
-    seed = 0.5 * math.pi * np.arctan(grid.nodes[:-1] / eta) / math.atan(
-        1.0 / eta)
+    r = grid.nodes[:-1]
+    seed = (0.5 * math.pi * r if eta == math.inf   # the limit η → ∞
+            else 0.5 * math.pi * np.arctan(r / eta) / math.atan(1.0 / eta))
     theta = np.append(_newton(_sphere_assemble(grid, eta, Wt), seed, opts,
                               f"sphere eta={eta:.6g}", trace)[0],
                       0.5 * math.pi)
 
     def profile(t, no_escape=False):
-        res, _ = _sphere_residual_full(grid, eta, Wt, t)
-        return SphereProfile(grid=grid, eta=eta, penalty=Wt, theta=t,
-                             residual_norm=float(np.max(np.abs(res))),
-                             no_escape=no_escape, solver_trace=trace)
+        return _solved(SphereProfile, grid=grid, eta=eta, penalty=Wt,
+                       theta=t, no_escape=no_escape, solver_trace=trace)
 
     found = profile(theta)
     if N == 2:
@@ -479,7 +530,17 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
         return float(np.max(np.abs(z[1::2]))) <= ESCAPE_TOL
 
     def result(v, g, flags=()):
-        return _wrap_extended(grid, eps, eta, W, Wt, v, g, trace, flags)
+        """The profile from the v- and g-unknowns at nodes 0..n-2: escaping
+        and reported with g > 0, or non-escaping (g ≡ 0) when g is None."""
+        if g is None:
+            branch, g = "non_escaping", np.zeros(grid.n)
+        else:
+            branch, g = "escaping", np.append(g, 0.0)
+            if g[np.argmax(np.abs(g))] < 0:
+                g = -g
+        return _solved(ExtendedProfile, grid=grid, eps=eps, eta=eta, well=W,
+                       penalty=Wt, v=np.append(v, 1.0), g=g, branch=branch,
+                       solver_trace=trace, flags=flags)
 
     if isinstance(start, ExtendedProfile):
         path = [(p.eta, _interleave(p.v[:-1], p.g[:-1]))
@@ -592,23 +653,6 @@ def _check_start(start, history, ground_state, eps, eta, grid, W, Wt,
                          "g-operator (mu = 0) on the solve's grid")
 
 
-def _wrap_extended(grid, eps, eta, W, Wt, v, g, trace, flags):
-    """The profile from the v- and g-unknowns at nodes 0..n-2: escaping and
-    reported with g > 0, or non-escaping (g ≡ 0) when g is None."""
-    v = np.append(v, 1.0)
-    if g is None:
-        branch, g = "non_escaping", np.zeros(grid.n)
-    else:
-        branch, g = "escaping", np.append(g, 0.0)
-        if g[np.argmax(np.abs(g))] < 0:
-            g = -g
-    res_v, res_g, *_ = _extended_residual_full(grid, eps, eta, W, Wt, v, g)
-    rn = float(max(np.max(np.abs(res_v)), np.max(np.abs(res_g))))
-    return ExtendedProfile(grid=grid, eps=eps, eta=eta, well=W, penalty=Wt,
-                           v=v, f=grid.nodes * v, g=g, branch=branch,
-                           residual_norm=rn, solver_trace=trace, flags=flags)
-
-
 # ---------------------------------------------------------------------------
 # reduced energies (the common 1/|S^{N-1}| normalization, ½∫[...] r^{N-1} dr)
 # The centrifugal term ∫ f²/r² r^{N-1} dr is integrated through the smooth
@@ -663,20 +707,8 @@ def reduced_energy_mm(p: SphereProfile, Wt: Potential, eta: float) -> float:
 def residual(profile) -> float:
     """Sup-norm of the discrete ODE residual, recomputed from the stored
     fields and potentials (independent of the solver's bookkeeping)."""
-    if isinstance(profile, GLProfile):
-        r, _, _ = _gl_residual_full(profile.grid, profile.eps, profile.well,
-                                    profile.v)
-        return float(np.max(np.abs(r)))
-    if isinstance(profile, ExtendedProfile):
-        rv, rg, *_ = _extended_residual_full(
-            profile.grid, profile.eps, profile.eta, profile.well,
-            profile.penalty, profile.v, profile.g)
-        return float(max(np.max(np.abs(rv)), np.max(np.abs(rg))))
-    if isinstance(profile, SphereProfile):
-        r, _ = _sphere_residual_full(profile.grid, profile.eta,
-                                     profile.penalty, profile.theta)
-        return float(np.max(np.abs(r)))
-    raise InputError(f"not a profile: {profile!r}")
+    parts = _record(profile)._residual_parts()
+    return float(max(np.max(np.abs(p)) for p in parts))
 
 
 def pohozaev_check(p: SphereProfile, Wt: Potential, eta: float) -> float:
@@ -703,79 +735,48 @@ def pohozaev_check(p: SphereProfile, Wt: Potential, eta: float) -> float:
 # serialization
 
 
+# how a parameter is written to JSON and read back, where not as itself
+_CODECS = {"well": (Potential.spec, Potential.from_spec),
+           "penalty": (Potential.spec, Potential.from_spec),
+           "flags": (list, tuple)}
+_AS_IS = (lambda x: x, lambda x: x)
+
+
 def _meta(profile) -> dict:
-    if isinstance(profile, GLProfile):
-        return {"model": "gl", "N": profile.grid.N, "eps": profile.eps,
-                "well": profile.well.spec(),
-                "grid": profile.grid.spec(),
-                "residual_norm": profile.residual_norm}
-    if isinstance(profile, ExtendedProfile):
-        return {"model": "extended", "N": profile.grid.N, "eps": profile.eps,
-                "eta": profile.eta, "well": profile.well.spec(),
-                "penalty": profile.penalty.spec(), "branch": profile.branch,
-                "flags": list(profile.flags), "grid": profile.grid.spec(),
-                "residual_norm": profile.residual_norm}
-    if isinstance(profile, SphereProfile):
-        return {"model": "sphere", "N": profile.grid.N, "eta": profile.eta,
-                "penalty": profile.penalty.spec(),
-                "no_escape": profile.no_escape, "grid": profile.grid.spec(),
-                "residual_norm": profile.residual_norm}
-    raise InputError(f"not a profile: {profile!r}")
+    meta = {name: _CODECS.get(name, _AS_IS)[0](getattr(profile, name))
+            for name in _record(profile).params}
+    return {**meta, "model": profile.model, "N": profile.grid.N,
+            "grid": profile.grid.spec(),
+            "residual_norm": profile.residual_norm}
 
 
 def profile_to_csv(profile) -> str:
     """CSV text: one JSON metadata comment line, column header, 17-digit rows."""
     meta = _meta(profile)
-    r = profile.grid.nodes
-    if isinstance(profile, GLProfile):
-        header, cols = "r,f", (r, profile.f)
-    elif isinstance(profile, ExtendedProfile):
-        header, cols = "r,f,g", (r, profile.f, profile.g)
-    else:
-        header, cols = "r,theta", (r, profile.theta)
-    return ("# " + json.dumps(meta, sort_keys=True) + "\n" + header + "\n"
-            + csv_rows(*cols))
+    return ("# " + json.dumps(meta, sort_keys=True) + "\n"
+            + ",".join(("r", *profile.columns)) + "\n"
+            + csv_rows(profile.grid.nodes,
+                       *(getattr(profile, c) for c in profile.columns)))
 
 
 def profile_to_json(profile) -> str:
     meta = _meta(profile)
-    if isinstance(profile, GLProfile):
-        meta["fields"] = {"v": profile.v.tolist()}
-    elif isinstance(profile, ExtendedProfile):
-        meta["fields"] = {"v": profile.v.tolist(), "g": profile.g.tolist()}
-    else:
-        meta["fields"] = {"theta": profile.theta.tolist()}
+    meta["fields"] = {u: getattr(profile, u).tolist()
+                      for u in profile.unknowns}
     return json.dumps(meta, sort_keys=True)
 
 
 def profile_from_json(text: str):
+    """The record profile_to_json wrote. A parameter missing from the text
+    (flags or no_escape in older files) takes the record's default."""
     data = json.loads(text)
-    gs = data["grid"]
-    grid = make_grid(data["N"], gs["n"], gs["grading"])
-
-    def arr(key):
-        return np.asarray(data["fields"][key], dtype=float)
-
-    model = data["model"]
-    if model == "gl":
-        v = arr("v")
-        return GLProfile(grid=grid, eps=data["eps"],
-                         well=Potential.from_spec(data["well"]), v=v,
-                         f=grid.nodes * v,
-                         residual_norm=data["residual_norm"])
-    if model == "extended":
-        v, g = arr("v"), arr("g")
-        return ExtendedProfile(grid=grid, eps=data["eps"], eta=data["eta"],
-                               well=Potential.from_spec(data["well"]),
-                               penalty=Potential.from_spec(data["penalty"]),
-                               v=v, f=grid.nodes * v, g=g,
-                               branch=data["branch"],
-                               residual_norm=data["residual_norm"],
-                               flags=tuple(data.get("flags", ())))
-    if model == "sphere":
-        return SphereProfile(grid=grid, eta=data["eta"],
-                             penalty=Potential.from_spec(data["penalty"]),
-                             theta=arr("theta"),
-                             residual_norm=data["residual_norm"],
-                             no_escape=data.get("no_escape", False))
-    raise InputError(f"unknown profile model {model!r}")
+    grid = grid_from_spec(data["N"], data["grid"])
+    cls = _RECORDS.get(data["model"])
+    if cls is None:
+        raise InputError(f"unknown profile model {data['model']!r}")
+    params = {name: _CODECS.get(name, _AS_IS)[1](data[name])
+              for name in cls.params if name in data}
+    fields = {u: np.asarray(data["fields"][u], dtype=float)
+              for u in cls.unknowns}
+    return cls(grid=grid, residual_norm=data["residual_norm"], **params,
+               **fields)

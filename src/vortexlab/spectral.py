@@ -21,7 +21,8 @@ import numpy as np
 from .banded import (count_below, equilibrate, lu_solver, sym_matvec,
                      sym_to_full)
 from .core import (ConvergenceError, InputError, NoThresholdError,
-                   BracketError, Potential, RadialGrid, csv_rows, make_grid)
+                   BracketError, DEFAULT_GRID, Potential, RadialGrid, csv_rows,
+                   make_grid)
 from .profiles import (CONTINUATION_FACTOR, GLProfile, SolverOptions,
                        solve_gl_profile)
 
@@ -390,7 +391,7 @@ def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
     if tol <= 0:
         raise InputError("tol must be positive")
     if grid is None:
-        grid = make_grid(N, 2000, {"graded": 2.0})
+        grid = make_grid(N, **DEFAULT_GRID)
 
     solved = {}                 # eps -> (v, q), the continuation's states
 
@@ -476,7 +477,7 @@ def linearization_eigenvalue_sweep(N: int, W, eps_values,
     jobs > 1."""
     W = Potential.from_spec(W)
     if grid is None:
-        grid = make_grid(N, 2000, {"graded": 2.0})
+        grid = make_grid(N, **DEFAULT_GRID)
     eps_values = [float(e) for e in eps_values]
     if jobs > 1:
         # the grid itself, not its spec: a spec does not rebuild every grid

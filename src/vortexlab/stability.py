@@ -60,6 +60,21 @@ def sphere_eigenvalues(N: int, lam_max: float) -> list[float]:
 # form evaluation, and sector extraction
 
 
+_FORM_PARAMS = (("well", Potential.from_spec),
+                ("penalty", Potential.from_spec), ("eps", float), ("eta", float))
+
+
+def _form_params(profile, W, Wt, eps, eta) -> tuple:
+    """(W, Wt, eps, eta) of the profile's second variation: each the
+    caller's where given, else the profile's own; None where the model has
+    no such parameter."""
+    params = getattr(profile, "params", ())
+    return tuple(
+        None if name not in params
+        else parse(given if given is not None else getattr(profile, name))
+        for (name, parse), given in zip(_FORM_PARAMS, (W, Wt, eps, eta)))
+
+
 def _profile_terms(profile, W, Wt, eps, eta, lam):
     """Fields, stiffness/mass weights and zero-order coefficient functions of
     the lambda-mode quadratic form for the given background profile.
@@ -69,12 +84,10 @@ def _profile_terms(profile, W, Wt, eps, eta, lam):
     """
     grid = profile.grid
     N = grid.N
-    r = grid.nodes
     one = np.ones(grid.n)
+    W, Wt, eps, eta = _form_params(profile, W, Wt, eps, eta)
 
     if isinstance(profile, SphereProfile):
-        Wt = Potential.from_spec(Wt if Wt is not None else profile.penalty)
-        eta = float(eta if eta is not None else profile.eta)
         th = profile.theta
         c2 = np.cos(th) ** 2
         s2 = 1.0 - c2
@@ -99,8 +112,6 @@ def _profile_terms(profile, W, Wt, eps, eta, lam):
         return fields, stiff, mass, terms
 
     if isinstance(profile, GLProfile):
-        W = Potential.from_spec(W if W is not None else profile.well)
-        eps = float(eps if eps is not None else profile.eps)
         f = profile.f
         X = 1.0 - f ** 2
         wp = W.eval(X, 1)
@@ -121,10 +132,6 @@ def _profile_terms(profile, W, Wt, eps, eta, lam):
         return fields, stiff, mass, terms
 
     if isinstance(profile, ExtendedProfile):
-        W = Potential.from_spec(W if W is not None else profile.well)
-        Wt = Potential.from_spec(Wt if Wt is not None else profile.penalty)
-        eps = float(eps if eps is not None else profile.eps)
-        eta = float(eta if eta is not None else profile.eta)
         f, g = profile.f, profile.g
         X = 1.0 - f ** 2 - g ** 2
         wp = W.eval(X, 1)
@@ -333,10 +340,7 @@ def hardy_identity_check(profile: ExtendedProfile, W, Wt, eps, eta,
     if profile.branch != "escaping":
         raise InputError(
             "factored form divides by g: escaping profile required")
-    W = Potential.from_spec(W if W is not None else profile.well)
-    Wt = Potential.from_spec(Wt if Wt is not None else profile.penalty)
-    eps = float(eps)
-    eta = float(eta)
+    W, Wt, eps, eta = _form_params(profile, W, Wt, eps, eta)
     grid = profile.grid
     s = np.array(trial["s"], dtype=float)
     q = np.array(trial["q"], dtype=float)
@@ -504,16 +508,13 @@ def _refined_profile(profile):
     """Insert a node at r_min/2 (fields extended by their leading-order
     behavior; no re-solve — this only probes the Dirichlet cutoff, and the
     coefficient perturbation is O(r_min^2))."""
-    newgrid = profile.grid.halve_rmin()
-    stretch = profile.grid.onto_halved
-    if isinstance(profile, SphereProfile):      # theta ~ c r off the equator
-        return replace(profile, grid=newgrid,
-                       theta=stretch(profile.theta, odd=not profile.no_escape))
-    v = stretch(profile.v)
-    if isinstance(profile, GLProfile):
-        return replace(profile, grid=newgrid, v=v, f=newgrid.nodes * v)
-    return replace(profile, grid=newgrid, v=v, f=newgrid.nodes * v,
-                   g=stretch(profile.g))
+    def stretch(name):
+        # v and g are even at the origin; theta ~ c r off the equator
+        odd = name == "theta" and not profile.no_escape
+        return RadialGrid.onto_halved(getattr(profile, name), odd=odd)
+
+    return replace(profile, grid=profile.grid.halve_rmin(),
+                   **{name: stretch(name) for name in profile.unknowns})
 
 
 def spectrum_summary(profile, W, Wt, eps, eta,
@@ -534,9 +535,8 @@ def spectrum_summary(profile, W, Wt, eps, eta,
     lams = sphere_eigenvalues(N, lam_max)
 
     ell = None
-    if isinstance(profile, (GLProfile, ExtendedProfile)):
-        Wv = Potential.from_spec(W if W is not None else profile.well)
-        epsv = float(eps if eps is not None else profile.eps)
+    Wv, _, epsv, _ = _form_params(profile, W, Wt, eps, eta)
+    if epsv is not None:            # the amplitude models
         ell, _, _ = gl_linearization_eigenvalue(N, Wv, epsv, grid)
     band = 1e-4 * (1.0 + (abs(ell) if ell is not None else 0.0))
 

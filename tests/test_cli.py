@@ -230,6 +230,46 @@ def test_eigen_max_iter_reaches_workers(tmp_path, capsys):
         assert payload["error"] == "ConvergenceError"
 
 
+def test_phase_sweep_honours_tol_and_max_iter(tmp_path, capsys):
+    # one Newton step cannot solve the columns' profiles, in this process or
+    # in a worker, nor the threshold search's
+    for jobs in ("1", "2"):
+        assert _run(tmp_path, "phase", "sweep", "--N", "3", "--W",
+                    "quadratic", "--Wt", "linear", "--eps", "0.05:0.45:4",
+                    "--eta", "0.1:1.0:4", "--confirm", "1.0", "--grid-n",
+                    "400", "--max-iter", "1", "--tol", "1e-14",
+                    "--jobs", jobs) == 1
+        payload = _one_line_json(capsys.readouterr().err)
+        assert payload["error"] == "ConvergenceError"
+    assert not (tmp_path / "phase.manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("profile", "--N", "3", "--W", "quadratic", "--eps", "0.3"),
+    ("energy", "--N", "3", "--W", "quadratic", "--eps", "0.3"),
+    ("stability", "--N", "3", "--Wt", "linear", "--point", "eta=1.0"),
+])
+def test_jobs_only_where_it_is_read(tmp_path, capsys, command):
+    assert _run(tmp_path, *command, "--jobs", "2") == 1
+    payload = _one_line_json(capsys.readouterr().err)
+    assert payload["error"] == "InputError"
+    assert "--jobs" in payload["message"]
+
+
+def test_sphere_profile_at_infinite_eta(tmp_path):
+    # the start (π/2)·atan(r/η)/atan(1/η) is 0/0 at η = ∞; its limit
+    # (π/2)·r starts the solve there, on the branch a huge finite η takes
+    branches = {}
+    for eta in ("inf", "1e12"):
+        out = tmp_path / eta
+        assert _run(out, "profile", "--N", "3", "--Wt", "linear",
+                    "--eta", eta, "--grid-n", "400") == 0
+        manifest = json.loads((out / "profile.manifest.json").read_text())
+        assert manifest["diagnostics"]["residual"] < 1e-9
+        branches[eta] = manifest["diagnostics"]["no_escape"]
+    assert branches == {"inf": False, "1e12": False}
+
+
 def test_error_report(tmp_path, capsys):
     # no sign change: the threshold search must fail loudly, as JSON
     assert _run(tmp_path, "eigen", "--N", "7", "--W", "quadratic",

@@ -519,6 +519,77 @@ def test_profile_csv_and_json_round_trip(kind):
         else:
             assert a == b, f.name
     assert profile_to_json(back) == blob
+    # f is not stored: it is r·v on the record's grid, to the bit
+    if hasattr(prof, "v"):
+        assert np.array_equal(back.f, back.grid.nodes * back.v)
+    assert header.split(",")[1:] == list(prof.columns)
+    assert set(prof.unknowns) <= {f.name for f in fields(prof)}
+
+
+# JSON texts as profile_to_json wrote them before the records described
+# themselves, on a 16-node grid; the field values are arbitrary, since
+# profile_from_json does not solve
+_V = ("[1.0, 0.984375, 0.96875, 0.953125, 0.9375, 0.921875, 0.90625, "
+      "0.890625, 0.875, 0.859375, 0.84375, 0.828125, 0.8125, 0.796875, "
+      "0.78125, 0.765625]")
+_GRID16 = '"grid": {"grading": {"graded": 2.0}, "n": 16}'
+PINNED_JSON = {
+    "gl": ('{"N": 3, "eps": 0.25, "fields": {"v": ' + _V + '}, ' + _GRID16
+           + ', "model": "gl", "residual_norm": 1e-12, '
+           '"well": {"kind": "quadratic"}}'),
+    "extended": (
+        '{"N": 3, "branch": "non_escaping", "eps": 0.1, "eta": 0.5, '
+        '"fields": {"g": [1.0, 0.9375, 0.875, 0.8125, 0.75, 0.6875, 0.625, '
+        '0.5625, 0.5, 0.4375, 0.375, 0.3125, 0.25, 0.1875, 0.125, 0.0625], '
+        '"v": ' + _V + '}, "flags": ["no_escape_found"], ' + _GRID16
+        + ', "model": "extended", "penalty": {"kind": "linear"}, '
+        '"residual_norm": 2e-12, "well": {"kind": {"flat_well": 0.3}}}'),
+    "sphere": (
+        '{"N": 3, "eta": 0.75, "fields": {"theta": [0.0, 0.125, 0.25, 0.375, '
+        '0.5, 0.625, 0.75, 0.875, 1.0, 1.125, 1.25, 1.375, 1.5, 1.625, 1.75, '
+        '1.875]}, ' + _GRID16 + ', "model": "sphere", "no_escape": true, '
+        '"penalty": {"kind": "quadratic"}, "residual_norm": 3e-12}'),
+}
+
+
+@pytest.mark.parametrize("model", PINNED_JSON)
+def test_pinned_json_loads_and_writes_the_same_text(model):
+    text = PINNED_JSON[model]
+    prof = profile_from_json(text)
+    assert prof.model == model and prof.grid.n == 16
+    assert profile_to_json(prof) == text
+    if model != "sphere":
+        assert np.array_equal(prof.f, prof.grid.nodes * prof.v)
+
+
+def test_json_without_flags_or_no_escape_takes_the_defaults():
+    ext = PINNED_JSON["extended"].replace('"flags": ["no_escape_found"], ', "")
+    sph = PINNED_JSON["sphere"].replace('"no_escape": true, ', "")
+    assert ext != PINNED_JSON["extended"] and sph != PINNED_JSON["sphere"]
+    assert profile_from_json(ext).flags == ()
+    assert profile_from_json(sph).no_escape is False
+    assert profile_from_json(PINNED_JSON["extended"]).flags == (
+        "no_escape_found",)
+    assert profile_from_json(PINNED_JSON["sphere"]).no_escape is True
+
+
+def test_unknown_model_and_non_profiles_are_input_errors():
+    text = PINNED_JSON["gl"].replace('"model": "gl"', '"model": "torus"')
+    with pytest.raises(InputError, match="unknown profile model 'torus'"):
+        profile_from_json(text)
+    for call in (residual, profile_to_csv, profile_to_json):
+        with pytest.raises(InputError, match="not a profile"):
+            call(object())
+
+
+def test_f_is_r_times_v_also_after_rmin_refinement(escaping_profile):
+    from vortexlab.stability import _refined_profile
+    gl = solve_gl_profile(3, QUAD, 0.3, _grid400(3))
+    for prof in (gl, escaping_profile):
+        refined = _refined_profile(prof)
+        assert refined.grid.n == prof.grid.n + 1
+        for p in (prof, refined):
+            assert np.array_equal(p.f, p.grid.nodes * p.v)
 
 
 @given(st.floats(0.3, 3.0))
