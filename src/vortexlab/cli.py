@@ -213,8 +213,18 @@ def _config_from_args(ns) -> RunConfig:
     return cfg
 
 
+# the flags each model's profile is solved from
+_MODEL_FLAGS = {"gl": ("W", "eps"), "sphere": ("Wt", "eta"),
+                "extended": ("W", "Wt", "eps", "eta")}
+
+
 def _infer_model(cfg: RunConfig) -> str:
     if cfg.model:
+        missing = [f"--{k}" for k in _MODEL_FLAGS[cfg.model]
+                   if getattr(cfg, k) is None]
+        if missing:
+            raise InputError(f"--model {cfg.model} needs "
+                             + " and ".join(missing))
         return cfg.model
     has_w = cfg.W is not None and cfg.eps is not None
     has_wt = cfg.Wt is not None and cfg.eta is not None

@@ -336,14 +336,24 @@ class RadialGrid:
     # nodes 0..n-2: node 0 closes with zero flux across [0, r_min], and node
     # n-1 is a Dirichlet node (its value enters row n-2, it has no row).
 
-    def flux_residual(self, u: np.ndarray, power: int) -> np.ndarray:
-        """Rows 0..n-2 of -(r^power u')' on full-grid samples u: the face
-        flux on the left of each node minus the one on its right."""
-        flux = self.face_coeffs(power) * (u[1:] - u[:-1])
-        res = np.empty(self.n - 1)
-        res[0] = -flux[0]
-        res[1:] = flux[:-1] - flux[1:]
-        return res
+    def flux_residual(self, u: np.ndarray, power: int, out=None,
+                      right=None) -> np.ndarray:
+        """Rows 0..n-2 of -(r^power u')': the face flux on the left of each
+        node minus the one on its right. u holds the samples at all n nodes,
+        or at nodes 0..n-2 when `right` gives the Dirichlet value at node
+        n-1. The rows are written into out (length n-1; a strided view such
+        as every other entry of a Newton vector will do) when it is given."""
+        if right is None:
+            u, right = u[:-1], u[-1]
+        flux = np.empty(self.n - 1)
+        np.subtract(u[1:], u[:-1], out=flux[:-1])
+        flux[-1] = right - u[-1]
+        flux *= self.face_coeffs(power)
+        if out is None:
+            out = np.empty(self.n - 1)
+        out[0] = -flux[0]
+        np.subtract(flux[:-1], flux[1:], out=out[1:])
+        return out
 
     def stiffness(self, power: int) -> tuple[np.ndarray, np.ndarray]:
         """Jacobian of flux_residual on nodes 0..n-2: (diagonal, first

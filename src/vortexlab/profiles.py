@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .banded import lu_solver, sym_to_full
+from .banded import lu_solver
 from .core import (
     ConvergenceError,
     InputError,
@@ -123,16 +123,16 @@ def _newton(assemble: Callable, u0: np.ndarray, opts: SolverOptions,
 
 
 def _lazy_solver(jacobian: Callable) -> Callable:
-    """solve(rhs) that builds and factors jacobian() (full band storage) on
-    its first call and keeps the factorization for later ones. _newton
-    calls it for an iterate it steps from (and again for the closing
-    correction), so a rejected line-search trial and a stage's final
+    """solve(rhs) that builds and factors jacobian() (full band storage and
+    its row maxima) on its first call and keeps the factorization for later
+    ones. _newton calls it for an iterate it steps from (and again for the
+    closing correction), so a rejected line-search trial and a stage's final
     iterate never pay for a Jacobian."""
     factored = []               # one per assemble: lighter than a cache
 
     def solve(rhs):
         if not factored:
-            factored.append(lu_solver(jacobian()))
+            factored.append(lu_solver(*jacobian()))
         return factored[0](rhs)
     return solve
 
@@ -141,51 +141,79 @@ def _lazy_solver(jacobian: Callable) -> Callable:
 # discrete operators (shared by solvers and the independent residual check)
 
 
-def _gl_residual_full(grid, eps, well, v):
+# One residual body per model reads the unknowns at nodes 0..n-2 and the
+# Dirichlet value `right` at node n-1: Newton's iterate and the model's
+# boundary value, or a record's stored fields. Each Jacobian's constant part,
+# the stiffness off-diagonals, is kept in the grid's cache (laid out as a
+# band for the two-field model) with each row's largest off-diagonal
+# magnitude: an iterate fills in its diagonal and couplings, and the row
+# maxima that lu_solver scales by follow from those entries alone.
+
+
+def _neighbour_max(off):
+    """Largest |off-diagonal| of each row of the symmetric tridiagonal matrix
+    with off-diagonal off."""
+    a = np.abs(off)
+    return np.maximum(np.append(a, 0.0), np.append(0.0, a))
+
+
+def _tridiagonal_jacobian(grid, power, diag):
+    """Full band and row maxima of the one-field Newton Jacobian: the
+    stiffness(power) off-diagonals and diag on the diagonal."""
+    off = grid.stiffness(power)[1]
+    off_max = grid._cached(("newton_row_max", power),
+                           lambda: _neighbour_max(off))
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = ab[2, :-1] = off
+    ab[1] = diag
+    return ab, np.maximum(off_max, np.abs(diag))
+
+
+def _gl_residual(grid, eps, well, v, right):
     """FV residual of (r^{N+1} v')' = -(r^{N+1}/eps²) W'(1-r²v²) v at nodes
-    0..n-2 (node n-1 carries the Dirichlet value v=1), with the well's
-    argument x and W'(x) at nodes 0..n-2."""
+    0..n-2, with the well's argument x and W'(x) there."""
     mass = grid.hat_weights(2)[:-1]
-    r = grid.nodes
-    x = (1.0 - r * r * v * v)[:-1]
+    r = grid.nodes[:-1]
+    x = 1.0 - r * r * v * v
     wp = well.eval(x, 1, clamp=True)
-    res = grid.flux_residual(v, grid.N + 1)
-    res -= mass / eps**2 * wp * v[:-1]
+    res = grid.flux_residual(v, grid.N + 1, right=right)
+    res -= mass / eps**2 * wp * v
     return res, x, wp
 
 
 def _gl_assemble(grid, eps, well):
-    sd, so = grid.stiffness(grid.N + 1)
+    sd = grid.stiffness(grid.N + 1)[0]
     mass = grid.hat_weights(2)[:-1]
     r = grid.nodes[:-1]
 
     def assemble(vi):
-        v = np.append(vi, 1.0)
-        res, x, wp = _gl_residual_full(grid, eps, well, v)
+        res, x, wp = _gl_residual(grid, eps, well, vi, 1.0)
 
         def jacobian():
             wpp = well.eval(x, 2, clamp=True)
             diag = sd - mass / eps**2 * (wp - 2 * r**2 * vi**2 * wpp)
-            return sym_to_full(np.array([diag, np.append(so, 0.0)]))
+            return _tridiagonal_jacobian(grid, grid.N + 1, diag)
         return res, _lazy_solver(jacobian)
 
     return assemble
 
 
-def _extended_residual_full(grid, eps, eta, well, penalty, v, g):
-    """Residuals of the v and g equations at nodes 0..n-2, with the well's
-    argument x, W'(x) and Wt'(g²) at nodes 0..n-2."""
+def _extended_residual(grid, eps, eta, well, penalty, v, g, right):
+    """Residuals of the v and g equations at nodes 0..n-2, interleaved as
+    Newton orders the unknowns (right = the Dirichlet values of v and g),
+    with the well's argument x, W'(x) and Wt'(g²) there."""
     mv = grid.hat_weights(2)[:-1]
     mg = grid.hat_weights(0)[:-1]
-    r = grid.nodes
-    x = (1.0 - r * r * v * v - g * g)[:-1]
+    r = grid.nodes[:-1]
+    x = 1.0 - r * r * v * v - g * g
     wp = well.eval(x, 1, clamp=True)
-    tp = penalty.eval((g * g)[:-1], 1, clamp=True)
-    res_v = grid.flux_residual(v, grid.N + 1)
-    res_g = grid.flux_residual(g, grid.N - 1)
-    res_v -= mv / eps**2 * wp * v[:-1]
-    res_g -= mg * (wp / eps**2 - tp / eta**2) * g[:-1]
-    return res_v, res_g, x, wp, tp
+    tp = penalty.eval(g * g, 1, clamp=True)
+    res = np.empty(2 * v.size)
+    res_v = grid.flux_residual(v, grid.N + 1, out=res[0::2], right=right[0])
+    res_g = grid.flux_residual(g, grid.N - 1, out=res[1::2], right=right[1])
+    res_v -= mv / eps**2 * wp * v
+    res_g -= mg * (wp / eps**2 - tp / eta**2) * g
+    return res, x, wp, tp
 
 
 def _extended_assemble(grid, eps, eta, well, penalty):
@@ -194,13 +222,18 @@ def _extended_assemble(grid, eps, eta, well, penalty):
     mv = grid.hat_weights(2)[:-1]
     mg = grid.hat_weights(0)[:-1]
     r = grid.nodes[:-1]
-    m = grid.n - 1
+
+    def constant_band():
+        ab = np.zeros((5, 2 * grid.n - 2))
+        ab[0, 2::2] = ab[4, 0:-2:2] = ov      # (2j, 2j+2) and transpose
+        ab[0, 3::2] = ab[4, 1:-2:2] = og      # (2j+1, 2j+3) and transpose
+        return ab, _interleave(_neighbour_max(ov), _neighbour_max(og))
+
+    band, off_max = grid._cached(("newton_band", "extended"), constant_band)
 
     def assemble(z):
-        v = np.append(z[0::2], 1.0)
-        g = np.append(z[1::2], 0.0)
-        res_v, res_g, x, wp, tp = _extended_residual_full(
-            grid, eps, eta, well, penalty, v, g)
+        res, x, wp, tp = _extended_residual(grid, eps, eta, well, penalty,
+                                            z[0::2], z[1::2], (1.0, 0.0))
 
         def jacobian():
             gg = z[1::2]
@@ -208,41 +241,39 @@ def _extended_assemble(grid, eps, eta, well, penalty):
             wpp = well.eval(x, 2, clamp=True)
             tpp = penalty.eval(g2, 2, clamp=True)
             rv = r * z[0::2]
-            ab = np.zeros((5, 2 * m))
+            ab = band.copy()
             ab[2, 0::2] = sv - mv / eps**2 * (wp - 2 * rv * rv * wpp)
             ab[2, 1::2] = sg - mg * ((wp - 2 * gg * gg * wpp) / eps**2
                                      - (tp + 2 * gg * gg * tpp) / eta**2)
             ab[1, 1::2] = mv / eps**2 * 2 * z[0::2] * gg * wpp  # (2j, 2j+1)
             ab[3, 0::2] = mg / eps**2 * 2 * r * rv * gg * wpp   # (2j+1, 2j)
-            ab[0, 2::2] = ab[4, 0:-2:2] = ov      # (2j, 2j+2) and transpose
-            ab[0, 3::2] = ab[4, 1:-2:2] = og      # (2j+1, 2j+3) and transpose
-            return ab
-        return _interleave(res_v, res_g), _lazy_solver(jacobian)
+            row_max = np.maximum(off_max, np.abs(ab[2]))
+            np.maximum(row_max[0::2], np.abs(ab[1, 1::2]), out=row_max[0::2])
+            np.maximum(row_max[1::2], np.abs(ab[3, 0::2]), out=row_max[1::2])
+            return ab, row_max
+        return res, _lazy_solver(jacobian)
 
     return assemble
 
 
-def _sphere_residual_full(grid, eta, penalty, theta):
-    """Residual of the θ equation at nodes 0..n-2, with Wt'(cos²θ) at nodes
-    0..n-2."""
+def _sphere_residual(grid, eta, penalty, theta, right):
+    """Residual of the θ equation at nodes 0..n-2, with Wt'(cos²θ) there."""
     m_cent = grid.hat_weights(-2)[:-1]
     m0 = grid.hat_weights(0)[:-1]
-    t = theta[:-1]
-    sc = np.sin(t) * np.cos(t)
-    tp = penalty.eval(np.cos(t)**2, 1, clamp=True)
-    res = grid.flux_residual(theta, grid.N - 1)
+    sc = np.sin(theta) * np.cos(theta)
+    tp = penalty.eval(np.cos(theta)**2, 1, clamp=True)
+    res = grid.flux_residual(theta, grid.N - 1, right=right)
     res += (grid.N - 1) * m_cent * sc - m0 / eta**2 * tp * sc
     return res, tp
 
 
 def _sphere_assemble(grid, eta, penalty):
-    sd, so = grid.stiffness(grid.N - 1)
+    sd = grid.stiffness(grid.N - 1)[0]
     m_cent = grid.hat_weights(-2)[:-1]
     m0 = grid.hat_weights(0)[:-1]
 
     def assemble(ti):
-        res, tp = _sphere_residual_full(grid, eta, penalty,
-                                        np.append(ti, 0.5 * math.pi))
+        res, tp = _sphere_residual(grid, eta, penalty, ti, 0.5 * math.pi)
 
         def jacobian():
             cos2 = np.cos(2 * ti)
@@ -250,7 +281,7 @@ def _sphere_assemble(grid, eta, penalty):
             tpp = penalty.eval(np.cos(ti)**2, 2, clamp=True)
             diag = sd + (grid.N - 1) * m_cent * cos2
             diag -= m0 / eta**2 * (tp * cos2 - 0.5 * tpp * sin2 * sin2)
-            return sym_to_full(np.array([diag, np.append(so, 0.0)]))
+            return _tridiagonal_jacobian(grid, grid.N - 1, diag)
         return res, _lazy_solver(jacobian)
 
     return assemble
@@ -290,7 +321,8 @@ class GLProfile(_Amplitude):
     solver_trace: list = field(repr=False, default_factory=list)
 
     def _residual_parts(self):
-        return _gl_residual_full(self.grid, self.eps, self.well, self.v)[:1]
+        return _gl_residual(self.grid, self.eps, self.well, self.v[:-1],
+                            self.v[-1])[:1]
 
 
 @dataclass(frozen=True)
@@ -313,9 +345,10 @@ class ExtendedProfile(_Amplitude):
     flags: tuple = ()
 
     def _residual_parts(self):
-        return _extended_residual_full(self.grid, self.eps, self.eta,
-                                       self.well, self.penalty, self.v,
-                                       self.g)[:2]
+        res = _extended_residual(self.grid, self.eps, self.eta, self.well,
+                                 self.penalty, self.v[:-1], self.g[:-1],
+                                 (self.v[-1], self.g[-1]))[0]
+        return res[0::2], res[1::2]
 
 
 @dataclass(frozen=True)
@@ -335,8 +368,8 @@ class SphereProfile(_Record):
     solver_trace: list = field(repr=False, default_factory=list)
 
     def _residual_parts(self):
-        return _sphere_residual_full(self.grid, self.eta, self.penalty,
-                                     self.theta)[:1]
+        return _sphere_residual(self.grid, self.eta, self.penalty,
+                                self.theta[:-1], self.theta[-1])[:1]
 
 
 _RECORDS = {cls.model: cls for cls in (GLProfile, ExtendedProfile,

@@ -133,7 +133,7 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray,
             try:
                 # unscaled on purpose: with row scaling, inverse iteration
                 # stalls at backward error ~3.5e-8 on stability blocks
-                solve = lu_solver(sym_to_full(Ab - sigma * Mb), scale=False)
+                solve = lu_solver(sym_to_full(Ab - sigma * Mb))
                 for _ in range(3):
                     y = solve(sym_matvec(Mb, x))
                     nrm = math.sqrt(abs(sym_matvec(Mb, y) @ y))

@@ -52,6 +52,25 @@ def _graded_band(rng, b, m, decades):
     return _band(A, b), A
 
 
+def _row_maxima(ab):
+    """Largest |entry| of each matrix row, by a per-diagonal loop over the
+    entries inside the matrix."""
+    b = ab.shape[0] // 2
+    m = ab.shape[1]
+    rs = np.zeros(m)
+    for k in range(2 * b + 1):
+        d = k - b                          # ab[k, j] holds A[j + d, j]
+        j0, j1 = max(0, -d), min(m, m - d)
+        rows = slice(j0 + d, j1 + d)
+        rs[rows] = np.maximum(rs[rows], np.abs(ab[k, j0:j1]))
+    return rs
+
+
+def _scaling(ab, scale):
+    """What lu_solver is given: the row maxima, or None for no scaling."""
+    return _row_maxima(ab) if scale else None
+
+
 def _reference_solver(ab, scale):
     """Row scaling by a per-diagonal loop, then scipy.linalg.solve_banded:
     the bits lu_solver must reproduce."""
@@ -60,12 +79,7 @@ def _reference_solver(ab, scale):
     ab = ab.copy()
     rs = np.ones(m)
     if scale:
-        rs = np.zeros(m)
-        for k in range(2 * b + 1):
-            d = k - b                      # ab[k, j] holds A[j + d, j]
-            j0, j1 = max(0, -d), min(m, m - d)
-            rows = slice(j0 + d, j1 + d)
-            rs[rows] = np.maximum(rs[rows], np.abs(ab[k, j0:j1]))
+        rs = _row_maxima(ab)
         rs = np.where(rs > 0, rs, 1.0)
         for k in range(2 * b + 1):
             d = k - b
@@ -82,7 +96,7 @@ def test_lu_solver_matches_dense_solve(b, seed):
     ab, A = _graded_band(rng, b, m, decades=40)
     x_true = rng.standard_normal(m)
     rhs = A @ x_true
-    got = lu_solver(ab)(rhs)
+    got = lu_solver(ab, _row_maxima(ab))(rhs)
     ref = np.linalg.solve(A, rhs)
     assert np.allclose(got, ref, rtol=1e-10, atol=1e-12)
     assert np.allclose(got, x_true, rtol=1e-10, atol=1e-12)
@@ -98,10 +112,15 @@ def test_lu_solver_matches_row_scaled_solve_banded(b, seed, scale):
     # entries outside the matrix are never read
     ab[:b, 0] = rng.standard_normal(b)
     ab[b + 1:, -1] = rng.standard_normal(b)
-    solve, ref = lu_solver(ab, scale=scale), _reference_solver(ab, scale)
-    for _ in range(3):                     # one factorization, three solves
-        rhs = rng.standard_normal(m) * 10.0 ** rng.uniform(-20, 20, m)
-        assert np.array_equal(solve(rhs), ref(rhs))
+    # a diagonal of structural zeros, as in the two-field Newton band
+    sparse = ab.copy()
+    sparse[b - 1, 1:] = 0.0
+    for band in (ab, sparse):
+        solve = lu_solver(band, _scaling(band, scale))
+        ref = _reference_solver(band, scale)
+        for _ in range(3):                 # one factorization, three solves
+            rhs = rng.standard_normal(m) * 10.0 ** rng.uniform(-20, 20, m)
+            assert np.array_equal(solve(rhs), ref(rhs))
 
 
 @pytest.mark.parametrize("scale", [True, False])
@@ -112,16 +131,17 @@ def test_lu_solver_rejects_singular_and_nonfinite(b, scale):
     ab, A = _graded_band(rng, b, m, decades=10)
     rhs = np.ones(m)
     singular = A.copy()
-    singular[7] = 0.0
+    singular[7] = 0.0                      # a zero row: its maximum is 0
+    singular = _band(singular, b)
     with pytest.raises(np.linalg.LinAlgError):
-        lu_solver(_band(singular, b), scale=scale)(rhs)
+        lu_solver(singular, _scaling(singular, scale))(rhs)
     bad = ab.copy()
     bad[b, 3] = np.nan
     with pytest.raises(ValueError):
-        lu_solver(bad, scale=scale)(rhs)
+        lu_solver(bad, _scaling(bad, scale))(rhs)
     rhs[5] = np.nan
     with pytest.raises(ValueError):
-        lu_solver(ab, scale=scale)(rhs)
+        lu_solver(ab, _scaling(ab, scale))(rhs)
 
 
 def _graded_tridiagonal_pencil(rng, m, decades):
@@ -163,8 +183,11 @@ def test_lu_solver_leaves_its_input_alone():
     rng = np.random.default_rng(7)
     ab, _ = _graded_band(rng, 2, 30, decades=10)
     before = ab.copy()
-    lu_solver(ab)(np.ones(30))
+    row_max = _row_maxima(ab)
+    rs_before = row_max.copy()
+    lu_solver(ab, row_max)(np.ones(30))
     assert np.array_equal(ab, before)
+    assert np.array_equal(row_max, rs_before)
 
 
 @pytest.mark.parametrize("b", [1, 2, 3])
@@ -231,7 +254,7 @@ def _lapack_outputs():
     out = []
     for b in (1, 2):
         ab, _ = _graded_band(rng, b, 60, decades=30)
-        solve = lu_solver(ab)
+        solve = lu_solver(ab, _row_maxima(ab))
         out += [solve(rng.standard_normal(60)) for _ in range(2)]
     for Ab, Mb in (_graded_tridiagonal_pencil(rng, 50, decades=4),
                    _banded_pencil(rng, 2, 50)):

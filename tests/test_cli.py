@@ -305,11 +305,17 @@ def test_argument_validation(capsys):
         ["eigen", "--N", "3", "--W", "quadratic",
          "--eps-sweep", "0.1:0.4:x"],
         ["stability", "--N", "3", "--point", "eta=x"],
+        # an explicit --model without its parameter
+        ["profile", "--N", "3", "--model", "gl", "--W", "quadratic"],
+        ["profile", "--N", "3", "--model", "sphere", "--Wt", "linear"],
+        ["energy", "--N", "3", "--model", "extended", "--W", "quadratic",
+         "--Wt", "linear", "--eps", "0.1"],
     ]
     for argv in cases:
         assert main(argv) == 1
         payload = _one_line_json(capsys.readouterr().err)
         assert payload["error"] == "InputError"
+    assert payload["message"] == "--model extended needs --eta"
 
 
 def test_potential_text_forms(tmp_path, capsys):

@@ -288,6 +288,11 @@ def test_flux_stencil_matches_face_loops(N, n, grading):
             c = grid.face_coeffs(power)
             assert np.array_equal(grid.flux_residual(u, power),
                                   _ref_flux_residual(c, u))
+            # the interior samples and the Dirichlet value, into a view
+            out = np.full(2 * (grid.n - 1), np.nan)
+            grid.flux_residual(u[:-1], power, out=out[1::2], right=u[-1])
+            assert np.array_equal(out[1::2], _ref_flux_residual(c, u))
+            assert np.isnan(out[0::2]).all()
             diag, off = grid.stiffness(power)
             ref_diag, ref_off = _ref_stiffness(c)
             assert np.array_equal(diag, ref_diag)

@@ -415,24 +415,26 @@ def test_equator_pohozaev_identity():
 
 def _jacobians(monkeypatch, assemble, u):
     """Dense Jacobian that assemble(u) hands to the banded LU, and the central
-    difference of assemble's residual at u, column by column."""
+    difference of assemble's residual at u, column by column. The row maxima
+    handed over with the band are those of the dense Jacobian."""
     from vortexlab import profiles
     captured = []
     real = profiles.lu_solver
 
-    def capture(ab):
-        captured.append(ab)
-        return real(ab)
+    def capture(ab, row_max):
+        captured.append((ab, row_max))
+        return real(ab, row_max)
 
     monkeypatch.setattr(profiles, "lu_solver", capture)
     res, solve = assemble(u)
     solve(-res)
-    ab = captured[0]
+    ab, row_max = captured[0]
     b, m = (ab.shape[0] - 1) // 2, ab.shape[1]
     J = np.zeros((m, m))
     for i in range(m):
         for j in range(max(0, i - b), min(m, i + b + 1)):
             J[i, j] = ab[b + i - j, j]
+    assert np.array_equal(row_max, np.max(np.abs(J), axis=1))
     fd = np.empty((m, m))
     for k in range(m):
         h = 1e-6 * max(1.0, abs(u[k]))
@@ -475,6 +477,97 @@ def test_sphere_jacobian_matches_differences(monkeypatch):
     J, fd = _jacobians(monkeypatch, _sphere_assemble(JAC_GRID, 0.8, QUAD),
                        theta)
     _assert_rows_close(J, fd)
+
+
+# ---------------------------------------------------------------------------
+# Newton residuals against the full-array formulas they replaced: the face
+# fluxes of np.append-ed fields (the Dirichlet value at node n-1) minus the
+# well and penalty terms
+
+
+def _flux_rows(grid, u, power):
+    """Rows 0..n-2 of -(r^power u')' on full-grid samples u."""
+    flux = grid.face_coeffs(power) * (u[1:] - u[:-1])
+    res = np.empty(grid.n - 1)
+    res[0] = -flux[0]
+    res[1:] = flux[:-1] - flux[1:]
+    return res
+
+
+def _gl_oracle(grid, eps, well, v):
+    r = grid.nodes
+    x = (1.0 - r * r * v * v)[:-1]
+    wp = well.eval(x, 1, clamp=True)
+    res = _flux_rows(grid, v, grid.N + 1)
+    res -= grid.hat_weights(2)[:-1] / eps**2 * wp * v[:-1]
+    return (res,)
+
+
+def _extended_oracle(grid, eps, eta, well, penalty, v, g):
+    r = grid.nodes
+    x = (1.0 - r * r * v * v - g * g)[:-1]
+    wp = well.eval(x, 1, clamp=True)
+    tp = penalty.eval((g * g)[:-1], 1, clamp=True)
+    res_v = _flux_rows(grid, v, grid.N + 1)
+    res_g = _flux_rows(grid, g, grid.N - 1)
+    res_v -= grid.hat_weights(2)[:-1] / eps**2 * wp * v[:-1]
+    res_g -= grid.hat_weights(0)[:-1] * (wp / eps**2 - tp / eta**2) * g[:-1]
+    return res_v, res_g
+
+
+def _sphere_oracle(grid, eta, penalty, theta):
+    t = theta[:-1]
+    sc = np.sin(t) * np.cos(t)
+    tp = penalty.eval(np.cos(t)**2, 1, clamp=True)
+    res = _flux_rows(grid, theta, grid.N - 1)
+    res += ((grid.N - 1) * grid.hat_weights(-2)[:-1] * sc
+            - grid.hat_weights(0)[:-1] / eta**2 * tp * sc)
+    return (res,)
+
+
+@pytest.mark.parametrize("grid", [JAC_GRID,
+                                  make_grid(5, 800, {"graded": 3.0})],
+                         ids=["jac_grid", "graded_800"])
+@pytest.mark.parametrize("seed", range(3))
+def test_newton_residuals_match_full_array_formulas(grid, seed):
+    from vortexlab.profiles import (ExtendedProfile, GLProfile, SphereProfile,
+                                    _extended_assemble, _gl_assemble,
+                                    _interleave, _sphere_assemble)
+    rng = np.random.default_rng(seed)
+    m = grid.n - 1
+    well = (QUAD, Potential.flat_well(0.3))[seed % 2]
+    eps, eta = rng.uniform(0.05, 1.0, 2)
+    # iterates as Newton meets them, the well's argument on both sides of
+    # its domain
+    v = 1.0 + 0.5 * rng.standard_normal(m)
+    g = 0.6 * rng.standard_normal(m)
+    theta = rng.uniform(-0.5, 2.0, m)
+    cases = [
+        (_gl_assemble(grid, eps, well), v,
+         GLProfile(grid=grid, eps=eps, well=well, v=np.append(v, 1.0),
+                   residual_norm=math.nan),
+         _gl_oracle(grid, eps, well, np.append(v, 1.0))),
+        (_extended_assemble(grid, eps, eta, well, LIN), _interleave(v, g),
+         ExtendedProfile(grid=grid, eps=eps, eta=eta, well=well, penalty=LIN,
+                         v=np.append(v, 1.0), g=np.append(g, 0.0),
+                         branch="escaping", residual_norm=math.nan),
+         _extended_oracle(grid, eps, eta, well, LIN, np.append(v, 1.0),
+                          np.append(g, 0.0))),
+        (_sphere_assemble(grid, eta, QUAD), theta,
+         SphereProfile(grid=grid, eta=eta, penalty=QUAD,
+                       theta=np.append(theta, 0.5 * math.pi),
+                       residual_norm=math.nan),
+         _sphere_oracle(grid, eta, QUAD, np.append(theta, 0.5 * math.pi))),
+    ]
+    for assemble, u, record, oracle in cases:
+        newton, k = assemble(u)[0], len(oracle)     # interleaved by unknown
+        assert newton.size == k * m
+        assert all(np.array_equal(newton[i::k], o)
+                   for i, o in enumerate(oracle))
+        parts = record._residual_parts()
+        assert len(parts) == len(oracle)
+        assert all(np.array_equal(p, o) for p, o in zip(parts, oracle))
+        assert residual(record) == max(np.max(np.abs(o)) for o in oracle)
 
 
 # ---------------------------------------------------------------------------
