@@ -37,7 +37,7 @@ from .profiles import (  # noqa: F401
 )
 from .spectral import (  # noqa: F401
     EigenPair,
-    SLOperator,
+    RadialPencil,
     assemble_radial_operator,
     find_epsilon0,
     gl_linearization_eigenvalue,
@@ -54,7 +54,6 @@ from .phase import (  # noqa: F401
 )
 from .stability import (  # noqa: F401
     EquatorInstability,
-    ModeBlock,
     StabilityReport,
     decomposition_check,
     divfree_certificate,
@@ -66,5 +65,8 @@ from .stability import (  # noqa: F401
     spectrum_summary,
     sphere_eigenvalues,
 )
+
+# the radial operator and the mode blocks are one pencil type
+SLOperator = ModeBlock = RadialPencil
 
 __version__ = "0.1.0"

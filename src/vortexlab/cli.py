@@ -65,8 +65,7 @@ class RunConfig:
             raise InputError("--confirm must lie in [0, 1]")
         if self.jobs < 1:
             raise InputError("--jobs must be >= 1")
-        if self.tol <= 0:
-            raise InputError("--tol must be positive")
+        _solver_options(self)
 
     def resolved(self) -> dict:
         out = asdict(self)

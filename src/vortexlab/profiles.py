@@ -61,6 +61,12 @@ class SolverOptions:
     max_iter: int = 60
     g_seed: float = 0.5           # escaping initial guess amplitude
 
+    def __post_init__(self):
+        if not 0.0 < self.tol < math.inf:
+            raise InputError("tol must be positive and finite")
+        if not self.max_iter >= 1:
+            raise InputError("max_iter must be >= 1")
+
 
 MIN_DAMPING = 2.0**-16
 ESCAPE_TOL = 1e-6                 # branch disambiguation threshold on max g

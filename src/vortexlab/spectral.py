@@ -1,20 +1,24 @@
-"""Radial Sturm-Liouville eigenproblems on the unit ball.
+"""Radial pencils on the unit ball and their smallest eigenpairs.
 
-Assembles the weighted form  ∫ (q'^2 + (mu/r^2) q^2 + V q^2) r^(N-1) dr
-against the mass  ∫ q^2 r^(N-1) dr  as a symmetric banded pencil (A, M) and
-computes its smallest eigenpair by inertia bisection plus inverse iteration.
-The banded machinery is bandwidth-generic so the coupled stability blocks can
-reuse it; here everything is tridiagonal.
+Every quadratic form that vortexlab diagonalizes is radial: the GL
+linearization  ∫ (q'^2 + (mu/r^2) q^2 + V q^2) r^(N-1) dr  behind the escape
+criterion and the threshold eps0, and the per-harmonic second-variation
+blocks of stability.py. Each is one RadialPencil: fields interleaved per
+node, assembled by _assemble_pencil from RadialGrid.stiffness (one weight per
+field) and consistent-P1 zero-order terms against the weighted P1 mass, as a
+symmetric banded pencil (A, M). pencil_smallest computes its smallest
+eigenpair by inertia bisection plus inverse iteration.
 
-Conventions: the stiffness is RadialGrid.stiffness (Dirichlet at r = 1,
-zero-flux closure at r_min); its r_min row is kept when mu = 0 and dropped
-(Dirichlet) when mu > 0, since a nonzero angular term forces q(0) = 0.
+Conventions: Dirichlet at r = 1. At r_min the pencil's first active node
+`start` is 0 (the zero-flux closure, which the radial operator keeps when
+mu = 0) or 1 (Dirichlet, since a nonzero angular term forces q(0) = 0, and
+in every mode block).
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -186,31 +190,124 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray,
 
 
 @dataclass(frozen=True)
-class SLOperator:
-    """Discrete radial Sturm-Liouville pencil on (0, 1]."""
+class RadialPencil:
+    """Symmetric banded pencil (A, M) of a radial quadratic form.
+
+    The unknowns are the fields' values on the active nodes start..n-2,
+    interleaved per node in field order. Each field u adds
+    weights[u] * ∫ (u'^2 against the stiffness, u^2 against the mass)
+    r^(N-1) dr, and each term (a, b, c, shift) adds c a b to the form's
+    integrand against r^(N-1+shift), with c node samples or a constant. A and
+    M are lower-band storage, assembled from those on construction. angular
+    is the angular eigenvalue: lambda of a mode block, mu of a radial
+    operator."""
     grid: RadialGrid
-    N: int
-    mu: float
-    V: np.ndarray          # node samples, full grid
-    A: np.ndarray          # stiffness + zero-order terms, lower band (2, m)
-    M: np.ndarray          # consistent P1 mass, lower band (2, m)
-    start: int             # first active node index (0 if mu == 0 else 1)
+    fields: tuple
+    weights: dict
+    terms: tuple
+    angular: float
+    start: int = 1
+    A: np.ndarray = field(init=False, repr=False)
+    M: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        A, M = _assemble_pencil(self.grid, self.fields, self.weights,
+                                self.terms, self.start)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "M", M)
 
     @property
     def size(self) -> int:
         return self.A.shape[1]
 
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        """Active-node vector -> full-grid vector with Dirichlet zeros."""
-        q = np.zeros(self.grid.n)
-        q[self.start:self.start + self.size] = x
-        return q
+    def embed(self, x: np.ndarray) -> dict:
+        """Unknowns -> per-field full-grid arrays, zero off the active
+        nodes."""
+        F = len(self.fields)
+        out = {}
+        for i, name in enumerate(self.fields):
+            out[name] = np.zeros(self.grid.n)
+            out[name][self.start:-1] = x[i::F]
+        return out
+
+    def interior(self, fields: dict) -> np.ndarray:
+        """Per-field full-grid arrays -> unknowns (the inverse of embed on
+        fields that vanish off the active nodes)."""
+        F = len(self.fields)
+        x = np.empty(self.size)
+        for i, name in enumerate(self.fields):
+            x[i::F] = np.asarray(fields[name])[self.start:-1]
+        return x
+
+    def sector(self, *names) -> "RadialPencil":
+        """Sub-pencil on a subset of fields; valid only when couplings to the
+        dropped fields vanish (checked)."""
+        keep = tuple(n for n in self.fields if n in names)
+        if len(keep) != len(names):
+            raise InputError(f"unknown fields {names} in block {self.fields}")
+        for (a, b, c, _shift) in self.terms:
+            if (a in keep) != (b in keep) and np.max(np.abs(c)) > 1e-14:
+                raise InputError(f"cannot extract sector {keep}: coupling "
+                                 f"{a}-{b} is nonzero")
+        return replace(self, fields=keep, terms=tuple(
+            t for t in self.terms if t[0] in keep and t[1] in keep))
+
+
+def _assemble_pencil(grid, fields, weights, terms, start=1):
+    """Lower bands (A, M) of the RadialPencil with these fields, weights and
+    terms (see there); terms on other fields are skipped."""
+    n = grid.n
+    F = len(fields)
+    pos = {name: i for i, name in enumerate(fields)}
+    size = F * (n - 1 - start)
+    A = np.zeros((2 * F, size))
+    M = np.zeros((2 * F, size))
+    act, cut = slice(start, n - 1), slice(start, n - 2)   # diagonal, offdiag
+
+    sd, so = grid.stiffness(grid.N - 1)
+    md, mo = grid.p1_mass(0)
+    # field o of node j is column o + F*j: the field's nodes are the
+    # stride-F slice [o::F], and all but its last node [o:size-F:F]; the
+    # fields' slices are disjoint, so each is written once
+    for name in fields:
+        o = pos[name]
+        w = weights[name]
+        np.multiply(w, sd[act], out=A[0, o::F])
+        np.multiply(w, so[cut], out=A[F, o:size - F:F])
+        np.multiply(w, md[act], out=M[0, o::F])
+        np.multiply(w, mo[cut], out=M[F, o:size - F:F])
+
+    for (a, b, c, shift) in terms:
+        if a not in pos or b not in pos:
+            continue
+        if np.ndim(c):
+            d, off = grid.p1_weighted_mass(c, shift)
+            di, offi = d[act], off[cut]
+        else:
+            d, off = grid.p1_mass(shift)
+            di, offi = c * d[act], c * off[cut]
+        oa, ob = pos[a], pos[b]
+        if a == b:
+            A[0, oa::F] += di
+            A[F, oa:size - F:F] += offi
+        else:
+            # cross coupling c(r) a b: each undirected matrix entry is half the
+            # form coefficient since x^T A x counts it twice; (a_j, b_{j+1})
+            # and (a_{j+1}, b_j) sit F + ob - oa and F + oa - ob below the
+            # diagonal
+            lo, hi = min(oa, ob), max(oa, ob)
+            A[hi - lo, lo::F] += 0.5 * di
+            A[F + ob - oa, oa:size - F:F] += 0.5 * offi
+            A[F + oa - ob, ob:size - F:F] += 0.5 * offi
+    A.setflags(write=False)
+    M.setflags(write=False)
+    return A, M
 
 
 def assemble_radial_operator(N: int, grid: RadialGrid, mu: float,
-                             V) -> SLOperator:
-    """Banded pencil for ∫(q'^2 + (mu/r^2) q^2 + V q^2) r^(N-1) dr vs the
-    r^(N-1)-weighted mass.
+                             V) -> RadialPencil:
+    """Pencil of ∫(q'^2 + (mu/r^2) q^2 + V q^2) r^(N-1) dr vs the
+    r^(N-1)-weighted mass, in the one field q.
 
     Stiffness is the grid's flux form (RadialGrid.stiffness); the
     zero-order terms and the mass are consistent piecewise-linear matrices
@@ -231,29 +328,11 @@ def assemble_radial_operator(N: int, grid: RadialGrid, mu: float,
     if not np.all(np.isfinite(V)):
         raise InputError("V must be bounded on the nodes")
 
-    n = grid.n
     start = 0 if mu == 0 else 1
-    m = n - 1 - start
-    if m < 2:
+    if grid.n - 1 - start < 2:
         raise InputError("grid too small for the eigenproblem")
-
-    sd, so = grid.stiffness(N - 1)
-    vd, vo = grid.p1_weighted_mass(V, 0)
-    diag = sd[start:] + vd[start:start + m]
-    off = so[start:] + vo[start:start + m - 1]
-    if mu > 0:
-        cd, co = grid.p1_mass(-2)
-        diag += mu * cd[start:start + m]
-        off += mu * co[start:start + m - 1]
-
-    p1d, p1o = grid.p1_mass(0)
-    A = np.array([diag, np.append(off, 0.0)])
-    Mo = np.append(p1o[start:start + m - 1], 0.0)
-    M = np.array([p1d[start:start + m], Mo])
-    A.setflags(write=False)
-    M.setflags(write=False)
-    return SLOperator(grid=grid, N=N, mu=float(mu), V=V, A=A, M=M,
-                      start=start)
+    terms = (("q", "q", V, 0),) + ((("q", "q", mu, -2),) if mu > 0 else ())
+    return RadialPencil(grid, ("q",), {"q": 1.0}, terms, float(mu), start)
 
 
 @dataclass(frozen=True)
@@ -275,7 +354,7 @@ class EigenPair:
         return "r,q\n" + csv_rows(self.grid.nodes, self.q)
 
 
-def smallest_eigenpair(op: SLOperator,
+def smallest_eigenpair(op: RadialPencil,
                        q_init: np.ndarray | None = None) -> EigenPair:
     """Smallest eigenpair of the assembled pencil via inertia bisection +
     inverse iteration.
@@ -289,22 +368,20 @@ def smallest_eigenpair(op: SLOperator,
     vector's entries are not tested for sign. (A Sturm-Liouville ground
     state has one sign, but inverse iteration leaves noise of the order of
     its backward error where the mode is exponentially small.)"""
-    active = slice(op.start, op.start + op.size)
     if q_init is None:
-        x0 = 1.0 - op.grid.nodes[active] ** 2
-    else:
-        q_init = np.asarray(q_init, dtype=float)
-        if q_init.shape != op.grid.nodes.shape:
-            raise InputError("q_init must be sampled on the grid nodes")
-        x0 = q_init[active]
-    lam, x, resid, _ = pencil_smallest(op.A, op.M, x0=x0)
-    q = op.embed(x)
+        q_init = 1.0 - op.grid.nodes ** 2
+    q_init = np.asarray(q_init, dtype=float)
+    if q_init.shape != op.grid.nodes.shape:
+        raise InputError("q_init must be sampled on the grid nodes")
+    lam, x, resid, _ = pencil_smallest(op.A, op.M,
+                                       x0=op.interior({"q": q_init}))
+    q = op.embed(x)["q"]
     nrm = math.sqrt(op.grid.quadrature(q * q))
     q = q / nrm
     if q[op.start] < 0:
         q = -q
     q.setflags(write=False)
-    return EigenPair(eigenvalue=lam, q=q, grid=op.grid, mu=op.mu,
+    return EigenPair(eigenvalue=lam, q=q, grid=op.grid, mu=op.angular,
                      residual=resid)
 
 
@@ -313,7 +390,7 @@ def smallest_eigenpair(op: SLOperator,
 
 
 def gl_linearization_operator(W: Potential, eps: float, grid: RadialGrid,
-                              f: np.ndarray) -> SLOperator:
+                              f: np.ndarray) -> RadialPencil:
     """The amplitude linearization's pencil around node samples f of a
     vortex profile: potential V(r) = -W'(1 - f(r)^2)/eps^2, no angular
     term. At (f, 0) it is also the g-operator of the two-field model
@@ -388,7 +465,7 @@ def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 < lo < hi):
         raise InputError("bracket must satisfy 0 < lo < hi")
-    if tol <= 0:
+    if not tol > 0:
         raise InputError("tol must be positive")
     if grid is None:
         grid = make_grid(N, **DEFAULT_GRID)

@@ -3,14 +3,11 @@
 Perturbations decompose over sphere harmonics; each harmonic level lambda =
 k(k+N-2) yields an independent radial block coupling an amplitude field s, a
 tangential field psi (absent at lambda = 0), and — in the extended model — a
-transverse field q. Blocks are assembled as symmetric banded pencils with the
-same flux/consistent-P1 conventions as the scalar eigenproblems, so sector
-identities (e.g. the decoupled q-sector against the scalar linearization
-eigenvalue) hold at the discrete level, not just in the limit.
-
-Boundary conventions: every mode field is Dirichlet at both r_min and 1 (the
-admissible perturbations vanish near the origin puncture and on the sphere);
-verdicts are only reported after an r_min-refinement stability check.
+transverse field q. Each block is a spectral.RadialPencil, Dirichlet at r_min
+and 1 (the admissible perturbations vanish near the origin puncture and on
+the sphere), so sector identities (the decoupled q-sector against the
+scalar linearization) hold at the discrete level. Verdicts are only
+reported after an r_min-refinement stability check.
 """
 from __future__ import annotations
 
@@ -24,7 +21,8 @@ from .banded import sym_matvec
 from .core import (ConvergenceError, InputError, Potential, RadialGrid,
                    csv_rows, make_grid)
 from .profiles import ExtendedProfile, GLProfile, SphereProfile
-from .spectral import gl_linearization_eigenvalue, pencil_smallest
+from .spectral import (RadialPencil, gl_linearization_eigenvalue,
+                       pencil_smallest)
 
 _CONVERGED_RESIDUAL = 1e-6
 
@@ -76,8 +74,8 @@ def _form_params(profile, W, Wt, eps, eta) -> tuple:
 
 
 def _profile_terms(profile, W, Wt, eps, eta, lam):
-    """Fields, stiffness/mass weights and zero-order coefficient functions of
-    the lambda-mode quadratic form for the given background profile.
+    """Fields, per-field weights and zero-order coefficient functions of the
+    lambda-mode quadratic form for the given background profile.
 
     zero terms are (field_a, field_b, node values, radial shift): a == b adds
     values*a^2, a != b adds values*a*b to the integrand (against r^(N-1+shift)).
@@ -95,8 +93,7 @@ def _profile_terms(profile, W, Wt, eps, eta, lam):
         wtpp = Wt.eval(c2, 2)
         dth = grid.node_gradient(th)
         fields = ("p",) if lam == 0 else ("p", "psi")
-        stiff = {"p": 1.0, "psi": lam}
-        mass = {"p": 1.0, "psi": lam}
+        weights = {"p": 1.0, "psi": lam}
         terms = [
             ("p", "p", (lam + (N - 1) * (c2 - s2)) * one, -2),
             ("p", "p", (wtp * (s2 - c2) + 2.0 * wtpp * c2 * s2) / eta ** 2, 0),
@@ -109,7 +106,7 @@ def _profile_terms(profile, W, Wt, eps, eta, lam):
                 ("psi", "psi", -lam * mu0, 0),
                 ("p", "psi", -4.0 * lam * np.cos(th), -2),
             ]
-        return fields, stiff, mass, terms
+        return fields, weights, terms
 
     if isinstance(profile, GLProfile):
         f = profile.f
@@ -117,8 +114,7 @@ def _profile_terms(profile, W, Wt, eps, eta, lam):
         wp = W.eval(X, 1)
         wpp = W.eval(X, 2)
         fields = ("s",) if lam == 0 else ("s", "psi")
-        stiff = {"s": 1.0, "psi": lam}
-        mass = {"s": 1.0, "psi": lam}
+        weights = {"s": 1.0, "psi": lam}
         terms = [
             ("s", "s", (lam + N - 1) * one, -2),
             ("s", "s", -wp / eps ** 2 + 2.0 * wpp * f ** 2 / eps ** 2, 0),
@@ -129,7 +125,7 @@ def _profile_terms(profile, W, Wt, eps, eta, lam):
                 ("psi", "psi", -lam * wp / eps ** 2, 0),
                 ("s", "psi", -4.0 * lam * one, -2),
             ]
-        return fields, stiff, mass, terms
+        return fields, weights, terms
 
     if isinstance(profile, ExtendedProfile):
         f, g = profile.f, profile.g
@@ -140,8 +136,7 @@ def _profile_terms(profile, W, Wt, eps, eta, lam):
         wtp = Wt.eval(g2, 1)
         wtpp = Wt.eval(g2, 2)
         fields = ("s", "q") if lam == 0 else ("s", "psi", "q")
-        stiff = {"s": 1.0, "psi": lam, "q": 1.0}
-        mass = {"s": 1.0, "psi": lam, "q": 1.0}
+        weights = {"s": 1.0, "psi": lam, "q": 1.0}
         terms = [
             ("s", "s", (lam + N - 1) * one, -2),
             ("s", "s", (-wp + 2.0 * wpp * f ** 2) / eps ** 2, 0),
@@ -156,121 +151,12 @@ def _profile_terms(profile, W, Wt, eps, eta, lam):
                 ("psi", "psi", -lam * wp / eps ** 2, 0),
                 ("s", "psi", -4.0 * lam * one, -2),
             ]
-        return fields, stiff, mass, terms
+        return fields, weights, terms
 
     raise InputError(f"unsupported profile type {type(profile).__name__}")
 
 
-@dataclass(frozen=True)
-class ModeBlock:
-    """Symmetric banded pencil of one harmonic level's quadratic form.
-
-    Unknowns are the interior nodes (Dirichlet at r_min and 1), interleaved
-    per node in field order. A and M are lower-band storage."""
-    lam: float
-    fields: tuple
-    grid: RadialGrid
-    N: int
-    A: np.ndarray
-    M: np.ndarray
-    profile_kind: str
-    _terms: tuple                  # retained for sector extraction
-    stiff: dict                    # field -> stiffness weight
-    mass: dict                     # field -> mass weight
-
-    @property
-    def size(self) -> int:
-        return self.A.shape[1]
-
-    def embed(self, x: np.ndarray) -> dict:
-        """Interleaved interior vector -> per-field full-grid arrays."""
-        F = len(self.fields)
-        m = self.size // F
-        out = {}
-        for i, name in enumerate(self.fields):
-            q = np.zeros(self.grid.n)
-            q[1:1 + m] = x[i::F]
-            out[name] = q
-        return out
-
-    def interior(self, fields: dict) -> np.ndarray:
-        """Per-field full-grid arrays -> interleaved interior vector (the
-        inverse of embed on Dirichlet fields)."""
-        F = len(self.fields)
-        m = self.size // F
-        x = np.zeros(self.size)
-        for i, name in enumerate(self.fields):
-            x[i::F] = np.asarray(fields[name])[1:1 + m]
-        return x
-
-    def sector(self, *names) -> "ModeBlock":
-        """Sub-pencil on a subset of fields; valid only when couplings to the
-        dropped fields vanish (checked)."""
-        keep = tuple(n for n in self.fields if n in names)
-        if len(keep) != len(names):
-            raise InputError(f"unknown fields {names} in block {self.fields}")
-        dropped = set(self.fields) - set(keep)
-        for (a, b, vals, _shift) in self._terms:
-            if a != b and ((a in dropped) != (b in dropped)):
-                if float(np.max(np.abs(vals))) > 1e-14:
-                    raise InputError(
-                        f"cannot extract sector {keep}: coupling {a}-{b} "
-                        "is nonzero")
-        terms = tuple(t for t in self._terms
-                      if t[0] in keep and t[1] in keep)
-        A, M = _assemble_pencil(self.grid, keep, self.stiff, self.mass, terms)
-        return replace(self, fields=keep, A=A, M=M, _terms=terms)
-
-
-def _assemble_pencil(grid, fields, stiff, mass, terms):
-    n = grid.n
-    m = n - 2                       # interior nodes
-    F = len(fields)
-    pos = {name: i for i, name in enumerate(fields)}
-    size = F * m
-    bw = max(2 * F - 1, F)
-    A = np.zeros((bw + 1, size))
-    M = np.zeros((bw + 1, size))
-
-    sd, so = grid.stiffness(grid.N - 1)
-    sd, so = sd[1:], so[1:]         # Dirichlet at r_min too: interior nodes
-    md, mo = grid.p1_mass(0)
-    mdi, moi = md[1:n - 1], mo[1:n - 2]
-
-    # field o of node j is column o + F*j: the field's nodes are the
-    # stride-F slice [o::F], and all but its last node [o:size-F:F]
-    for name in fields:
-        o = pos[name]
-        w = stiff[name]
-        A[0, o::F] += w * sd
-        A[F, o:size - F:F] += w * so
-        M[0, o::F] += mass[name] * mdi
-        M[F, o:size - F:F] += mass[name] * moi
-
-    for (a, b, vals, shift) in terms:
-        if a not in pos or b not in pos:
-            continue
-        d, off = grid.p1_weighted_mass(vals, shift)
-        di, offi = d[1:n - 1], off[1:n - 2]
-        oa, ob = pos[a], pos[b]
-        if a == b:
-            A[0, oa::F] += di
-            A[F, oa:size - F:F] += offi
-        else:
-            # cross coupling c(r) a b: each undirected matrix entry is half the
-            # form coefficient since x^T A x counts it twice; (a_j, b_{j+1})
-            # and (a_{j+1}, b_j) sit F + ob - oa and F + oa - ob below the
-            # diagonal
-            lo, hi = min(oa, ob), max(oa, ob)
-            A[hi - lo, lo::F] += 0.5 * di
-            A[F + ob - oa, oa:size - F:F] += 0.5 * offi
-            A[F + oa - ob, ob:size - F:F] += 0.5 * offi
-    A.setflags(write=False)
-    M.setflags(write=False)
-    return A, M
-
-
-def mode_block(profile, W, Wt, eps, eta, lam) -> ModeBlock:
+def mode_block(profile, W, Wt, eps, eta, lam) -> RadialPencil:
     """Assemble the banded pencil of one harmonic level around a converged
     profile (see module docstring for conventions)."""
     grid = profile.grid
@@ -279,11 +165,8 @@ def mode_block(profile, W, Wt, eps, eta, lam) -> ModeBlock:
         raise InputError(
             f"profile residual {profile.residual_norm:.3e} too large: "
             "the second variation is only meaningful at a critical point")
-    fields, stiff, mass, terms = _profile_terms(profile, W, Wt, eps, eta, lam)
-    A, M = _assemble_pencil(grid, fields, stiff, mass, terms)
-    return ModeBlock(lam=float(lam), fields=fields, grid=grid, N=grid.N,
-                     A=A, M=M, profile_kind=type(profile).__name__,
-                     _terms=tuple(terms), stiff=stiff, mass=mass)
+    fields, weights, terms = _profile_terms(profile, W, Wt, eps, eta, lam)
+    return RadialPencil(grid, fields, weights, tuple(terms), float(lam))
 
 
 def mode_form_value(profile, W, Wt, eps, eta, lam, trial: dict) -> float:
@@ -293,7 +176,7 @@ def mode_form_value(profile, W, Wt, eps, eta, lam, trial: dict) -> float:
     its matrix plumbing."""
     grid = profile.grid
     _angular_check(grid.N, lam)
-    fields, stiff, mass, terms = _profile_terms(profile, W, Wt, eps, eta, lam)
+    fields, weights, terms = _profile_terms(profile, W, Wt, eps, eta, lam)
     missing = [f for f in fields if f not in trial]
     if missing:
         raise InputError(f"trial is missing fields {missing}")
@@ -307,7 +190,7 @@ def mode_form_value(profile, W, Wt, eps, eta, lam, trial: dict) -> float:
         proj[name] = u
     total = 0.0
     for name in fields:
-        total += stiff[name] * float(c @ np.diff(proj[name]) ** 2)
+        total += weights[name] * float(c @ np.diff(proj[name]) ** 2)
     for (a, b, vals, shift) in terms:
         d, off = grid.p1_weighted_mass(vals, shift)
         ua, ub = proj[a], proj[b]
@@ -316,7 +199,7 @@ def mode_form_value(profile, W, Wt, eps, eta, lam, trial: dict) -> float:
     return total
 
 
-def mode_min_eigenvalue(block: ModeBlock) -> float:
+def mode_min_eigenvalue(block: RadialPencil) -> float:
     """Smallest generalized eigenvalue of the block pencil."""
     return pencil_smallest(block.A, block.M)[0]
 
@@ -433,7 +316,7 @@ def equator_instability_value(N: int, Wt, eta: float, a: float, b: float,
     Wt = Potential.from_spec(Wt)
     if not (0.0 < b < a < 1.0):
         raise InputError("need 0 < b < a < 1")
-    if eta <= 0:
+    if not eta > 0:
         raise InputError("eta must be positive")
     if not isinstance(N, (int, np.integer)) or N < 2:
         raise InputError("N must be an integer >= 2")
@@ -452,12 +335,12 @@ def equator_instability_value(N: int, Wt, eta: float, a: float, b: float,
     inside = (r > b) & (r < a)
     q[inside] = np.sin(math.pi * np.log(r[inside] / b) / L) \
         * r[inside] ** (-(N - 2) / 2.0)
-    kinetic = float(grid.face_coeffs(N - 1) @ np.diff(q) ** 2)
-    cd, co = grid.p1_mass(-2)
-    cent = float(cd @ q ** 2) + float(co @ (2.0 * q[:-1] * q[1:]))
-    md, mo = grid.p1_mass(0)
-    mass = float(md @ q ** 2) + float(mo @ (2.0 * q[:-1] * q[1:]))
-    discrete = kinetic - (N - 1) * cent + wt0 / eta ** 2 * mass
+    # the sphere model's lambda = 0 block at the equator theta = pi/2
+    block = RadialPencil(grid, ("q",), {"q": 1.0},
+                         (("q", "q", -(N - 1.0), -2),
+                          ("q", "q", wt0 / eta ** 2, 0)), 0.0)
+    x = block.interior({"q": q})
+    discrete = float(sym_matvec(block.A, x) @ x)
     return EquatorInstability(N=int(N), eta=float(eta), a=float(a),
                               b=float(b), closed_form=closed, exact=exact,
                               discrete=discrete)

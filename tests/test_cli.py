@@ -305,6 +305,15 @@ def test_argument_validation(capsys):
         ["eigen", "--N", "3", "--W", "quadratic",
          "--eps-sweep", "0.1:0.4:x"],
         ["stability", "--N", "3", "--point", "eta=x"],
+        # Newton needs a finite positive tol and at least one step
+        ["profile", "--N", "3", "--W", "quadratic", "--eps", "0.3",
+         "--tol", "inf"],
+        ["profile", "--N", "3", "--W", "quadratic", "--eps", "0.3",
+         "--tol", "nan"],
+        ["profile", "--N", "3", "--W", "quadratic", "--eps", "0.3",
+         "--max-iter", "0"],
+        ["profile", "--N", "3", "--W", "quadratic", "--eps", "0.3",
+         "--max-iter", "-3"],
         # an explicit --model without its parameter
         ["profile", "--N", "3", "--model", "gl", "--W", "quadratic"],
         ["profile", "--N", "3", "--model", "sphere", "--Wt", "linear"],

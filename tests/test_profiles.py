@@ -154,6 +154,16 @@ def test_nan_parameters_rejected():
             solve()
 
 
+def test_solver_options_validation():
+    # an infinite tol let Newton stop at its start, and a NaN tol or a
+    # max_iter below 1 failed only after the work
+    for kw in ({"tol": math.inf}, {"tol": math.nan}, {"tol": 0.0},
+               {"tol": -1e-10}, {"max_iter": 0}, {"max_iter": -3}):
+        with pytest.raises(InputError):
+            SolverOptions(**kw)
+    assert SolverOptions(tol=1e-20, max_iter=1).max_iter == 1
+
+
 def test_scaling_comparison():
     # rescaled profiles are ordered in eps on the common inner range: the
     # larger eps sees the Dirichlet boundary sooner and lies above

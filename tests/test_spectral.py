@@ -275,6 +275,12 @@ def test_operator_validation(grid_n3):
         smallest_eigenpair(op, q_init=np.ones(grid_n3.n - 1))
 
 
+def test_find_epsilon0_rejects_nan_tol():
+    # NaN passed the old `tol <= 0` test: 200 evaluations, then "stalled"
+    with pytest.raises(InputError, match="tol must be positive"):
+        find_epsilon0(3, QUAD, (0.05, 1.0), tol=math.nan)
+
+
 # ---------------------------------------------------------------------------
 # linearization around the amplitude profile
 

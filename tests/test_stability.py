@@ -97,13 +97,13 @@ def test_block_field_layout(escaping_profile, escaping_point):
                                   ("q", "s"), ("psi", "q")])
 def test_cross_coupling_matches_entry_loop(a, b):
     # reference: one symmetric lower-band insert per matrix entry
-    from vortexlab.stability import _assemble_pencil
+    from vortexlab.spectral import _assemble_pencil
     grid = make_grid(3, 40, {"graded": 2.0})
     fields = ("s", "psi", "q")
     F, m = len(fields), grid.n - 2
     zero = dict.fromkeys(fields, 0.0)
     vals = np.random.default_rng(len(a + b)).standard_normal(grid.n)
-    A, _ = _assemble_pencil(grid, fields, zero, zero, [(a, b, vals, -2)])
+    A, _ = _assemble_pencil(grid, fields, zero, [(a, b, vals, -2)])
 
     d, off = grid.p1_weighted_mass(vals, -2)
     di, offi = d[1:-1], off[1:-1]
@@ -182,8 +182,8 @@ def small_profiles():
 
 
 def _assert_same_pencil(blk):
-    A, M = _fancy_index_assemble(blk.grid, blk.fields, blk.stiff, blk.mass,
-                                 blk._terms)
+    A, M = _fancy_index_assemble(blk.grid, blk.fields, blk.weights,
+                                 blk.weights, blk.terms)
     assert np.array_equal(blk.A, A) and np.array_equal(blk.M, M)
 
 
@@ -205,19 +205,53 @@ def test_slice_assembly_matches_fancy_index_oracle(small_profiles):
     assert widths == {1, 2, 3}
 
     # every cross term in both orders, with random weights
-    from vortexlab.stability import _assemble_pencil
+    from vortexlab.spectral import _assemble_pencil
     grid = make_grid(N, 40, {"graded": 2.0})
     rng = np.random.default_rng(18)
     fields = ("s", "psi", "q")
-    stiff = {f: float(rng.uniform(0.5, 2.0)) for f in fields}
-    mass = {f: float(rng.uniform(0.5, 2.0)) for f in fields}
+    weights = {f: float(rng.uniform(0.5, 2.0)) for f in fields}
     terms = [(a, b, rng.standard_normal(grid.n), int(rng.integers(-2, 1)))
              for a in fields for b in fields]
     for F in (1, 2, 3):
-        got = _assemble_pencil(grid, fields[:F], stiff, mass, terms)
-        ref = _fancy_index_assemble(grid, fields[:F], stiff, mass, terms)
+        got = _assemble_pencil(grid, fields[:F], weights, terms)
+        ref = _fancy_index_assemble(grid, fields[:F], weights, weights, terms)
         assert np.array_equal(got[0], ref[0])
         assert np.array_equal(got[1], ref[1])
+
+
+def test_q_sector_is_the_radial_operator(small_profiles):
+    # on g = 0 the lambda = 0 block's q-sector is the g-operator's pencil
+    # with its transverse term, bit for bit, less the zero-flux node r_min
+    from vortexlab import assemble_radial_operator
+    prof, W, Wt, eps, eta = small_profiles["non_escaping"]
+    grid = prof.grid
+    sub = mode_block(prof, W, Wt, eps, eta, 0.0).sector("q")
+    V = -W.eval(1.0 - prof.f ** 2, 1) / eps ** 2 \
+        + Wt.eval(prof.g ** 2, 1) / eta ** 2
+    op = assemble_radial_operator(3, grid, 0.0, V)
+    assert op.start == 0 and sub.start == 1
+    assert np.array_equal(sub.A, op.A[:, 1:])
+    assert np.array_equal(sub.M, op.M[:, 1:])
+
+
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("F", [1, 2, 3])
+def test_embed_interior_round_trip(start, F):
+    from vortexlab import RadialPencil
+    grid = make_grid(3, 30, {"graded": 2.0})
+    fields = ("s", "psi", "q")[:F]
+    blk = RadialPencil(grid, fields, dict.fromkeys(fields, 1.0), (), 0.0,
+                       start)
+    assert blk.size == F * (grid.n - 1 - start)
+    x = np.random.default_rng(F + 10 * start).standard_normal(blk.size)
+    full = blk.embed(x)
+    assert sorted(full) == sorted(fields)
+    for i, name in enumerate(fields):
+        u = full[name]
+        assert u.shape == grid.nodes.shape and u[-1] == 0.0
+        assert np.all(u[:start] == 0.0)
+        assert np.array_equal(u[start:-1], x[i::F])
+    assert np.array_equal(blk.interior(full), x)
 
 
 @pytest.mark.parametrize("kind", ["gl", "escaping", "non_escaping",
@@ -446,6 +480,9 @@ def test_equator_validation():
         equator_instability_value(3, LIN, -1.0, 0.1, 0.01)
     with pytest.raises(InputError):
         equator_instability_value(1, LIN, 1.0, 0.1, 0.01)
+    # NaN passed the old `eta <= 0` test and gave a record of NaNs
+    with pytest.raises(InputError, match="eta must be positive"):
+        equator_instability_value(3, "linear", math.nan, 0.5, 0.01)
 
 
 # ---------------------------------------------------------------------------
