@@ -53,8 +53,8 @@ LAPACK = _load_lapack()
 dgbtrf, dgbtrs, dgtsv, dpbtrf, dpttrf = (
     LAPACK.dgbtrf, LAPACK.dgbtrs, LAPACK.dgtsv, LAPACK.dpbtrf, LAPACK.dpttrf)
 
-__all__ = ["sym_matvec", "sym_to_full", "equilibrate", "count_below",
-           "lu_solver"]
+__all__ = ["sym_matvec", "sym_to_full", "abs_matvec", "equilibrate",
+           "count_below", "lu_solver"]
 
 
 def sym_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -77,6 +77,18 @@ def sym_to_full(band: np.ndarray) -> np.ndarray:
         ab[b + d, :m - d] = band[d, :m - d]      # subdiagonals
         ab[b - d, d:] = band[d, :m - d]          # superdiagonals
     return ab
+
+
+def abs_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """|A| @ |x| for A in full band storage."""
+    b = (ab.shape[0] - 1) // 2
+    m = ab.shape[1]
+    a = np.abs(x)
+    y = np.abs(ab[b]) * a
+    for d in range(1, b + 1):
+        y[:m - d] += np.abs(ab[b - d, d:]) * a[d:]        # superdiagonal d
+        y[d:] += np.abs(ab[b + d, :m - d]) * a[:m - d]    # subdiagonal d
+    return y
 
 
 def equilibrate(Ab: np.ndarray, Mb: np.ndarray):

@@ -511,6 +511,10 @@ def grid_from_spec(N: int, spec: dict) -> RadialGrid:
 
 _CONVEXITY_SAMPLES = 1000
 _CONVEXITY_TOL = 1e-9
+# derivative orders that are one constant on the domain, per kind
+_CONSTANT_DERIVATIVES = {"quadratic": {2: 1.0},
+                         "linear": {1: 1.0, 2: 0.0},
+                         "zero": {0: 0.0, 1: 0.0, 2: 0.0}}
 
 
 @dataclass(frozen=True)
@@ -628,6 +632,15 @@ class Potential:
             if self.hi < math.inf:
                 t = np.minimum(t, self.hi)
         return self._eval_raw(t, order)
+
+    def constant(self, order: int) -> float | None:
+        """The value of derivative `order` (0, 1 or 2) where it is one
+        constant on the domain, else None: W'' = 1 for quadratic, Wt' = 1
+        and Wt'' = 0 for linear, 0 at every order for zero. eval(t, order,
+        clamp=True) gives that value at every t."""
+        if order not in (0, 1, 2):
+            raise InputError("order must be 0, 1 or 2")
+        return _CONSTANT_DERIVATIVES.get(self.kind, {}).get(order)
 
     def _eval_raw(self, t: np.ndarray, order: int):
         if self.kind == "zero":

@@ -22,11 +22,12 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .banded import lu_solver
+from .banded import abs_matvec, lu_solver
 from .core import (
     ConvergenceError,
     InputError,
@@ -89,8 +90,10 @@ def _newton(assemble: Callable, u0: np.ndarray, opts: SolverOptions,
     stays <= tol. The residual test alone stops wherever the last step
     happened to land, which depends on the path (start, r_min, grading);
     the correction takes the unknowns the rest of the way at the price of
-    one residual. Each step is traced as (stage, it, norm, alpha), the
-    correction as (stage, its sup norm)."""
+    one residual. Returns the unknowns and their residual's sup norm. Each
+    step is traced as (stage, it, norm, alpha), the correction as (stage,
+    its sup norm). A line search that gives up at or below the rounding
+    floor of the residual raises InputError: no step can meet such a tol."""
     u = np.array(u0, dtype=float)
     res, solve = assemble(u)
     norm = float(np.max(np.abs(res)))
@@ -109,6 +112,12 @@ def _newton(assemble: Callable, u0: np.ndarray, opts: SolverOptions,
             alpha *= 0.5
             if alpha < MIN_DAMPING:
                 trace.append((stage, it, norm, alpha))
+                floor = _rounding_floor(solve, u)
+                if norm <= floor:
+                    raise InputError(
+                        f"tol {opts.tol:.3g} is below the rounding floor "
+                        f"{floor:.3g} of the residual in stage {stage!r} "
+                        f"(Newton stalled at {norm:.3e})")
                 raise ConvergenceError(
                     f"Newton stalled in stage {stage!r} (residual {norm:.3e})",
                     trace)
@@ -133,14 +142,23 @@ def _lazy_solver(jacobian: Callable) -> Callable:
     its row maxima) on its first call and keeps the factorization for later
     ones. _newton calls it for an iterate it steps from (and again for the
     closing correction), so a rejected line-search trial and a stage's final
-    iterate never pay for a Jacobian."""
+    iterate never pay for a Jacobian. solve.jacobian builds the band again."""
     factored = []               # one per assemble: lighter than a cache
 
     def solve(rhs):
         if not factored:
             factored.append(lu_solver(*jacobian()))
         return factored[0](rhs)
+    solve.jacobian = jacobian
     return solve
+
+
+def _rounding_floor(solve, z) -> float:
+    """u·max_i (|J||z|)_i at the iterate z whose solve(rhs) this is: the
+    componentwise bound on the rounding error of evaluating its residual
+    (u the unit roundoff). Converged profiles sit at 0.4-0.8 of it."""
+    ab = solve.jacobian()[0]
+    return float(np.max(abs_matvec(ab, z))) * np.finfo(float).eps / 2
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +167,30 @@ def _lazy_solver(jacobian: Callable) -> Callable:
 
 # One residual body per model reads the unknowns at nodes 0..n-2 and the
 # Dirichlet value `right` at node n-1: Newton's iterate and the model's
-# boundary value, or a record's stored fields. Each Jacobian's constant part,
-# the stiffness off-diagonals, is kept in the grid's cache (laid out as a
-# band for the two-field model) with each row's largest off-diagonal
-# magnitude: an iterate fills in its diagonal and couplings, and the row
-# maxima that lu_solver scales by follow from those entries alone.
+# boundary value, or a record's stored fields. It takes the model's stage,
+# what stays fixed while Newton solves at one eps or eta: products of the
+# grid's weights with the parameters, and each potential derivative as a
+# function of its argument (clamped onto the domain), which is a Python
+# float where Potential.constant says the derivative is one constant. A
+# float enters the same expressions in the same order as an array of that
+# value would, so every entry keeps its bits; no body branches on the
+# potential. An assembler builds its stage once and evaluates only what the
+# iterate changes; a record's _residual_parts builds the stage on the spot.
+# Each Jacobian's constant part, the stiffness off-diagonals, is kept in the
+# grid's cache (laid out as a band for the two-field model) with each row's
+# largest off-diagonal magnitude: an iterate fills in its diagonal and
+# couplings, and the row maxima that lu_solver scales by follow from those
+# entries alone. _newton returns the final iterate's sup norm, the very
+# value residual() recomputes, and a solved record stores it.
+
+
+def _derivative(pot: Potential, order: int) -> Callable:
+    """t -> pot's derivative `order` at t clamped onto its domain: the float
+    Potential.constant gives, where it gives one."""
+    value = pot.constant(order)
+    if value is None:
+        return lambda t: pot.eval(t, order, clamp=True)
+    return lambda t: value
 
 
 def _neighbour_max(off):
@@ -163,71 +200,88 @@ def _neighbour_max(off):
     return np.maximum(np.append(a, 0.0), np.append(0.0, a))
 
 
-def _tridiagonal_jacobian(grid, power, diag):
-    """Full band and row maxima of the one-field Newton Jacobian: the
-    stiffness(power) off-diagonals and diag on the diagonal."""
-    off = grid.stiffness(power)[1]
-    off_max = grid._cached(("newton_row_max", power),
-                           lambda: _neighbour_max(off))
+def _tridiagonal_stiffness(grid, power):
+    """The stiffness(power) diagonal and off-diagonal with each row's
+    largest |off-diagonal|."""
+    sd, off = grid.stiffness(power)
+    return sd, off, grid._cached(("newton_row_max", power),
+                                 lambda: _neighbour_max(off))
+
+
+def _tridiagonal_jacobian(off, off_max, diag):
+    """Full band and row maxima of a one-field Newton Jacobian: the
+    stiffness off-diagonals off (row maxima off_max) and diag on the
+    diagonal."""
     ab = np.zeros((3, diag.size))
     ab[0, 1:] = ab[2, :-1] = off
     ab[1] = diag
     return ab, np.maximum(off_max, np.abs(diag))
 
 
-def _gl_residual(grid, eps, well, v, right):
+def _gl_stage(grid, eps, well):
+    r = grid.nodes[:-1]
+    return SimpleNamespace(grid=grid, rr=r * r, r2x2=2 * r**2,
+                           me=grid.hat_weights(2)[:-1] / eps**2,
+                           wp=_derivative(well, 1), wpp=_derivative(well, 2))
+
+
+def _gl_residual(st, v, right):
     """FV residual of (r^{N+1} v')' = -(r^{N+1}/eps²) W'(1-r²v²) v at nodes
     0..n-2, with the well's argument x and W'(x) there."""
-    mass = grid.hat_weights(2)[:-1]
-    r = grid.nodes[:-1]
-    x = 1.0 - r * r * v * v
-    wp = well.eval(x, 1, clamp=True)
-    res = grid.flux_residual(v, grid.N + 1, right=right)
-    res -= mass / eps**2 * wp * v
+    x = 1.0 - st.rr * v * v
+    wp = st.wp(x)
+    res = st.grid.flux_residual(v, st.grid.N + 1, right=right)
+    res -= st.me * wp * v
     return res, x, wp
 
 
 def _gl_assemble(grid, eps, well):
-    sd = grid.stiffness(grid.N + 1)[0]
-    mass = grid.hat_weights(2)[:-1]
-    r = grid.nodes[:-1]
+    st = _gl_stage(grid, eps, well)
+    sd, off, off_max = _tridiagonal_stiffness(grid, grid.N + 1)
 
     def assemble(vi):
-        res, x, wp = _gl_residual(grid, eps, well, vi, 1.0)
+        res, x, wp = _gl_residual(st, vi, 1.0)
 
         def jacobian():
-            wpp = well.eval(x, 2, clamp=True)
-            diag = sd - mass / eps**2 * (wp - 2 * r**2 * vi**2 * wpp)
-            return _tridiagonal_jacobian(grid, grid.N + 1, diag)
+            diag = sd - st.me * (wp - st.r2x2 * vi**2 * st.wpp(x))
+            return _tridiagonal_jacobian(off, off_max, diag)
         return res, _lazy_solver(jacobian)
 
     return assemble
 
 
-def _extended_residual(grid, eps, eta, well, penalty, v, g, right):
+def _extended_stage(grid, eps, eta, well, penalty):
+    r = grid.nodes[:-1]
+    mve = grid.hat_weights(2)[:-1] / eps**2
+    mg = grid.hat_weights(0)[:-1]
+    return SimpleNamespace(
+        grid=grid, eps2=eps**2, eta2=eta**2, r=r, rr=r * r, mg=mg, mve=mve,
+        mve2=mve * 2, mge2r=mg / eps**2 * 2 * r,
+        wp=_derivative(well, 1), wpp=_derivative(well, 2),
+        tp=_derivative(penalty, 1), tpp=_derivative(penalty, 2))
+
+
+def _extended_residual(st, v, g, right):
     """Residuals of the v and g equations at nodes 0..n-2, interleaved as
     Newton orders the unknowns (right = the Dirichlet values of v and g),
-    with the well's argument x, W'(x) and Wt'(g²) there."""
-    mv = grid.hat_weights(2)[:-1]
-    mg = grid.hat_weights(0)[:-1]
-    r = grid.nodes[:-1]
-    x = 1.0 - r * r * v * v - g * g
-    wp = well.eval(x, 1, clamp=True)
-    tp = penalty.eval(g * g, 1, clamp=True)
+    with the well's argument x, g², W'(x) and Wt'(g²) there."""
+    g2 = g * g
+    x = 1.0 - st.rr * v * v - g2
+    wp = st.wp(x)
+    tp = st.tp(g2)
     res = np.empty(2 * v.size)
-    res_v = grid.flux_residual(v, grid.N + 1, out=res[0::2], right=right[0])
-    res_g = grid.flux_residual(g, grid.N - 1, out=res[1::2], right=right[1])
-    res_v -= mv / eps**2 * wp * v
-    res_g -= mg * (wp / eps**2 - tp / eta**2) * g
-    return res, x, wp, tp
+    N = st.grid.N
+    res_v = st.grid.flux_residual(v, N + 1, out=res[0::2], right=right[0])
+    res_g = st.grid.flux_residual(g, N - 1, out=res[1::2], right=right[1])
+    res_v -= st.mve * wp * v
+    res_g -= st.mg * (wp / st.eps2 - tp / st.eta2) * g
+    return res, x, g2, wp, tp
 
 
 def _extended_assemble(grid, eps, eta, well, penalty):
+    st = _extended_stage(grid, eps, eta, well, penalty)
     sv, ov = grid.stiffness(grid.N + 1)
     sg, og = grid.stiffness(grid.N - 1)
-    mv = grid.hat_weights(2)[:-1]
-    mg = grid.hat_weights(0)[:-1]
-    r = grid.nodes[:-1]
 
     def constant_band():
         ab = np.zeros((5, 2 * grid.n - 2))
@@ -238,21 +292,20 @@ def _extended_assemble(grid, eps, eta, well, penalty):
     band, off_max = grid._cached(("newton_band", "extended"), constant_band)
 
     def assemble(z):
-        res, x, wp, tp = _extended_residual(grid, eps, eta, well, penalty,
-                                            z[0::2], z[1::2], (1.0, 0.0))
+        v, g = z[0::2], z[1::2]
+        res, x, g2, wp, tp = _extended_residual(st, v, g, (1.0, 0.0))
 
         def jacobian():
-            gg = z[1::2]
-            g2 = gg * gg
-            wpp = well.eval(x, 2, clamp=True)
-            tpp = penalty.eval(g2, 2, clamp=True)
-            rv = r * z[0::2]
+            wpp = st.wpp(x)
+            tpp = st.tpp(g2)
+            rv = st.r * v
+            g2x2 = 2 * g * g
             ab = band.copy()
-            ab[2, 0::2] = sv - mv / eps**2 * (wp - 2 * rv * rv * wpp)
-            ab[2, 1::2] = sg - mg * ((wp - 2 * gg * gg * wpp) / eps**2
-                                     - (tp + 2 * gg * gg * tpp) / eta**2)
-            ab[1, 1::2] = mv / eps**2 * 2 * z[0::2] * gg * wpp  # (2j, 2j+1)
-            ab[3, 0::2] = mg / eps**2 * 2 * r * rv * gg * wpp   # (2j+1, 2j)
+            ab[2, 0::2] = sv - st.mve * (wp - 2 * rv * rv * wpp)
+            ab[2, 1::2] = sg - st.mg * ((wp - g2x2 * wpp) / st.eps2
+                                        - (tp + g2x2 * tpp) / st.eta2)
+            ab[1, 1::2] = st.mve2 * v * g * wpp       # (2j, 2j+1)
+            ab[3, 0::2] = st.mge2r * rv * g * wpp     # (2j+1, 2j)
             row_max = np.maximum(off_max, np.abs(ab[2]))
             np.maximum(row_max[0::2], np.abs(ab[1, 1::2]), out=row_max[0::2])
             np.maximum(row_max[1::2], np.abs(ab[3, 0::2]), out=row_max[1::2])
@@ -262,32 +315,39 @@ def _extended_assemble(grid, eps, eta, well, penalty):
     return assemble
 
 
-def _sphere_residual(grid, eta, penalty, theta, right):
-    """Residual of the θ equation at nodes 0..n-2, with Wt'(cos²θ) there."""
-    m_cent = grid.hat_weights(-2)[:-1]
-    m0 = grid.hat_weights(0)[:-1]
-    sc = np.sin(theta) * np.cos(theta)
-    tp = penalty.eval(np.cos(theta)**2, 1, clamp=True)
-    res = grid.flux_residual(theta, grid.N - 1, right=right)
-    res += (grid.N - 1) * m_cent * sc - m0 / eta**2 * tp * sc
-    return res, tp
+def _sphere_stage(grid, eta, penalty):
+    return SimpleNamespace(grid=grid,
+                           cent=(grid.N - 1) * grid.hat_weights(-2)[:-1],
+                           m0e=grid.hat_weights(0)[:-1] / eta**2,
+                           tp=_derivative(penalty, 1),
+                           tpp=_derivative(penalty, 2))
+
+
+def _sphere_residual(st, theta, right):
+    """Residual of the θ equation at nodes 0..n-2, with cos²θ and
+    Wt'(cos²θ) there."""
+    c = np.cos(theta)
+    c2 = c**2
+    sc = np.sin(theta) * c
+    tp = st.tp(c2)
+    res = st.grid.flux_residual(theta, st.grid.N - 1, right=right)
+    res += st.cent * sc - st.m0e * tp * sc
+    return res, c2, tp
 
 
 def _sphere_assemble(grid, eta, penalty):
-    sd = grid.stiffness(grid.N - 1)[0]
-    m_cent = grid.hat_weights(-2)[:-1]
-    m0 = grid.hat_weights(0)[:-1]
+    st = _sphere_stage(grid, eta, penalty)
+    sd, off, off_max = _tridiagonal_stiffness(grid, grid.N - 1)
 
     def assemble(ti):
-        res, tp = _sphere_residual(grid, eta, penalty, ti, 0.5 * math.pi)
+        res, c2, tp = _sphere_residual(st, ti, 0.5 * math.pi)
 
         def jacobian():
             cos2 = np.cos(2 * ti)
             sin2 = np.sin(2 * ti)
-            tpp = penalty.eval(np.cos(ti)**2, 2, clamp=True)
-            diag = sd + (grid.N - 1) * m_cent * cos2
-            diag -= m0 / eta**2 * (tp * cos2 - 0.5 * tpp * sin2 * sin2)
-            return _tridiagonal_jacobian(grid, grid.N - 1, diag)
+            diag = sd + st.cent * cos2
+            diag -= st.m0e * (tp * cos2 - 0.5 * st.tpp(c2) * sin2 * sin2)
+            return _tridiagonal_jacobian(off, off_max, diag)
         return res, _lazy_solver(jacobian)
 
     return assemble
@@ -327,8 +387,8 @@ class GLProfile(_Amplitude):
     solver_trace: list = field(repr=False, default_factory=list)
 
     def _residual_parts(self):
-        return _gl_residual(self.grid, self.eps, self.well, self.v[:-1],
-                            self.v[-1])[:1]
+        return _gl_residual(_gl_stage(self.grid, self.eps, self.well),
+                            self.v[:-1], self.v[-1])[:1]
 
 
 @dataclass(frozen=True)
@@ -351,8 +411,9 @@ class ExtendedProfile(_Amplitude):
     flags: tuple = ()
 
     def _residual_parts(self):
-        res = _extended_residual(self.grid, self.eps, self.eta, self.well,
-                                 self.penalty, self.v[:-1], self.g[:-1],
+        st = _extended_stage(self.grid, self.eps, self.eta, self.well,
+                             self.penalty)
+        res = _extended_residual(st, self.v[:-1], self.g[:-1],
                                  (self.v[-1], self.g[-1]))[0]
         return res[0::2], res[1::2]
 
@@ -374,7 +435,8 @@ class SphereProfile(_Record):
     solver_trace: list = field(repr=False, default_factory=list)
 
     def _residual_parts(self):
-        return _sphere_residual(self.grid, self.eta, self.penalty,
+        return _sphere_residual(_sphere_stage(self.grid, self.eta,
+                                              self.penalty),
                                 self.theta[:-1], self.theta[-1])[:1]
 
 
@@ -388,8 +450,12 @@ def _record(profile):
     return profile
 
 
-def _solved(cls, **fields):
-    """The record of solved fields, its residual_norm from residual()."""
+def _solved(cls, residual_norm=None, **fields):
+    """The record of solved fields. residual_norm is the sup norm _newton
+    returned with them, the bits residual() would recompute; a record that
+    is not a Newton result (residual_norm None) gets it from residual()."""
+    if residual_norm is not None:
+        return cls(residual_norm=residual_norm, **fields)
     record = cls(residual_norm=math.nan, **fields)
     return replace(record, residual_norm=residual(record))
 
@@ -425,8 +491,8 @@ def solve_gl_profile(N: int, W: Potential, eps: float, grid: RadialGrid,
             raise InputError("v_init must be sampled on the grid nodes")
         v_init = v_init[:-1]
     trace: list = []
-    v = _gl_continuation(grid, W, eps, opts, trace, v_init)
-    return _solved(GLProfile, grid=grid, eps=eps, well=W,
+    v, norm = _gl_continuation(grid, W, eps, opts, trace, v_init)
+    return _solved(GLProfile, norm, grid=grid, eps=eps, well=W,
                    v=np.append(v, 1.0), solver_trace=trace)
 
 
@@ -434,7 +500,8 @@ _LADDER_LOCK = threading.Lock()
 
 
 def _gl_continuation(grid, W, eps, opts, trace, v_init=None):
-    """Newton path to the v-unknowns (length n-1) at the target eps.
+    """Newton path to the v-unknowns (length n-1) at the target eps, and
+    their residual's sup norm.
 
     Cold (v_init None), eps below EPS_DIRECT is reached down the fixed
     ladder EPS_DIRECT / CONTINUATION_FACTOR^k from v = 1. The ladder does
@@ -464,7 +531,7 @@ def _gl_continuation(grid, W, eps, opts, trace, v_init=None):
                 k += 1
         start = rungs[k - 1]
     return _newton(_gl_assemble(grid, eps, W), start, opts,
-                   f"gl eps={eps:.6g}", trace)[0]
+                   f"gl eps={eps:.6g}", trace)
 
 
 def solve_sphere_profile(N: int, Wt: Potential, eta: float, grid: RadialGrid,
@@ -489,15 +556,15 @@ def solve_sphere_profile(N: int, Wt: Potential, eta: float, grid: RadialGrid,
     r = grid.nodes[:-1]
     seed = (0.5 * math.pi * r if eta == math.inf   # the limit η → ∞
             else 0.5 * math.pi * np.arctan(r / eta) / math.atan(1.0 / eta))
-    theta = np.append(_newton(_sphere_assemble(grid, eta, Wt), seed, opts,
-                              f"sphere eta={eta:.6g}", trace)[0],
-                      0.5 * math.pi)
+    theta, norm = _newton(_sphere_assemble(grid, eta, Wt), seed, opts,
+                          f"sphere eta={eta:.6g}", trace)
+    theta = np.append(theta, 0.5 * math.pi)
 
-    def profile(t, no_escape=False):
-        return _solved(SphereProfile, grid=grid, eta=eta, penalty=Wt,
+    def profile(t, norm=None, no_escape=False):
+        return _solved(SphereProfile, norm, grid=grid, eta=eta, penalty=Wt,
                        theta=t, no_escape=no_escape, solver_trace=trace)
 
-    found = profile(theta)
+    found = profile(theta, norm)
     if N == 2:
         if np.all(np.sin(theta) == 1.0):      # θ ≡ π/2 to rounding
             raise ConvergenceError(
@@ -563,23 +630,25 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
 
     def stage(e, z):
         return _newton(_extended_assemble(grid, eps, e, W, Wt), z, opts,
-                       f"ext eta={e:.6g}", trace)[0]
+                       f"ext eta={e:.6g}", trace)
 
     def collapsed(z):
         return float(np.max(np.abs(z[1::2]))) <= ESCAPE_TOL
 
-    def result(v, g, flags=()):
-        """The profile from the v- and g-unknowns at nodes 0..n-2: escaping
-        and reported with g > 0, or non-escaping (g ≡ 0) when g is None."""
+    def result(v, g, norm, flags=()):
+        """The profile from the v- and g-unknowns at nodes 0..n-2 and their
+        residual's sup norm: escaping and reported with g > 0 (the residual
+        is odd in g), or non-escaping (g ≡ 0) when g is None (the residual
+        of (v, 0) is v's GL residual and zero)."""
         if g is None:
             branch, g = "non_escaping", np.zeros(grid.n)
         else:
             branch, g = "escaping", np.append(g, 0.0)
             if g[np.argmax(np.abs(g))] < 0:
                 g = -g
-        return _solved(ExtendedProfile, grid=grid, eps=eps, eta=eta, well=W,
-                       penalty=Wt, v=np.append(v, 1.0), g=g, branch=branch,
-                       solver_trace=trace, flags=flags)
+        return _solved(ExtendedProfile, norm, grid=grid, eps=eps, eta=eta,
+                       well=W, penalty=Wt, v=np.append(v, 1.0), g=g,
+                       branch=branch, solver_trace=trace, flags=flags)
 
     if isinstance(start, ExtendedProfile):
         path = [(p.eta, _interleave(p.v[:-1], p.g[:-1]))
@@ -588,7 +657,7 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
         while True:
             e = max(eta, e / CONTINUATION_FACTOR)
             try:
-                z = stage(e, _extrapolate(path[-PREDICTOR_POINTS:], e))
+                z, norm = stage(e, _extrapolate(path[-PREDICTOR_POINTS:], e))
             except ConvergenceError:
                 raise ConvergenceError(
                     f"warm escaping march from eta={start.eta:.6g} to "
@@ -596,31 +665,33 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
             if collapsed(z):
                 break
             if e == eta:
-                return result(z[0::2], z[1::2])
+                return result(z[0::2], z[1::2], norm)
             path.append((e, z))
         # the branch merged with g ≡ 0 on the way down: no escaping solution
-        v_gl = _gl_continuation(grid, W, eps, opts, trace, v_init=z[0::2])
+        v_gl, gl_norm = _gl_continuation(grid, W, eps, opts, trace,
+                                         v_init=z[0::2])
     else:
-        v_gl = (_gl_continuation(grid, W, eps, opts, trace) if start is None
-                else start.v[:-1])
+        v_gl, gl_norm = (_gl_continuation(grid, W, eps, opts, trace)
+                         if start is None
+                         else (start.v[:-1], start.residual_norm))
         if branch_hint == "non_escaping":
-            return result(v_gl, None)
+            return result(v_gl, None, gl_norm)
         stalled = 0
         for seed in (lambda: 1.0 - grid.nodes[:-1] ** 2,
                      lambda: _kernel_direction(grid, eps, W, v_gl,
                                                ground_state)):
             z = _interleave(v_gl, opts.g_seed * seed())
             try:
-                z = stage(eta, z)
+                z, norm = stage(eta, z)
             except ConvergenceError:
                 stalled += 1
                 continue
             if not collapsed(z):
-                return result(z[0::2], z[1::2])
+                return result(z[0::2], z[1::2], norm)
         if stalled == 2:
             raise ConvergenceError(f"escaping Newton stalled from both seeds "
                                    f"at eps={eps:.6g}, eta={eta:.6g}", trace)
-    return result(v_gl, None, ("no_escape_found",))
+    return result(v_gl, None, gl_norm, ("no_escape_found",))
 
 
 def _extrapolate(path, e):

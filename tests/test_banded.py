@@ -11,7 +11,8 @@ import scipy.linalg
 from scipy.linalg.lapack import dpbtrf
 
 from vortexlab import banded
-from vortexlab.banded import count_below, lu_solver, sym_matvec, sym_to_full
+from vortexlab.banded import (abs_matvec, count_below, lu_solver, sym_matvec,
+                              sym_to_full)
 
 from test_spectral import ldl_count_below
 
@@ -203,6 +204,17 @@ def test_symmetric_storage_round_trip(b):
         assert np.array_equal(np.diag(A, -d), band[d, :m - d])
     x = rng.standard_normal(m)
     assert np.allclose(sym_matvec(band, x), A @ x, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_abs_matvec_matches_dense(b):
+    # entries of the storage outside the matrix are not read
+    rng = np.random.default_rng(10 + b)
+    m = 15
+    ab = rng.standard_normal((2 * b + 1, m))
+    x = rng.standard_normal(m)
+    ref = np.abs(_dense(ab)) @ np.abs(x)
+    assert np.allclose(abs_matvec(ab, x), ref, rtol=1e-14, atol=0.0)
 
 
 def test_package_import_leaves_scipy_linalg_out():

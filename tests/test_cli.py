@@ -314,6 +314,14 @@ def test_argument_validation(capsys):
          "--max-iter", "0"],
         ["profile", "--N", "3", "--W", "quadratic", "--eps", "0.3",
          "--max-iter", "-3"],
+        # a tol below the rounding floor of the residual: the line search
+        # stalls under u·max(|J||z|) (gl, two-field and sphere solves)
+        ["profile", "--N", "3", "--W", "quadratic", "--eps", "0.05",
+         "--tol", "1e-13"],
+        ["profile", "--N", "3", "--W", "quadratic", "--Wt", "linear",
+         "--eps", "0.1", "--eta", "0.8", "--tol", "1e-13"],
+        ["profile", "--N", "3", "--Wt", "linear", "--eta", "0.5",
+         "--tol", "1e-13"],
         # an explicit --model without its parameter
         ["profile", "--N", "3", "--model", "gl", "--W", "quadratic"],
         ["profile", "--N", "3", "--model", "sphere", "--Wt", "linear"],

@@ -361,6 +361,32 @@ def test_potential_domain_checks():
         W.eval(0.5, 3)
 
 
+PIECEWISE_WELL = {"piecewise": {"breaks": [-4, 0, 1],
+                                "coeffs": [[8, -4, 0.5, 0], [0, 0, 1, 0]]}}
+PIECEWISE_PENALTY = {"piecewise": {"breaks": [0, 1, 4],
+                                   "coeffs": [[0, 1, 0.5, 0], [1.5, 2, 1, 0]]}}
+
+
+def test_potential_constant_derivatives():
+    # a constant derivative is what eval gives at every argument, inside the
+    # domain and outside it (clamped); no other derivative is constant
+    expected = {"quadratic": {2: 1.0}, "linear": {1: 1.0, 2: 0.0},
+                "zero": {0: 0.0, 1: 0.0, 2: 0.0}}
+    ts = np.linspace(-8.0, 8.0, 1601)
+    for spec in ("quadratic", "linear", "zero", "flat_well:0.3",
+                 PIECEWISE_WELL, PIECEWISE_PENALTY):
+        W = Potential.from_spec(spec)
+        assert W.lo > ts[0] or W.hi < ts[-1] or W.kind == "zero"
+        for order in (0, 1, 2):
+            value = W.constant(order)
+            assert value == expected.get(W.kind, {}).get(order)
+            if value is not None:
+                assert type(value) is float
+                assert np.all(W.eval(ts, order, clamp=True) == value)
+    with pytest.raises(InputError):
+        Potential.zero().constant(3)
+
+
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_quadratic_well_values(t):
     W = Potential.quadratic()

@@ -7,8 +7,8 @@ import pytest
 from vortexlab import (ConvergenceError, ExtendedProfile, InconsistentError,
                        InputError, NoEscapingRegionError, OutOfRangeError,
                        Potential, SolverOptions, classify_point, eta0,
-                       make_grid, solve_extended_profile, solve_gl_profile,
-                       sweep)
+                       make_grid, residual, solve_extended_profile,
+                       solve_gl_profile, sweep)
 
 QUAD = Potential.quadratic()
 LIN = Potential.linear()
@@ -194,6 +194,7 @@ def test_walk_matches_cold_solves(monkeypatch, fraction, seed):
     for pt in confirmed:
         cold = solve_extended_profile(3, QUAD, LIN, pt.eps, pt.eta, WALK_GRID,
                                       opts=opts, start=None)
+        assert cold.residual_norm == residual(cold)
         assert cold.branch == ("escaping" if pt.cls == "Escaping"
                                else "non_escaping")
         walk = seen.get((pt.eps, pt.eta))
@@ -201,6 +202,7 @@ def test_walk_matches_cold_solves(monkeypatch, fraction, seed):
             assert pt.cls == "NonEscaping"
             continue
         assert walk.branch == cold.branch
+        assert walk.residual_norm == residual(walk)
         if cold.branch == "escaping":
             assert np.max(np.abs(walk.f - cold.f)) < 1e-8
             assert np.max(np.abs(walk.g - cold.g)) < 1e-8
@@ -217,6 +219,7 @@ def test_start_gl_profile_matches_cold(eta):
     assert warm.branch == ("escaping" if eta == 0.6 else "non_escaping")
     assert warm.flags == cold.flags
     assert np.array_equal(warm.f, cold.f) and np.array_equal(warm.g, cold.g)
+    assert warm.residual_norm == cold.residual_norm == residual(warm)
     # no GL continuation stage in the warm trace
     assert not any(t[0].startswith("gl") for t in warm.solver_trace)
 
@@ -226,6 +229,7 @@ def test_warm_start_marches_and_collapses():
     down = solve_extended_profile(3, QUAD, LIN, 0.1, 0.5, WALK_GRID, start=top)
     cold = solve_extended_profile(3, QUAD, LIN, 0.1, 0.5, WALK_GRID)
     assert down.branch == "escaping"
+    assert down.residual_norm == residual(down)
     assert np.max(np.abs(down.g - cold.g)) < 1e-8
     # 1.0 -> 0.5 is two sqrt(2) strides, with no anchor search
     stages = {t[0] for t in down.solver_trace}
@@ -234,6 +238,7 @@ def test_warm_start_marches_and_collapses():
     for eta in (0.25, 0.2, 0.1):      # all below eta* ≈ 0.29
         gone = solve_extended_profile(3, QUAD, LIN, 0.1, eta, WALK_GRID,
                                       start=top)
+        assert gone.residual_norm == residual(gone)
         assert gone.branch == "non_escaping"
         assert gone.flags == ("no_escape_found",)
         assert np.max(np.abs(gone.f - gl.f)) < 1e-9 and not gone.g.any()
@@ -286,6 +291,7 @@ def test_march_from_three_profiles_matches_cold():
         cold = solve_extended_profile(3, QUAD, LIN, 0.1, eta, WALK_GRID,
                                       opts=opts)
         assert down.branch == cold.branch == "escaping"
+        assert down.residual_norm == residual(down)
         assert np.max(np.abs(down.f - cold.f)) < 1e-8
         assert np.max(np.abs(down.g - cold.g)) < 1e-8
         plain = solve_extended_profile(3, QUAD, LIN, 0.1, eta, WALK_GRID,
@@ -298,6 +304,7 @@ def test_march_from_three_profiles_matches_cold():
     for eta in (0.25, 0.2, 0.1):      # all below eta* ≈ 0.29
         gone = solve_extended_profile(3, QUAD, LIN, 0.1, eta, WALK_GRID,
                                       start=top, history=history)
+        assert gone.residual_norm == residual(gone)
         assert gone.branch == "non_escaping"
         assert gone.flags == ("no_escape_found",)
         assert np.max(np.abs(gone.f - gl.f)) < 1e-9 and not gone.g.any()

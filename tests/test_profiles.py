@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import fields, replace
 
@@ -258,6 +259,7 @@ def test_cold_branch_agrees_with_criterion(monkeypatch, N):
                     assert p.branch == ("escaping" if crit < 0
                                         else "non_escaping"), point
                     assert p.residual_norm < 1e-9
+                    assert p.residual_norm == residual(p), point
                     assert seen["ext"] <= 2
                     if p.branch == "non_escaping":
                         assert p.flags == ("no_escape_found",)
@@ -369,6 +371,7 @@ def test_sphere_lattice_branches(grading):
             for eta in SPHERE_ETAS:
                 point = (N, wt.kind, eta, grading)
                 p = solve_sphere_profile(N, wt, eta, grid)
+                assert p.residual_norm == residual(p), point
                 assert len({t[0] for t in p.solver_trace}) == 1, point
                 assert p.solver_trace[0][0] == f"sphere eta={eta:.6g}"
                 if N >= 7:
@@ -390,10 +393,36 @@ def test_sphere_lattice_branches(grading):
 
 @pytest.mark.parametrize("N", [2, 3])
 def test_sphere_stall_raises(N):
-    # a tol below the residual's rounding floor makes the line search stall
+    # a tol below the residual's rounding floor makes the line search stall,
+    # and the stall is reported as that input's fault
     grid = make_grid(N, 800, {"graded": 2.0})
-    with pytest.raises(ConvergenceError, match="stalled"):
+    with pytest.raises(InputError, match="rounding floor"):
         solve_sphere_profile(N, LIN, 1.0, grid, SolverOptions(tol=1e-20))
+
+
+def test_tol_below_rounding_floor_is_an_input_error(monkeypatch):
+    # the line search gives up at 2.553e-13, under the bound u·max(|J||z|)
+    # of the stalled iterate's band (4.41e-13); a stall above the bound is
+    # still a ConvergenceError, and no step that converges pays for it
+    from vortexlab import profiles
+    grid = make_grid(3, 2000, {"graded": 2.0})
+    floors = []
+    real = profiles._rounding_floor
+
+    def recording(solve, z):
+        floors.append(real(solve, z))
+        return floors[-1]
+
+    monkeypatch.setattr(profiles, "_rounding_floor", recording)
+    solve_gl_profile(3, QUAD, 0.05, grid, SolverOptions(tol=1e-12))
+    assert not floors
+    with pytest.raises(InputError, match=r"tol 1e-13 .* rounding floor "
+                       r"4\.41e-13 .* 'gl eps=0\.25'"):
+        solve_gl_profile(3, QUAD, 0.05, grid, SolverOptions(tol=1e-13))
+    assert len(floors) == 1
+    monkeypatch.setattr(profiles, "_rounding_floor", lambda solve, z: 1e-13)
+    with pytest.raises(ConvergenceError, match="stalled"):
+        solve_gl_profile(3, QUAD, 0.05, grid, SolverOptions(tol=1e-14))
 
 
 def test_sphere_n2_equator_landing_raises(monkeypatch):
@@ -535,49 +564,175 @@ def _sphere_oracle(grid, eta, penalty, theta):
     return (res,)
 
 
-@pytest.mark.parametrize("grid", [JAC_GRID,
-                                  make_grid(5, 800, {"graded": 3.0})],
-                         ids=["jac_grid", "graded_800"])
+# every potential kind, each as a well and as a penalty: constant
+# derivatives (quadratic W'', linear Wt' and Wt'', zero) enter the bodies as
+# floats, the others as arrays
+POTENTIALS = (QUAD, LIN, Potential.zero(), Potential.flat_well(0.3),
+              Potential.from_spec({"piecewise": {
+                  "breaks": [-4, 0, 1],
+                  "coeffs": [[8, -4, 0.5, 0], [0, 0, 1, 0]]}}),
+              Potential.from_spec({"piecewise": {
+                  "breaks": [0, 1, 4],
+                  "coeffs": [[0, 1, 0.5, 0], [1.5, 2, 1, 0]]}}))
+ORACLE_GRIDS = pytest.mark.parametrize(
+    "grid", [JAC_GRID, make_grid(5, 800, {"graded": 3.0})],
+    ids=["jac_grid", "graded_800"])
+
+
+def _iterates(grid, seed):
+    """Iterates as Newton meets them, at two scales: the well's argument
+    1 - r²v² - g² and the penalty's g² on both sides of each domain."""
+    rng = np.random.default_rng(seed)
+    m = grid.n - 1
+    v = 1.0 + 0.5 * rng.standard_normal(m)
+    g = 0.6 * rng.standard_normal(m)
+    theta = rng.uniform(-0.5, 2.0, m)
+    eps, eta = rng.uniform(0.05, 1.0, 2)
+    return eps, eta, [(v, g, theta), (3.0 * v, 3.0 * g, 3.0 * theta)]
+
+
+@ORACLE_GRIDS
 @pytest.mark.parametrize("seed", range(3))
 def test_newton_residuals_match_full_array_formulas(grid, seed):
     from vortexlab.profiles import (ExtendedProfile, GLProfile, SphereProfile,
                                     _extended_assemble, _gl_assemble,
                                     _interleave, _sphere_assemble)
-    rng = np.random.default_rng(seed)
     m = grid.n - 1
-    well = (QUAD, Potential.flat_well(0.3))[seed % 2]
-    eps, eta = rng.uniform(0.05, 1.0, 2)
-    # iterates as Newton meets them, the well's argument on both sides of
-    # its domain
-    v = 1.0 + 0.5 * rng.standard_normal(m)
-    g = 0.6 * rng.standard_normal(m)
-    theta = rng.uniform(-0.5, 2.0, m)
-    cases = [
-        (_gl_assemble(grid, eps, well), v,
-         GLProfile(grid=grid, eps=eps, well=well, v=np.append(v, 1.0),
-                   residual_norm=math.nan),
-         _gl_oracle(grid, eps, well, np.append(v, 1.0))),
-        (_extended_assemble(grid, eps, eta, well, LIN), _interleave(v, g),
-         ExtendedProfile(grid=grid, eps=eps, eta=eta, well=well, penalty=LIN,
-                         v=np.append(v, 1.0), g=np.append(g, 0.0),
-                         branch="escaping", residual_norm=math.nan),
-         _extended_oracle(grid, eps, eta, well, LIN, np.append(v, 1.0),
-                          np.append(g, 0.0))),
-        (_sphere_assemble(grid, eta, QUAD), theta,
-         SphereProfile(grid=grid, eta=eta, penalty=QUAD,
-                       theta=np.append(theta, 0.5 * math.pi),
-                       residual_norm=math.nan),
-         _sphere_oracle(grid, eta, QUAD, np.append(theta, 0.5 * math.pi))),
-    ]
-    for assemble, u, record, oracle in cases:
-        newton, k = assemble(u)[0], len(oracle)     # interleaved by unknown
-        assert newton.size == k * m
-        assert all(np.array_equal(newton[i::k], o)
-                   for i, o in enumerate(oracle))
-        parts = record._residual_parts()
-        assert len(parts) == len(oracle)
-        assert all(np.array_equal(p, o) for p, o in zip(parts, oracle))
-        assert residual(record) == max(np.max(np.abs(o)) for o in oracle)
+    eps, eta, iterates = _iterates(grid, seed)
+    for (v, g, theta), well, penalty in itertools.product(
+            iterates, POTENTIALS, POTENTIALS):
+        cases = [
+            (_extended_assemble(grid, eps, eta, well, penalty),
+             _interleave(v, g),
+             ExtendedProfile(grid=grid, eps=eps, eta=eta, well=well,
+                             penalty=penalty, v=np.append(v, 1.0),
+                             g=np.append(g, 0.0), branch="escaping",
+                             residual_norm=math.nan),
+             _extended_oracle(grid, eps, eta, well, penalty,
+                              np.append(v, 1.0), np.append(g, 0.0))),
+        ]
+        if penalty is QUAD:
+            cases.append(
+                (_gl_assemble(grid, eps, well), v,
+                 GLProfile(grid=grid, eps=eps, well=well, v=np.append(v, 1.0),
+                           residual_norm=math.nan),
+                 _gl_oracle(grid, eps, well, np.append(v, 1.0))))
+        if well is QUAD:
+            cases.append(
+                (_sphere_assemble(grid, eta, penalty), theta,
+                 SphereProfile(grid=grid, eta=eta, penalty=penalty,
+                               theta=np.append(theta, 0.5 * math.pi),
+                               residual_norm=math.nan),
+                 _sphere_oracle(grid, eta, penalty,
+                                np.append(theta, 0.5 * math.pi))))
+        for assemble, u, record, oracle in cases:
+            newton, k = assemble(u)[0], len(oracle)     # interleaved
+            assert newton.size == k * m
+            assert all(np.array_equal(newton[i::k], o)
+                       for i, o in enumerate(oracle))
+            parts = record._residual_parts()
+            assert len(parts) == len(oracle)
+            assert all(np.array_equal(p, o) for p, o in zip(parts, oracle))
+            assert residual(record) == max(np.max(np.abs(o)) for o in oracle)
+
+
+# ---------------------------------------------------------------------------
+# Newton Jacobians against the full-array formulas they replaced: every
+# derivative evaluated as an array, the band filled entry by entry
+
+
+def _gl_jacobian_oracle(grid, eps, well, v):
+    sd, off = grid.stiffness(grid.N + 1)
+    mass = grid.hat_weights(2)[:-1]
+    r = grid.nodes[:-1]
+    x = 1.0 - r * r * v * v
+    wp = well.eval(x, 1, clamp=True)
+    wpp = well.eval(x, 2, clamp=True)
+    ab = np.zeros((3, v.size))
+    ab[0, 1:] = ab[2, :-1] = off
+    ab[1] = sd - mass / eps**2 * (wp - 2 * r**2 * v**2 * wpp)
+    return ab
+
+
+def _extended_jacobian_oracle(grid, eps, eta, well, penalty, v, g):
+    sv, ov = grid.stiffness(grid.N + 1)
+    sg, og = grid.stiffness(grid.N - 1)
+    mv = grid.hat_weights(2)[:-1]
+    mg = grid.hat_weights(0)[:-1]
+    r = grid.nodes[:-1]
+    x = 1.0 - r * r * v * v - g * g
+    wp = well.eval(x, 1, clamp=True)
+    wpp = well.eval(x, 2, clamp=True)
+    tp = penalty.eval(g * g, 1, clamp=True)
+    tpp = penalty.eval(g * g, 2, clamp=True)
+    rv = r * v
+    ab = np.zeros((5, 2 * v.size))
+    ab[0, 2::2] = ab[4, 0:-2:2] = ov
+    ab[0, 3::2] = ab[4, 1:-2:2] = og
+    ab[2, 0::2] = sv - mv / eps**2 * (wp - 2 * rv * rv * wpp)
+    ab[2, 1::2] = sg - mg * ((wp - 2 * g * g * wpp) / eps**2
+                             - (tp + 2 * g * g * tpp) / eta**2)
+    ab[1, 1::2] = mv / eps**2 * 2 * v * g * wpp
+    ab[3, 0::2] = mg / eps**2 * 2 * r * rv * g * wpp
+    return ab
+
+
+def _sphere_jacobian_oracle(grid, eta, penalty, theta):
+    sd, off = grid.stiffness(grid.N - 1)
+    m_cent = grid.hat_weights(-2)[:-1]
+    m0 = grid.hat_weights(0)[:-1]
+    tp = penalty.eval(np.cos(theta)**2, 1, clamp=True)
+    tpp = penalty.eval(np.cos(theta)**2, 2, clamp=True)
+    cos2, sin2 = np.cos(2 * theta), np.sin(2 * theta)
+    ab = np.zeros((3, theta.size))
+    ab[0, 1:] = ab[2, :-1] = off
+    ab[1] = sd + (grid.N - 1) * m_cent * cos2
+    ab[1] -= m0 / eta**2 * (tp * cos2 - 0.5 * tpp * sin2 * sin2)
+    return ab
+
+
+def _band_row_max(ab):
+    """Largest |entry| of each matrix row of full band storage ab."""
+    b, m = ab.shape[0] // 2, ab.shape[1]
+    row_max = np.zeros(m)
+    for k in range(2 * b + 1):              # ab[k, j] holds A[j+k-b, j]
+        s = k - b
+        j = np.arange(max(0, -s), min(m, m - s))
+        np.maximum.at(row_max, j + s, np.abs(ab[k, j]))
+    return row_max
+
+
+@ORACLE_GRIDS
+@pytest.mark.parametrize("seed", range(2))
+def test_newton_jacobians_match_full_array_formulas(monkeypatch, grid, seed):
+    from vortexlab import profiles
+    captured = []
+
+    def capture(ab, row_max):           # the band, unfactored
+        captured.append((ab, row_max))
+        return lambda rhs: rhs
+
+    monkeypatch.setattr(profiles, "lu_solver", capture)
+    eps, eta, iterates = _iterates(grid, seed)
+    for (v, g, theta), well, penalty in itertools.product(
+            iterates, POTENTIALS, POTENTIALS):
+        cases = [(profiles._extended_assemble(grid, eps, eta, well, penalty),
+                  profiles._interleave(v, g),
+                  _extended_jacobian_oracle(grid, eps, eta, well, penalty,
+                                            v, g))]
+        if penalty is QUAD:
+            cases.append((profiles._gl_assemble(grid, eps, well), v,
+                          _gl_jacobian_oracle(grid, eps, well, v)))
+        if well is QUAD:
+            cases.append((profiles._sphere_assemble(grid, eta, penalty), theta,
+                          _sphere_jacobian_oracle(grid, eta, penalty, theta)))
+        for assemble, u, oracle in cases:
+            res, solve = assemble(u)
+            solve(-res)
+            ab, row_max = captured.pop()
+            point = (well.kind, penalty.kind, oracle.shape)
+            assert np.array_equal(ab, oracle), point
+            assert np.array_equal(row_max, _band_row_max(oracle)), point
 
 
 # ---------------------------------------------------------------------------
