@@ -12,9 +12,10 @@ import copy
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +31,10 @@ from .spectral import (find_epsilon0, linearization_eigenvalue_sweep,
 from .stability import spectrum_summary
 
 _COMMANDS = ("profile", "eigen", "phase", "stability", "energy")
+# the commands whose payload VORTEXLAB_CACHE_DIR keeps
+_CACHED = ("profile", "eigen")
+# the potentials eigen, phase and stability take when --W or --Wt is not given
+_DEFAULT_POTENTIALS = {"W": "quadratic", "Wt": "linear"}
 
 
 @dataclass
@@ -65,11 +70,11 @@ class RunConfig:
             raise InputError("--confirm must lie in [0, 1]")
         if self.jobs < 1:
             raise InputError("--jobs must be >= 1")
+        if self.seed < 0:
+            raise InputError("--seed must be >= 0")
         _solver_options(self)
-
-    def resolved(self) -> dict:
-        out = asdict(self)
-        return out
+        if self.command == "stability" and self.eta is None:
+            raise InputError("stability needs eta in --point")
 
 
 def _number(text: str, kind=float):
@@ -85,6 +90,8 @@ def _parse_range(text: str) -> dict:
         raise InputError(f"range must be lo:hi:count, got {text!r}")
     lo, hi = _number(parts[0]), _number(parts[1])
     count = _number(parts[2], int)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError(f"range bounds must be finite, got {text!r}")
     if not (hi > lo and count >= 1):
         raise InputError(f"empty range {text!r}")
     return {"lo": lo, "hi": hi, "count": count}
@@ -102,7 +109,10 @@ def _parse_point(text: str) -> dict:
         if "=" not in part:
             raise InputError(f"--point needs key=value pairs, got {text!r}")
         k, v = part.split("=", 1)
-        out[k.strip()] = _number(v)
+        k = k.strip()
+        if k in out:
+            raise InputError(f"--point repeats key {k!r}, in {text!r}")
+        out[k] = _number(v)
     unknown = set(out) - {"eps", "eta"}
     if unknown:
         raise InputError(f"--point keys must be eps/eta, got {sorted(unknown)}")
@@ -184,19 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(ns) -> RunConfig:
-    cfg = RunConfig(command=ns.command, N=ns.N, grid=_parse_grid(ns),
-                    tol=ns.tol, max_iter=ns.max_iter, outdir=ns.outdir,
-                    jobs=getattr(ns, "jobs", 1))
-    cfg.W = getattr(ns, "W", None)
-    cfg.Wt = getattr(ns, "Wt", None)
-    cfg.eps = getattr(ns, "eps", None)
-    cfg.eta = getattr(ns, "eta", None)
-    cfg.model = getattr(ns, "model", None)
-    cfg.branch = getattr(ns, "branch", "escaping")
-    cfg.lam_max = getattr(ns, "lam_max", None)
-    cfg.confirm = getattr(ns, "confirm", 0.0)
-    cfg.seed = getattr(ns, "seed", 0)
-    cfg.find_threshold = getattr(ns, "find_threshold", False)
+    """RunConfig from the parsed flags whose names are its fields; the
+    others keep their defaults. Ranges, --eps-sweep and --point are parsed
+    here."""
+    names = {f.name for f in fields(RunConfig)}
+    cfg = RunConfig(grid=_parse_grid(ns),
+                    **{k: v for k, v in vars(ns).items() if k in names})
     if ns.command == "eigen":
         if getattr(ns, "eps_sweep", None) is not None:
             cfg.eps = _parse_range(ns.eps_sweep)
@@ -246,7 +249,7 @@ def _cache_key(cfg: RunConfig) -> str:
     """Hash of the configuration that decides a cached payload, with each
     potential in its canonical spec: flat_well:0.2, flat_well:0.20 and
     {"flat_well": 0.2} share one entry."""
-    resolved = cfg.resolved()
+    resolved = asdict(cfg)
     subset = {k: resolved[k]
               for k in ("command", "N", "eps", "eta", "model", "branch",
                         "grid", "tol", "max_iter", "find_threshold")}
@@ -259,10 +262,8 @@ def _cache_key(cfg: RunConfig) -> str:
 
 def _cache_load(cfg: RunConfig) -> dict | None:
     root = os.environ.get("VORTEXLAB_CACHE_DIR")
-    if not root or cfg.command not in ("profile", "eigen"):
-        return None
-    path = os.path.join(root, _cache_key(cfg) + ".json")
-    if os.path.exists(path):
+    path = root and os.path.join(root, _cache_key(cfg) + ".json")
+    if path and os.path.exists(path):
         with open(path) as fh:
             return json.load(fh)
     return None
@@ -270,7 +271,7 @@ def _cache_load(cfg: RunConfig) -> dict | None:
 
 def _cache_store(cfg: RunConfig, payload: dict) -> None:
     root = os.environ.get("VORTEXLAB_CACHE_DIR")
-    if not root or cfg.command not in ("profile", "eigen"):
+    if not root:
         return
     os.makedirs(root, exist_ok=True)
     path = os.path.join(root, _cache_key(cfg) + ".json")
@@ -289,7 +290,7 @@ def _emit(cfg: RunConfig, artifacts: dict, diagnostics: dict) -> list:
             fh.write(text)
         written.append(name)
     manifest = {
-        "config": cfg.resolved(),
+        "config": asdict(cfg),
         "artifacts": sorted(written),
         "diagnostics": diagnostics,
     }
@@ -305,58 +306,50 @@ def _emit(cfg: RunConfig, artifacts: dict, diagnostics: dict) -> list:
 # subcommand runners
 
 
+def _potential(cfg: RunConfig, name: str) -> Potential:
+    """cfg's potential W or Wt, or its default when the flag is not given."""
+    return Potential.from_spec(getattr(cfg, name) or _DEFAULT_POTENTIALS[name])
+
+
 def _solve_profile(cfg: RunConfig, model: str, grid, opts: SolverOptions,
                    branch: str):
     """The model's profile at cfg's potentials, eps and eta on grid (the
     two-field one on branch)."""
     if model == "gl":
-        return solve_gl_profile(cfg.N, Potential.from_spec(cfg.W),
-                                float(cfg.eps), grid, opts)
+        return solve_gl_profile(cfg.N, _potential(cfg, "W"), float(cfg.eps),
+                                grid, opts)
     if model == "sphere":
-        return solve_sphere_profile(cfg.N, Potential.from_spec(cfg.Wt),
+        return solve_sphere_profile(cfg.N, _potential(cfg, "Wt"),
                                     float(cfg.eta), grid, opts)
-    return solve_extended_profile(cfg.N, Potential.from_spec(cfg.W),
-                                  Potential.from_spec(cfg.Wt), float(cfg.eps),
+    return solve_extended_profile(cfg.N, _potential(cfg, "W"),
+                                  _potential(cfg, "Wt"), float(cfg.eps),
                                   float(cfg.eta), grid, branch_hint=branch,
                                   opts=opts)
 
 
-def _run_profile(cfg: RunConfig) -> tuple:
-    model = cfg.model = _infer_model(cfg)   # resolve before the cache key
-    cached = _cache_load(cfg)
-    if cached is not None:
-        return cached["artifacts"], cached["diagnostics"]
-    grid = make_grid(cfg.N, cfg.grid["n"], cfg.grid["grading"])
-    prof = _solve_profile(cfg, model, grid, _solver_options(cfg), cfg.branch)
-    diag = {"residual": prof.residual_norm, "model": model}
-    if model == "sphere":
+def _run_profile(cfg: RunConfig, grid, opts: SolverOptions) -> tuple:
+    prof = _solve_profile(cfg, cfg.model, grid, opts, cfg.branch)
+    diag = {"residual": prof.residual_norm, "model": cfg.model}
+    if cfg.model == "sphere":
         diag["no_escape"] = prof.no_escape
-    elif model == "extended":
+    elif cfg.model == "extended":
         diag.update(branch=prof.branch, flags=list(prof.flags))
-    artifacts = {"profile.csv": profile_to_csv(prof)}
-    _cache_store(cfg, {"artifacts": artifacts, "diagnostics": diag})
-    return artifacts, diag
+    return {"profile.csv": profile_to_csv(prof)}, diag
 
 
-def _run_eigen(cfg: RunConfig) -> tuple:
-    cached = _cache_load(cfg)
-    if cached is not None:
-        return cached["artifacts"], cached["diagnostics"]
-    W = Potential.from_spec(cfg.W if cfg.W is not None else "quadratic")
-    grid = make_grid(cfg.N, cfg.grid["n"], cfg.grid["grading"])
+def _run_eigen(cfg: RunConfig, grid, opts: SolverOptions) -> tuple:
+    W = _potential(cfg, "W")
     if isinstance(cfg.eps, dict):
         eps_values = axis_samples((cfg.eps["lo"], cfg.eps["hi"]),
                                   cfg.eps["count"])
     else:
         eps_values = np.array([float(cfg.eps)])
-    opts = _solver_options(cfg)
     rows = linearization_eigenvalue_sweep(cfg.N, W, eps_values, grid=grid,
                                           jobs=cfg.jobs, opts=opts)
     artifacts = {"eigen.csv": sweep_to_csv(rows)}
     diag = {"count": len(rows)}
     if cfg.find_threshold:
-        lo = float(eps_values[0])
-        hi = float(eps_values[-1])
+        lo, hi = float(eps_values[0]), float(eps_values[-1])
         # the bisection's refinement acceptance must stay matched to what the
         # grid can resolve; the (much tighter) profile tol is not that knob
         eps0 = find_epsilon0(cfg.N, W, (lo, hi), grid=grid, opts=opts,
@@ -364,21 +357,16 @@ def _run_eigen(cfg: RunConfig) -> tuple:
         artifacts["eigen.json"] = json.dumps(
             {"eps0": eps0, "bracket": [lo, hi]}, indent=2) + "\n"
         diag["eps0"] = eps0
-    _cache_store(cfg, {"artifacts": artifacts, "diagnostics": diag})
     return artifacts, diag
 
 
-def _run_phase(cfg: RunConfig) -> tuple:
-    W = Potential.from_spec(cfg.W if cfg.W is not None else "quadratic")
-    Wt = Potential.from_spec(cfg.Wt if cfg.Wt is not None else "linear")
-    grid = make_grid(cfg.N, cfg.grid["n"], cfg.grid["grading"])
-    diagram = phase_sweep(cfg.N, W, Wt,
+def _run_phase(cfg: RunConfig, grid, opts: SolverOptions) -> tuple:
+    diagram = phase_sweep(cfg.N, _potential(cfg, "W"), _potential(cfg, "Wt"),
                           (cfg.eps["lo"], cfg.eps["hi"]),
                           (cfg.eta["lo"], cfg.eta["hi"]),
                           (cfg.eps["count"], cfg.eta["count"]),
                           confirm_fraction=cfg.confirm, grid=grid,
-                          jobs=cfg.jobs, seed=cfg.seed,
-                          opts=_solver_options(cfg))
+                          jobs=cfg.jobs, seed=cfg.seed, opts=opts)
     artifacts = {"phase.csv": diagram.to_csv(), "phase.svg": diagram.to_svg()}
     counts = {}
     for row in diagram.points:
@@ -390,15 +378,10 @@ def _run_phase(cfg: RunConfig) -> tuple:
     return artifacts, diag
 
 
-def _run_stability(cfg: RunConfig) -> tuple:
-    if cfg.eta is None:
-        raise InputError("stability needs eta in --point")
-    grid = make_grid(cfg.N, cfg.grid["n"], cfg.grid["grading"])
-    # the sphere map without eps; W and Wt default to quadratic and linear
+def _run_stability(cfg: RunConfig, grid, opts: SolverOptions) -> tuple:
+    # the sphere map without eps
     model = "sphere" if cfg.eps is None else "extended"
-    prof = _solve_profile(replace(cfg, W=cfg.W or "quadratic",
-                                  Wt=cfg.Wt or "linear"),
-                          model, grid, _solver_options(cfg), cfg.branch)
+    prof = _solve_profile(cfg, model, grid, opts, cfg.branch)
     report = spectrum_summary(prof, None, None, None, None,
                               lam_max=cfg.lam_max)
     artifacts = {"stability.json": report.to_json() + "\n"}
@@ -408,10 +391,8 @@ def _run_stability(cfg: RunConfig) -> tuple:
     return artifacts, diag
 
 
-def _run_energy(cfg: RunConfig) -> tuple:
-    model = cfg.model = _infer_model(cfg)
-    grid = make_grid(cfg.N, cfg.grid["n"], cfg.grid["grading"])
-    opts = _solver_options(cfg)
+def _run_energy(cfg: RunConfig, grid, opts: SolverOptions) -> tuple:
+    model = cfg.model
     out = {"model": model, "N": cfg.N}
     if model != "extended":
         prof = _solve_profile(cfg, model, grid, opts, cfg.branch)
@@ -438,14 +419,29 @@ def _run_energy(cfg: RunConfig) -> tuple:
     return artifacts, diag
 
 
+_RUNNERS = {"profile": _run_profile, "eigen": _run_eigen, "phase": _run_phase,
+            "stability": _run_stability, "energy": _run_energy}
+
+
 def run(config: RunConfig) -> int:
-    """Execute one resolved configuration; returns the exit status."""
+    """Execute one configuration; returns the exit status.
+
+    Every command takes one path: validate, resolve the profile model
+    (profile and energy; it is part of the cache key), look up the cache
+    (profile and eigen), and on a miss build the grid and solver options
+    once, run the command and store its payload; then emit."""
     config.validate()
-    runner = {"profile": _run_profile, "eigen": _run_eigen,
-              "phase": _run_phase, "stability": _run_stability,
-              "energy": _run_energy}[config.command]
-    artifacts, diagnostics = runner(config)
-    _emit(config, artifacts, diagnostics)
+    if config.command in ("profile", "energy"):
+        config.model = _infer_model(config)
+    payload = _cache_load(config) if config.command in _CACHED else None
+    if payload is None:
+        artifacts, diagnostics = _RUNNERS[config.command](
+            config, make_grid(config.N, **config.grid),
+            _solver_options(config))
+        payload = {"artifacts": artifacts, "diagnostics": diagnostics}
+        if config.command in _CACHED:
+            _cache_store(config, payload)
+    _emit(config, payload["artifacts"], payload["diagnostics"])
     return 0
 
 

@@ -15,6 +15,7 @@ import copy
 import functools
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -93,6 +94,16 @@ def csv_rows(*cols) -> str:
     fmt = ",".join("{}" if t else "{:.17g}" for t in text) + "\n"
     return "".join(map(fmt.format, *(
         (a if t else a.astype(float)).tolist() for a, t in zip(arrays, text))))
+
+
+def map_jobs(fn, calls: list, jobs: int = 1) -> list:
+    """[fn(*args) for args in calls], in call order; with jobs > 1 the same
+    calls run over up to that many worker processes, never more than there
+    are calls (fn and its arguments must pickle). No result can change."""
+    if jobs > 1 and len(calls) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(calls))) as pool:
+            return list(pool.map(fn, *zip(*calls)))
+    return [fn(*args) for args in calls]
 
 
 # ---------------------------------------------------------------------------

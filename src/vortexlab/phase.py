@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (DEFAULT_GRID, ConvergenceError, InconsistentError,
                    InputError, NoEscapingRegionError, OutOfRangeError,
-                   Potential, RadialGrid, csv_rows, make_grid)
+                   Potential, RadialGrid, csv_rows, make_grid, map_jobs)
 from .profiles import (PREDICTOR_POINTS, SolverOptions,
                        solve_extended_profile)
-from .spectral import find_epsilon0, gl_linearization_eigenvalue
+from .spectral import (ell_never_negative, find_epsilon0,
+                       gl_linearization_eigenvalue)
 
 BOUNDARY_BAND = 1e-6      # |criterion| < band*(1+|ell|) -> Boundary
 
@@ -102,10 +102,9 @@ class PhaseDiagram:
         return out.getvalue()
 
 
-def _classify(ell: float, wt0: float, eta: float,
-              band: float = BOUNDARY_BAND) -> tuple[str, float]:
+def _classify(ell: float, wt0: float, eta: float) -> tuple[str, float]:
     crit = ell + wt0 / eta ** 2
-    if abs(crit) < band * (1.0 + abs(ell)):
+    if abs(crit) < BOUNDARY_BAND * (1.0 + abs(ell)):
         return "Boundary", crit
     return ("Escaping" if crit < 0 else "NonEscaping"), crit
 
@@ -158,14 +157,9 @@ def eta0(N: int, W, Wt, eps: float, grid: RadialGrid | None = None,
     """
     W = Potential.from_spec(W)
     Wt = Potential.from_spec(Wt)
-    if N >= 7:
-        raise NoEscapingRegionError(
-            "no escaping region: the linearization eigenvalue is positive "
-            "for every eps when N >= 7")
-    if W.eval(1.0, 1) <= 0.0:
-        raise NoEscapingRegionError(
-            "no escaping region: the well has zero slope at full depletion, "
-            "so the linearization eigenvalue is positive for every eps")
+    reason = ell_never_negative(N, W)
+    if reason:
+        raise NoEscapingRegionError(f"no escaping region: {reason}")
     if not eps > 0:                 # NaN fails this test too
         raise InputError("eps must be positive")
     if grid is None:
@@ -182,22 +176,18 @@ def classify_point(N: int, W, Wt, eps: float, eta: float,
                    grid: RadialGrid | None = None, confirm: bool = False,
                    opts: SolverOptions = SolverOptions()) -> PhasePoint:
     """Classify one (eps, eta) point by the eigenvalue criterion; optionally
-    cross-check against the nonlinear escaping-branch solver."""
+    cross-check against the nonlinear escaping-branch solver.
+
+    The point is a one-point column of sweep: the same solves, and the same
+    PhasePoint as that point of a sweep over one column."""
     W = Potential.from_spec(W)
     Wt = Potential.from_spec(Wt)
     if not (eps > 0 and eta > 0):   # NaN fails this test too
         raise InputError("eps and eta must be positive")
     if grid is None:
         grid = make_grid(N, **DEFAULT_GRID)
-    ell, pair, gl = gl_linearization_eigenvalue(N, W, eps, grid, opts)
-    cls, crit = _classify(ell, Wt.eval(0.0, 1), eta)
-    confirmed = False
-    if confirm and cls != "Boundary":
-        _confirm_against_solver(N, W, Wt, eps, eta, cls, crit, ell, grid,
-                                opts, gl, pair)
-        confirmed = True
-    return PhasePoint(eps=eps, eta=eta, cls=cls, criterion=crit, ell=ell,
-                      confirmed=confirmed)
+    return _column(N, W, Wt, float(eps), [eta], grid,
+                   {0} if confirm else set(), opts)[1][0]
 
 
 def axis_samples(rng, count) -> np.ndarray:
@@ -206,6 +196,8 @@ def axis_samples(rng, count) -> np.ndarray:
     lo, hi = float(rng[0]), float(rng[1])
     if not 0 <= lo < hi:            # NaN fails this test too
         raise InputError("range must satisfy 0 <= lo < hi")
+    if hi == math.inf:
+        raise InputError("range must be finite")
     if count < 1:
         raise InputError("resolution must be at least 1")
     if lo == 0.0:
@@ -213,10 +205,10 @@ def axis_samples(rng, count) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _column_worker(payload):
-    (N, wspec, wtspec, eps, etas, grid, confirm_js, opts) = payload
-    W = Potential.from_spec(wspec)
-    Wt = Potential.from_spec(wtspec)
+def _column(N, W, Wt, eps, etas, grid, confirm_js, opts):
+    """(ell, PhasePoints) of the column at eps, over the ascending etas,
+    with the points at the indices confirm_js cross-checked by the solver
+    (see sweep)."""
     ell, pair, gl = gl_linearization_eigenvalue(N, W, eps, grid, opts)
     wt0 = Wt.eval(0.0, 1)
     classes = [_classify(ell, wt0, eta_j) for eta_j in etas]
@@ -246,11 +238,13 @@ def _column_worker(payload):
     return ell, pts
 
 
-def sweep(N: int, W, Wt, eps_range, eta_range, resolution,
+def sweep(N: int, W, Wt, eps_range, eta_range, resolution: tuple[int, int],
           confirm_fraction: float = 0.0, grid: RadialGrid | None = None,
           jobs: int = 1, seed: int = 0,
           opts: SolverOptions = SolverOptions()) -> PhaseDiagram:
-    """Classify a grid of (eps, eta) points, every profile solved with opts.
+    """Classify the lattice of resolution = (n_eps, n_eta) points spanning
+    eps_range x eta_range (axis_samples on each), every profile solved with
+    opts.
 
     The eigenvalue is computed once per eps-column and reused across the
     eta-row. A seeded random confirm_fraction of non-boundary points is
@@ -275,10 +269,9 @@ def sweep(N: int, W, Wt, eps_range, eta_range, resolution,
     Wt = Potential.from_spec(Wt)
     if not 0.0 <= confirm_fraction <= 1.0:
         raise InputError("confirm_fraction must lie in [0, 1]")
-    if isinstance(resolution, (tuple, list)):
-        n_eps, n_eta = int(resolution[0]), int(resolution[1])
-    else:
-        n_eps = n_eta = int(resolution)
+    if seed < 0:
+        raise InputError("seed must be >= 0")
+    n_eps, n_eta = int(resolution[0]), int(resolution[1])
     eps_samples = axis_samples(eps_range, n_eps)
     eta_samples = axis_samples(eta_range, n_eta)
     if grid is None:
@@ -288,14 +281,10 @@ def sweep(N: int, W, Wt, eps_range, eta_range, resolution,
     mask = rng.random((n_eps, len(eta_samples))) < confirm_fraction
     # the grid itself, not its spec: a spec does not rebuild every grid (a
     # refined r_min, say), and columns must solve on the caller's mesh
-    payloads = [(N, W.spec(), Wt.spec(), float(e), eta_samples, grid,
-                 set(np.nonzero(mask[i])[0].tolist()), opts)
-                for i, e in enumerate(eps_samples)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_column_worker, payloads))
-    else:
-        results = [_column_worker(p) for p in payloads]
+    results = map_jobs(_column, [
+        (N, W, Wt, float(e), eta_samples, grid,
+         set(np.nonzero(mask[i])[0].tolist()), opts)
+        for i, e in enumerate(eps_samples)], jobs)
 
     wt0 = Wt.eval(0.0, 1)
     ells = [r[0] for r in results]
@@ -303,7 +292,7 @@ def sweep(N: int, W, Wt, eps_range, eta_range, resolution,
     eta0s = [math.sqrt(wt0 / abs(l)) if l < 0 else None for l in ells]
 
     eps0 = None
-    if N < 7 and W.eval(1.0, 1) > 0.0:
+    if ell_never_negative(N, W) is None:
         sign_change = [(eps_samples[i], eps_samples[i + 1])
                        for i in range(len(ells) - 1)
                        if ells[i] < 0 <= ells[i + 1]]

@@ -17,7 +17,6 @@ in every mode block).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +25,7 @@ from .banded import (count_below, equilibrate, lu_solver, sym_matvec,
                      sym_to_full)
 from .core import (ConvergenceError, InputError, NoThresholdError,
                    BracketError, DEFAULT_GRID, Potential, RadialGrid, csv_rows,
-                   make_grid)
+                   make_grid, map_jobs)
 from .profiles import (CONTINUATION_FACTOR, GLProfile, SolverOptions,
                        solve_gl_profile)
 
@@ -429,6 +428,19 @@ def gl_linearization_eigenvalue(N: int, W, eps: float, grid: RadialGrid,
     return lam, pair, profile
 
 
+def ell_never_negative(N: int, W) -> str | None:
+    """Why the linearization eigenvalue ell(eps) is positive at every eps,
+    or None when it turns negative for small eps. It stays positive for
+    N >= 7 and for a well with W'(1) <= 0; no threshold eps0 and no escaping
+    eta range exist then."""
+    if N >= 7:
+        return "for N >= 7 the linearization eigenvalue is positive at every eps"
+    if Potential.from_spec(W).eval(1.0, 1) <= 0.0:
+        return ("the well has zero slope at full depletion, so the "
+                "linearization eigenvalue is positive at every eps")
+    return None
+
+
 def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
                   grid: RadialGrid | None = None,
                   opts: SolverOptions = SolverOptions(),
@@ -454,14 +466,9 @@ def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
     W = Potential.from_spec(W)
     if not isinstance(N, (int, np.integer)) or N < 2:
         raise InputError("N must be an integer >= 2")
-    if N >= 7:
-        raise NoThresholdError(
-            "no threshold: for N >= 7 the linearization eigenvalue stays "
-            "positive at every eps")
-    if W.eval(1.0, 1) <= 0.0:
-        raise NoThresholdError(
-            "no threshold: the well has zero slope at full depletion, so the "
-            "linearization eigenvalue never turns negative")
+    reason = ell_never_negative(N, W)
+    if reason:
+        raise NoThresholdError(f"no threshold: {reason}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 < lo < hi):
         raise InputError("bracket must satisfy 0 < lo < hi")
@@ -537,11 +544,9 @@ def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
 # sweeps and export
 
 
-def _sweep_worker(args):
-    N, wspec, eps, grid, opts = args
-    val, _, _ = gl_linearization_eigenvalue(N, Potential.from_spec(wspec),
-                                            eps, grid, opts)
-    return val
+def _ell(N, W, eps, grid, opts) -> float:
+    """ell(eps) alone: a worker process sends back no profile."""
+    return gl_linearization_eigenvalue(N, W, eps, grid, opts)[0]
 
 
 def linearization_eigenvalue_sweep(N: int, W, eps_values,
@@ -550,20 +555,14 @@ def linearization_eigenvalue_sweep(N: int, W, eps_values,
                                    opts: SolverOptions = SolverOptions()
                                    ) -> list[tuple[float, float]]:
     """(eps, eigenvalue) rows across eps values, each profile solved with
-    opts; columns are independent so they parallelize across processes when
-    jobs > 1."""
+    opts; the values are independent, so jobs > 1 spreads them over worker
+    processes (core.map_jobs)."""
     W = Potential.from_spec(W)
     if grid is None:
         grid = make_grid(N, **DEFAULT_GRID)
     eps_values = [float(e) for e in eps_values]
-    if jobs > 1:
-        # the grid itself, not its spec: a spec does not rebuild every grid
-        payload = [(N, W.spec(), e, grid, opts) for e in eps_values]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            vals = list(pool.map(_sweep_worker, payload))
-    else:
-        vals = [gl_linearization_eigenvalue(N, W, e, grid, opts)[0]
-                for e in eps_values]
+    # the grid itself, not its spec: a spec does not rebuild every grid
+    vals = map_jobs(_ell, [(N, W, e, grid, opts) for e in eps_values], jobs)
     return list(zip(eps_values, vals))
 
 

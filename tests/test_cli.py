@@ -86,6 +86,22 @@ def test_cache_reuse(tmp_path, monkeypatch):
     assert len(list(cache.iterdir())) == 1
 
 
+def test_cache_only_for_profile_and_eigen(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("VORTEXLAB_CACHE_DIR", str(cache))
+    for argv in (
+            ["energy", "--N", "3", "--W", "quadratic", "--eps", "0.3"],
+            ["phase", "sweep", "--N", "3", "--eps", "0.1:0.4:2", "--eta",
+             "0.5:1.0:2"],
+            ["stability", "--N", "3", "--Wt", "linear", "--point",
+             "eta=1.0", "--lambda-max", "2"]):
+        assert _run(tmp_path / argv[0], *argv, "--grid-n", "300") == 0
+    assert not cache.exists()
+    assert _run(tmp_path / "profile", "profile", "--N", "3", "--W",
+                "quadratic", "--eps", "0.3", "--grid-n", "300") == 0
+    assert len(list(cache.iterdir())) == 1
+
+
 def test_cache_key_is_the_canonical_potential(tmp_path, monkeypatch):
     # three spellings of one potential share one cache entry; the manifest
     # still echoes each as given
@@ -322,6 +338,14 @@ def test_argument_validation(capsys):
          "--eps", "0.1", "--eta", "0.8", "--tol", "1e-13"],
         ["profile", "--N", "3", "--Wt", "linear", "--eta", "0.5",
          "--tol", "1e-13"],
+        # a negative seed, an infinite range end, a repeated --point key
+        ["phase", "sweep", "--N", "3", "--eps", "0.1:0.4:3", "--eta",
+         "0.1:1:3", "--grid-n", "400", "--seed", "-1"],
+        ["phase", "sweep", "--N", "3", "--eps", "0.1:inf:3", "--eta",
+         "0.1:1:3", "--grid-n", "400"],
+        ["eigen", "--N", "3", "--eps-sweep", "0.1:inf:3", "--grid-n", "400"],
+        ["stability", "--N", "3", "--point", "eta=1,eta=2", "--grid-n",
+         "400", "--lambda-max", "2"],
         # an explicit --model without its parameter
         ["profile", "--N", "3", "--model", "gl", "--W", "quadratic"],
         ["profile", "--N", "3", "--model", "sphere", "--Wt", "linear"],

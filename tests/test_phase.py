@@ -38,6 +38,13 @@ def test_eta0_out_of_range(eps0_n3, grid_n3):
 def test_eta0_no_escaping_region(grid_n7):
     with pytest.raises(NoEscapingRegionError):
         eta0(7, QUAD, LIN, 0.5, grid=grid_n7)
+    # a well with W'(1) = 0: ell is positive at every eps
+    zero = Potential.zero()
+    with pytest.raises(NoEscapingRegionError):
+        eta0(3, zero, LIN, 0.5, grid=WALK_GRID)
+    d = sweep(3, zero, LIN, (0.05, 0.3), (0.2, 1.0), (3, 2), grid=WALK_GRID)
+    assert d.eps0 is None
+    assert all(pt.ell > 0 for row in d.points for pt in row)
 
 
 def test_eta0_quadratic_penalty_vanishes(eps0_n3, grid_n3):
@@ -70,6 +77,21 @@ def test_classify_boundary_band(escaping_point, grid_n3):
     eps, _, eta_star = escaping_point
     pt = classify_point(3, QUAD, LIN, eps, eta_star, grid=grid_n3)
     assert pt.cls == "Boundary"
+
+
+def test_classify_point_is_a_one_point_column(escaping_point, grid_n3,
+                                              eps0_n3):
+    # the point and a one-column sweep through it take the same path:
+    # the same class, criterion and ell, and the same confirmation
+    eps, eta, eta_star = escaping_point
+    for point, cls in (((eps, eta), "Escaping"),
+                       ((2 * eps0_n3, 0.5), "NonEscaping"),
+                       ((eps, eta_star), "Boundary")):
+        pt = classify_point(3, QUAD, LIN, *point, grid=grid_n3, confirm=True)
+        d = sweep(3, QUAD, LIN, (point[0], 1.0), (point[1], 2.0), (1, 1),
+                  confirm_fraction=1.0, grid=grid_n3)
+        assert pt == d.points[0][0]
+        assert pt.cls == cls and pt.confirmed == (cls != "Boundary")
 
 
 def test_sweep_structure_and_row_transitions(eps0_n3):
@@ -143,6 +165,10 @@ def test_sweep_axis_validation():
     with pytest.raises(InputError):
         sweep(3, QUAD, LIN, (0.1, 0.4), (0.1, 1.0), (4, 4),
               confirm_fraction=1.5)
+    with pytest.raises(InputError):
+        sweep(3, QUAD, LIN, (0.1, 0.4), (0.1, 1.0), (4, 4), seed=-1)
+    with pytest.raises(InputError, match="finite"):
+        sweep(3, QUAD, LIN, (0.1, math.inf), (0.1, 1.0), (4, 4))
 
 
 def test_sweep_open_axis_at_zero():

@@ -130,6 +130,28 @@ def test_gl_energy_zero_well_exact():
     assert abs(val - (0.5 + 1.0 / 24.0)) < 1e-6
 
 
+def _three_term_gl_energy(p, W, eps):
+    """The GL energy written out: gradient, centrifugal and well terms."""
+    grid = p.grid
+    pot = W.eval(1.0 - p.f**2, 0, clamp=True)
+    return 0.5 * (grid.gradient_energy(p.f, left_value=0.0)
+                  + (grid.N - 1) * grid.quadrature(p.v**2)
+                  + grid.quadrature(pot) / eps**2)
+
+
+def test_gl_energy_is_the_two_field_energy_at_zero_g():
+    # reduced_energy_gl is the two-field energy with g = 0 and no penalty;
+    # its extra terms are exact zeros, so the bits are the written-out sum's
+    for N in (2, 3, 5):
+        grid = make_grid(N, 800, {"graded": 2.0})
+        for spec in ("quadratic", "flat_well:0.3", "zero"):
+            W = Potential.from_spec(spec)
+            for eps in (0.05, 0.1, 0.3, 1.0):
+                prof = solve_gl_profile(N, W, eps, grid)
+                assert (reduced_energy_gl(prof, W, eps)
+                        == _three_term_gl_energy(prof, W, eps)), (N, spec, eps)
+
+
 def test_gl_rejects_bad_input(grid_n3):
     with pytest.raises(InputError):
         solve_gl_profile(3, QUAD, 0.0, grid_n3)
