@@ -75,6 +75,10 @@ class RunConfig:
         _solver_options(self)
         if self.command == "stability" and self.eta is None:
             raise InputError("stability needs eta in --point")
+        if self.find_threshold and not (isinstance(self.eps, dict)
+                                        and self.eps["count"] >= 2):
+            raise InputError("--find-threshold needs a bracket: give "
+                             "--eps-sweep LO:HI:COUNT with COUNT >= 2")
 
 
 def _number(text: str, kind=float):
@@ -163,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=None)
     sp.add_argument("--eps-sweep", default=None, metavar="LO:HI:COUNT")
     sp.add_argument("--find-threshold", action="store_true",
-                    help="also bisect for the eigenvalue sign change eps0")
+                    help="also find the eigenvalue sign change eps0 "
+                         "(needs --eps-sweep)")
     sp.add_argument("--jobs", type=int, default=1)
 
     sp = sub.add_parser("phase", help="phase-diagram commands")
@@ -350,7 +355,7 @@ def _run_eigen(cfg: RunConfig, grid, opts: SolverOptions) -> tuple:
     diag = {"count": len(rows)}
     if cfg.find_threshold:
         lo, hi = float(eps_values[0]), float(eps_values[-1])
-        # the bisection's refinement acceptance must stay matched to what the
+        # the search's refinement acceptance must stay matched to what the
         # grid can resolve; the (much tighter) profile tol is not that knob
         eps0 = find_epsilon0(cfg.N, W, (lo, hi), grid=grid, opts=opts,
                              tol=max(cfg.tol, 1e-8), samples=rows)

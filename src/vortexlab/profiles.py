@@ -496,6 +496,18 @@ def solve_gl_profile(N: int, W: Potential, eps: float, grid: RadialGrid,
                    v=np.append(v, 1.0), solver_trace=trace)
 
 
+def gl_eps_tangent(p: GLProfile) -> np.ndarray:
+    """dv/deps along the GL branch at the solved profile p, at every node
+    (zero at the Dirichlet node): the solve of J dv = -dF/deps with the
+    Newton Jacobian J at p.v, where dF/deps = 2 hat_w(2) W'(x) v / eps^3 is
+    the residual's derivative in eps at fixed v."""
+    v = p.v[:-1]
+    st = _gl_stage(p.grid, p.eps, p.well)
+    wp = st.wp(1.0 - st.rr * v * v)
+    solve = _gl_assemble(p.grid, p.eps, p.well)(v)[1]
+    return np.append(solve(-2.0 * st.me * wp * v / p.eps), 0.0)
+
+
 _LADDER_LOCK = threading.Lock()
 
 

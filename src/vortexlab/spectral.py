@@ -27,7 +27,7 @@ from .core import (ConvergenceError, InputError, NoThresholdError,
                    BracketError, DEFAULT_GRID, Potential, RadialGrid, csv_rows,
                    make_grid, map_jobs)
 from .profiles import (CONTINUATION_FACTOR, GLProfile, SolverOptions,
-                       solve_gl_profile)
+                       gl_eps_tangent, solve_gl_profile)
 
 _BACKWARD_TOL = 1e-9        # normwise backward error an eigenpair must meet
 
@@ -441,6 +441,29 @@ def ell_never_negative(N: int, W) -> str | None:
     return None
 
 
+def gl_linearization_slope(pair: EigenPair, profile: GLProfile) -> float:
+    """d ell / d eps of the linearization eigenvalue ell = pair.eigenvalue
+    around profile (both from gl_linearization_eigenvalue), exact for the
+    discrete pencil: Hellmann-Feynman, q^T (dA/deps) q / q^T M q, with
+    dA/deps the P1 mass weighted by
+
+        dV/deps = 2 W'(x)/eps^3 + 2 W''(x) f (r dv/deps)/eps^2,   x = 1 - f^2,
+
+    the derivative of the pencil's potential V = -W'(x)/eps^2 along the GL
+    branch (dv/deps from profiles.gl_eps_tangent)."""
+    grid, W, eps, f, q = (profile.grid, profile.well, profile.eps,
+                          profile.f, pair.q)
+    x = 1.0 - f ** 2
+    dV = (2.0 * W.eval(x, 1) / eps ** 3
+          + 2.0 * W.eval(x, 2) * f * grid.nodes * gl_eps_tangent(profile)
+          / eps ** 2)
+
+    def form(d, off):           # q^T B q on the full grid; q vanishes at r = 1
+        return float(d @ (q * q) + 2.0 * off @ (q[:-1] * q[1:]))
+
+    return form(*grid.p1_weighted_mass(dV)) / form(*grid.p1_mass(0))
+
+
 def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
                   grid: RadialGrid | None = None,
                   opts: SolverOptions = SolverOptions(),
@@ -448,10 +471,15 @@ def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
     """Coupling threshold: the eps at which the linearization eigenvalue
     crosses zero (negative below, positive above).
 
-    Guarded regula-falsi in eps on the eigenvalue, valid because
-    eps^2 * eigenvalue is strictly increasing. The result is accepted only if
-    halving r_min moves the eigenvalue by under tol/10, confirming the
-    zero-flux origin closure is not polluting the answer.
+    Safeguarded Newton in log eps on the eigenvalue ell, valid because
+    eps^2 * ell is strictly increasing: each eps solved inside the
+    sign change also gives d ell/d eps (gl_linearization_slope), and the
+    next eps is the Newton step from it. An Illinois bracket (regula falsi
+    in log eps) is kept around the sign change; it gives the first eps, and
+    the next one whenever a Newton step would leave the bracket. The search
+    stops at |ell| < tol. The result is accepted only if halving r_min
+    moves the eigenvalue by under tol/10, confirming the zero-flux origin
+    closure is not polluting the answer.
 
     samples are (eps, eigenvalue) pairs that the caller has already
     computed on grid with opts (a sweep's rows, say). The search starts on
@@ -484,15 +512,15 @@ def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
         start = None
         if near is not None and max(near / e, e / near) <= CONTINUATION_FACTOR:
             start = solved[near]
-        lam, pair, prof = gl_linearization_eigenvalue(N, W, e, grid, opts,
-                                                      start=start)
-        solved[e] = (prof.v, pair.q)
-        return lam
+        lam, eig, prof = gl_linearization_eigenvalue(N, W, e, grid, opts,
+                                                     start=start)
+        solved[e] = (prof.v, eig.q)
+        return lam, eig, prof
 
     known = {float(e): float(v) for e, v in samples if lo <= e <= hi}
     for e in (lo, hi):
         if e not in known:
-            known[e] = ell(e)
+            known[e] = ell(e)[0]
     pts = sorted(known.items())
     pair = next(((a, b) for a, b in zip(pts, pts[1:])
                  if a[1] < 0.0 < b[1]), None)
@@ -502,31 +530,37 @@ def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
             f"eigenvalue({lo}) = {known[lo]:.6g}, "
             f"eigenvalue({hi}) = {known[hi]:.6g}")
     (lo, flo), (hi, fhi) = pair
+    t_lo, t_hi = math.log(lo), math.log(hi)
 
-    # Illinois variant: never leaves the bracket, superlinear once close
-    e_mid, f_mid = lo, flo
+    # Illinois variant in t = log eps: never leaves the bracket; a Newton
+    # step from the last eps replaces its point while it stays inside
+    t = (t_lo * fhi - t_hi * flo) / (fhi - flo)
     side = 0
     for _ in range(200):
-        e_mid = (lo * fhi - hi * flo) / (fhi - flo)
-        if not (lo < e_mid < hi):
-            e_mid = 0.5 * (lo + hi)
-        f_mid = ell(e_mid)
+        if not (t_lo < t < t_hi):
+            t = 0.5 * (t_lo + t_hi)
+        e_mid = math.exp(t)
+        f_mid, eig, prof = ell(e_mid)
         if abs(f_mid) < tol:
             break
         if f_mid < 0:
-            lo, flo = e_mid, f_mid
+            t_lo, flo = t, f_mid
             if side == -1:
                 fhi *= 0.5
             side = -1
         else:
-            hi, fhi = e_mid, f_mid
+            t_hi, fhi = t, f_mid
             if side == 1:
                 flo *= 0.5
             side = 1
+        slope = e_mid * gl_linearization_slope(eig, prof)  # d ell / d t
+        t = t - f_mid / slope if slope > 0 else math.nan
+        if not (t_lo < t < t_hi):
+            t = (t_lo * fhi - t_hi * flo) / (fhi - flo)
     else:
         raise ConvergenceError(
             f"threshold search stalled at eigenvalue {f_mid:.3e}",
-            [("bracket", (lo, hi))])
+            [("bracket", (math.exp(t_lo), math.exp(t_hi)))])
 
     # v and q are even at the origin: v'(0) = q'(0) = 0
     shifted = gl_linearization_eigenvalue(

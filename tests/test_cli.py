@@ -346,6 +346,9 @@ def test_argument_validation(capsys):
         ["eigen", "--N", "3", "--eps-sweep", "0.1:inf:3", "--grid-n", "400"],
         ["stability", "--N", "3", "--point", "eta=1,eta=2", "--grid-n",
          "400", "--lambda-max", "2"],
+        # a threshold search needs a bracket, which one eps does not give
+        ["eigen", "--N", "3", "--eps", "0.3", "--find-threshold"],
+        ["eigen", "--N", "3", "--eps-sweep", "0.1:0.4:1", "--find-threshold"],
         # an explicit --model without its parameter
         ["profile", "--N", "3", "--model", "gl", "--W", "quadratic"],
         ["profile", "--N", "3", "--model", "sphere", "--Wt", "linear"],
@@ -357,6 +360,22 @@ def test_argument_validation(capsys):
         payload = _one_line_json(capsys.readouterr().err)
         assert payload["error"] == "InputError"
     assert payload["message"] == "--model extended needs --eta"
+
+
+def test_threshold_without_a_sweep_is_refused_before_any_solve(
+        capsys, monkeypatch):
+    from vortexlab import cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing")
+
+    monkeypatch.setattr(cli, "linearization_eigenvalue_sweep", no_solve)
+    monkeypatch.setattr(cli, "find_epsilon0", no_solve)
+    assert main(["eigen", "--N", "3", "--eps", "0.3", "--find-threshold",
+                 "--grid-n", "400"]) == 1
+    payload = _one_line_json(capsys.readouterr().err)
+    assert payload["error"] == "InputError"
+    assert "--eps-sweep" in payload["message"]
 
 
 def test_potential_text_forms(tmp_path, capsys):

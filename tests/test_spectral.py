@@ -414,6 +414,76 @@ def test_threshold_never_solves_a_given_eps(grid_n3, monkeypatch):
     assert seen[-1][:2] == (eps0, False)
 
 
+@pytest.mark.parametrize("W", ["quadratic", "flat_well:0.3"])
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_threshold_slope_matches_central_difference(N, beta, W):
+    # Hellmann-Feynman with the GL tangent is exact for the discrete pencil:
+    # it must agree with a central difference of ell itself
+    from vortexlab import SolverOptions
+    from vortexlab.spectral import gl_linearization_slope
+    grid = make_grid(N, 800, {"graded": beta})
+    opts = SolverOptions(tol=1e-12)
+    eps = 0.15
+    ell, pair, prof = gl_linearization_eigenvalue(N, W, eps, grid, opts)
+    h = 1e-4 * eps
+    plus, minus = (gl_linearization_eigenvalue(N, W, e, grid, opts,
+                                               start=(prof.v, pair.q))[0]
+                   for e in (eps + h, eps - h))
+    central = (plus - minus) / (2 * h)
+    assert abs(gl_linearization_slope(pair, prof) - central) \
+        <= 1e-6 * abs(central)
+
+
+def _count_ell_solves(monkeypatch):
+    from vortexlab import spectral
+    seen = []
+    real = spectral.gl_linearization_eigenvalue
+
+    def spy(N, W, eps, grid, opts=None, start=None):
+        seen.append(eps)
+        return real(N, W, eps, grid, opts, start=start)
+
+    monkeypatch.setattr(spectral, "gl_linearization_eigenvalue", spy)
+    return seen
+
+
+def test_threshold_newton_work_bound(grid_n3, monkeypatch):
+    # Newton steps on ell: from the README sweep's samples at most four
+    # solves plus the halved-r_min one (8 with regula falsi alone), and at
+    # most 11 from the bare bracket (0.05, 1.0) (14 with regula falsi)
+    from vortexlab.phase import axis_samples
+    rows = linearization_eigenvalue_sweep(3, QUAD, axis_samples((0.05, 1.0),
+                                                                12),
+                                          grid=grid_n3)
+    seen = _count_ell_solves(monkeypatch)
+    eps0 = find_epsilon0(3, QUAD, (0.05, 1.0), grid=grid_n3, samples=rows)
+    assert len(seen) <= 4 + 1
+    # the README eps0 as regula falsi found it
+    assert abs(eps0 - 0.2039594485627248) < 1e-10
+    seen.clear()
+    wide = find_epsilon0(3, QUAD, (0.05, 1.0), grid=grid_n3)
+    assert len(seen) <= 11
+    assert abs(wide - 0.2039594485627248) < 1e-10
+
+
+@pytest.mark.parametrize("slope", [1e-12, 0.0, -1.0, math.nan])
+def test_threshold_newton_steps_stay_in_the_bracket(grid_n3, monkeypatch,
+                                                    slope):
+    # a Newton step that would leave the sign change, or a slope that gives
+    # no step, falls back to the regula-falsi point inside the bracket
+    from vortexlab import spectral
+    rows = [(0.15, gl_linearization_eigenvalue(3, QUAD, 0.15, grid_n3)[0]),
+            (0.25, gl_linearization_eigenvalue(3, QUAD, 0.25, grid_n3)[0])]
+    newton = find_epsilon0(3, QUAD, (0.15, 0.25), grid=grid_n3, samples=rows)
+    monkeypatch.setattr(spectral, "gl_linearization_slope",
+                        lambda eig, prof: slope)
+    seen = _count_ell_solves(monkeypatch)
+    eps0 = find_epsilon0(3, QUAD, (0.15, 0.25), grid=grid_n3, samples=rows)
+    assert abs(eps0 - newton) < 1e-9
+    assert all(0.15 < e < 0.25 for e in seen)
+
+
 def test_threshold_samples_must_straddle(grid_n3):
     rows = [(0.5, 10.0), (0.7, 12.0)]
     with pytest.raises(BracketError):
