@@ -425,7 +425,7 @@ def test_threshold_slope_matches_central_difference(N, beta, W):
     grid = make_grid(N, 800, {"graded": beta})
     opts = SolverOptions(tol=1e-12)
     eps = 0.15
-    ell, pair, prof = gl_linearization_eigenvalue(N, W, eps, grid, opts)
+    _, pair, prof = gl_linearization_eigenvalue(N, W, eps, grid, opts)
     h = 1e-4 * eps
     plus, minus = (gl_linearization_eigenvalue(N, W, e, grid, opts,
                                                start=(prof.v, pair.q))[0]
@@ -450,8 +450,8 @@ def _count_ell_solves(monkeypatch):
 
 def test_threshold_newton_work_bound(grid_n3, monkeypatch):
     # Newton steps on ell: from the README sweep's samples at most four
-    # solves plus the halved-r_min one (8 with regula falsi alone), and at
-    # most 11 from the bare bracket (0.05, 1.0) (14 with regula falsi)
+    # solves plus the halved-r_min one, and at most 11 from the bare
+    # bracket (0.05, 1.0)
     from vortexlab.phase import axis_samples
     rows = linearization_eigenvalue_sweep(3, QUAD, axis_samples((0.05, 1.0),
                                                                 12),
@@ -459,7 +459,7 @@ def test_threshold_newton_work_bound(grid_n3, monkeypatch):
     seen = _count_ell_solves(monkeypatch)
     eps0 = find_epsilon0(3, QUAD, (0.05, 1.0), grid=grid_n3, samples=rows)
     assert len(seen) <= 4 + 1
-    # the README eps0 as regula falsi found it
+    # the README eps0 (eigen.json) to 1e-10
     assert abs(eps0 - 0.2039594485627248) < 1e-10
     seen.clear()
     wide = find_epsilon0(3, QUAD, (0.05, 1.0), grid=grid_n3)
