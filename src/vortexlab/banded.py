@@ -8,13 +8,13 @@ Two storage forms:
   band (gb) layout with b sub- and b superdiagonals, without the b rows of
   fill-in space that dgbtrf adds on top.
 
-The LAPACK routines (dgbtrf, dgbtrs, dgtsv, dpbtrf, dpttrf) are scipy's own
-f2py wrappers, loaded from its extension module scipy/linalg/_flapack without
-running the scipy.linalg package's __init__: that package's array-API layer
-imports numpy.f2py, numpy.testing, numpy.ma and numpy.random, which doubled
-the start-up of every command. They are the very objects that
-scipy.linalg.lapack re-exports, so results are the same bits. If the direct
-load fails, scipy.linalg.lapack is imported instead.
+The LAPACK routines (dgbtrf, dgbtrs, dgtsv, dpbtrf, dpbtrs, dpttrf, dpttrs)
+are scipy's own f2py wrappers, loaded from its extension module
+scipy/linalg/_flapack without running the scipy.linalg package's __init__:
+that package's array-API layer imports numpy.f2py, numpy.testing, numpy.ma
+and numpy.random, which doubled the start-up of every command. They are the
+very objects that scipy.linalg.lapack re-exports, so results are the same
+bits. If the direct load fails, scipy.linalg.lapack is imported instead.
 """
 from __future__ import annotations
 
@@ -50,10 +50,11 @@ def _load_lapack():
 
 
 LAPACK = _load_lapack()
-dgbtrf, dgbtrs, dgtsv, dpbtrf, dpttrf = (
-    LAPACK.dgbtrf, LAPACK.dgbtrs, LAPACK.dgtsv, LAPACK.dpbtrf, LAPACK.dpttrf)
+dgbtrf, dgbtrs, dgtsv, dpbtrf, dpbtrs, dpttrf, dpttrs = (
+    LAPACK.dgbtrf, LAPACK.dgbtrs, LAPACK.dgtsv, LAPACK.dpbtrf, LAPACK.dpbtrs,
+    LAPACK.dpttrf, LAPACK.dpttrs)
 
-__all__ = ["sym_matvec", "sym_to_full", "abs_matvec", "equilibrate",
+__all__ = ["sym_matvec", "abs_matvec", "equilibrate", "shifted_factor",
            "count_below", "lu_solver"]
 
 
@@ -65,18 +66,6 @@ def sym_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
         y[d:] += band[d, :-d] * x[:-d]
         y[:-d] += band[d, :-d] * x[d:]
     return y
-
-
-def sym_to_full(band: np.ndarray) -> np.ndarray:
-    """Expand symmetric lower storage to the full (2b+1, m) form."""
-    b = band.shape[0] - 1
-    m = band.shape[1]
-    ab = np.zeros((2 * b + 1, m))
-    ab[b] = band[0]
-    for d in range(1, b + 1):
-        ab[b + d, :m - d] = band[d, :m - d]      # subdiagonals
-        ab[b - d, d:] = band[d, :m - d]          # superdiagonals
-    return ab
 
 
 def abs_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -107,31 +96,40 @@ def equilibrate(Ab: np.ndarray, Mb: np.ndarray):
     return A2, M2, d
 
 
-def count_below(Ab: np.ndarray, Mb: np.ndarray, sigma: float) -> int:
-    """0 if the pencil has no eigenvalue at or below sigma, else 1: the
-    definiteness test of A - sigma*M (Sylvester inertia, capped at one).
+def shifted_factor(Ab: np.ndarray, Mb: np.ndarray, sigma: float):
+    """solve(rhs) for A - sigma*M if that matrix is positive definite, else
+    None: the definiteness test of the pencil at sigma and, when it passes,
+    the factorization to solve with.
 
     A factorization of A - sigma*M fails exactly when a pivot is <= 0, that
     is when the matrix is not positive definite. A tridiagonal pencil takes
-    LAPACK dpttrf (LDL^T, O(n)), a wider one the banded Cholesky dpbtrf
-    (same lower storage).
+    LAPACK dpttrf (LDL^T, O(n)) and dpttrs, a wider one the banded Cholesky
+    dpbtrf (same lower storage) and dpbtrs.
     """
     if Ab.shape[0] == 2:
-        *_, info = dpttrf(Ab[0] - sigma * Mb[0],
-                          Ab[1, :-1] - sigma * Mb[1, :-1],
-                          overwrite_d=1, overwrite_e=1)
+        d, e, info = dpttrf(Ab[0] - sigma * Mb[0],
+                            Ab[1, :-1] - sigma * Mb[1, :-1],
+                            overwrite_d=1, overwrite_e=1)
+        solve = lambda rhs: dpttrs(d, e, rhs)[0]
     else:
-        _, info = dpbtrf(Ab - sigma * Mb, lower=1)
+        c, info = dpbtrf(Ab - sigma * Mb, lower=1)
+        solve = lambda rhs: dpbtrs(c, rhs, lower=1)[0]
     if info < 0:
         raise InputError(f"LAPACK rejected argument {-info}")
-    return int(info > 0)
+    return None if info > 0 else solve
 
 
-def lu_solver(ab: np.ndarray, row_max: np.ndarray | None = None):
+def count_below(Ab: np.ndarray, Mb: np.ndarray, sigma: float) -> int:
+    """0 if the pencil has no eigenvalue at or below sigma, else 1 (Sylvester
+    inertia, capped at one): shifted_factor's definiteness test."""
+    return int(shifted_factor(Ab, Mb, sigma) is None)
+
+
+def lu_solver(ab: np.ndarray, row_max: np.ndarray):
     """solve(rhs) for the square matrix in full band storage ab (equal sub-
     and superdiagonal counts), factored once.
 
-    With row_max, the largest |entry| of each matrix row, each row and its
+    row_max is the largest |entry| of each matrix row. Each row and its
     right-hand side entry are first divided by it (by 1 where it is 0): the
     r^(N+1) weights of the Newton systems span ~50 decades at large N on a
     graded grid, and without the row scaling the factorization loses the
@@ -147,18 +145,15 @@ def lu_solver(ab: np.ndarray, row_max: np.ndarray | None = None):
     m = ab.shape[1]
     if not np.isfinite(ab).all():
         raise ValueError("band matrix must not contain infs or NaNs")
-    rs = None if row_max is None else np.where(row_max > 0, row_max, 1.0)
+    rs = np.where(row_max > 0, row_max, 1.0)
     lu = np.zeros((3 * b + 1, m), order="F")     # b rows of fill-in on top
     for k in range(2 * b + 1):                   # ab[k, j] holds A[j+k-b, j]
         j0, j1 = max(0, b - k), min(m, m + b - k)
-        if rs is None:
-            lu[b + k, j0:j1] = ab[k, j0:j1]
-        else:
-            np.divide(ab[k, j0:j1], rs[j0 + k - b:j1 + k - b],
-                      out=lu[b + k, j0:j1])
+        np.divide(ab[k, j0:j1], rs[j0 + k - b:j1 + k - b],
+                  out=lu[b + k, j0:j1])
 
     def scaled(rhs):
-        rhs = rhs if rs is None else rhs / rs
+        rhs = rhs / rs
         if not np.isfinite(rhs).all():
             raise ValueError("right-hand side must not contain infs or NaNs")
         return rhs

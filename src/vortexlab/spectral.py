@@ -7,7 +7,8 @@ blocks of stability.py. Each is one RadialPencil: fields interleaved per
 node, assembled by _assemble_pencil from RadialGrid.stiffness (one weight per
 field) and consistent-P1 zero-order terms against the weighted P1 mass, as a
 symmetric banded pencil (A, M). pencil_smallest computes its smallest
-eigenpair by inertia bisection plus inverse iteration.
+eigenpair: inertia counts pin the eigenvalue, and inverse iteration on the
+factor that certifies the bracket's lower end gives the vector.
 
 Conventions: Dirichlet at r = 1. At r_min the pencil's first active node
 `start` is 0 (the zero-flux closure, which the radial operator keeps when
@@ -21,8 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .banded import (count_below, equilibrate, lu_solver, sym_matvec,
-                     sym_to_full)
+from .banded import equilibrate, shifted_factor, sym_matvec
 from .core import (ConvergenceError, InputError, NoThresholdError,
                    BracketError, DEFAULT_GRID, Potential, RadialGrid, csv_rows,
                    make_grid, map_jobs)
@@ -30,6 +30,9 @@ from .profiles import (CONTINUATION_FACTOR, GLProfile, SolverOptions,
                        gl_eps_tangent, solve_gl_profile)
 
 _BACKWARD_TOL = 1e-9        # normwise backward error an eigenpair must meet
+# inverse iteration steps after the coarse bracket; bisection alone takes its
+# 1e-2 to the 2e-9 of the window in 23
+_MAX_STEPS = 100
 
 
 def _abs_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -42,145 +45,143 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray,
     """Smallest eigenpair of the symmetric banded pencil A q = lambda M q
     with M positive definite.
 
-    The start vector x0 is given in the caller's unknowns (default: the
-    constant function) and M-normalized. Its Rayleigh quotient (a few times
-    the smallest eigenvalue for the constant function on the radial
-    pencils; a supplied start gets a first width on the scale of the
-    coarse bisection) seeds the first bracket, which is widened until
-    definiteness tests straddle the eigenvalue: A - lo*M positive definite,
-    A - hi*M not (banded.count_below). Bisection on that test narrows the
-    bracket only to 1e-2 (relative), and inverse iteration from x0 with
-    Rayleigh-quotient shifts delivers the pair. Two more tests certify it:
-    A - (lambda - delta)*M is positive definite and A - (lambda + delta)*M
-    is not, with delta = 1e-9 (1 + |lambda|).
+    Inertia counts pin the eigenvalue in a bracket (lo, hi]: A - lo*M is
+    positive definite and A - hi*M is not (banded.shifted_factor, exact for
+    a nearby matrix), and the factor at lo also solves. The start vector x0
+    is given in the caller's unknowns (default: the constant function). Its
+    Rayleigh quotient (a few times the smallest eigenvalue for the constant
+    function on the radial pencils; a supplied start gets a first width on
+    the scale of the coarse bisection) seeds the bracket, which is widened
+    until it holds the eigenvalue and then bisected to 1e-2 (relative).
 
-    A miss is a bracket update: if the tests show that inverse iteration
-    landed on another eigenvalue, the bracket moves past it; a Rayleigh
-    quotient that leaves the bracket also ends the iteration as a miss, so
-    every shift stays inside. The bracket is then bisected to 1e-6
-    (relative) and inverse iteration restarts from the constant function
-    (for the default start, x0 again). A second miss raises
-    ConvergenceError, as does a backward error that stays above 1e-9.
+    Inverse iteration from x0 runs on the factor at lo, a shift below the
+    smallest eigenvalue, so it can only converge to that eigenpair, and the
+    quotient lambda of each step only steers: the bracket is split at lambda -+
+    delta, delta = 1e-9 (1 + |lambda|), where those points fall inside it, and
+    bisected once where neither does or where lambda fell by more than half its
+    last fall (a second eigenvalue close above the first). Once the bracket
+    lies within (lambda - delta, lambda + delta] or is 2 delta wide, one more
+    step gives the vector. The result is its quotient if that lies in the
+    bracket, else the bracket's midpoint; a backward error above 1e-9 raises
+    ConvergenceError.
 
     Returns (eigenvalue, vector, residual, trace). The trace holds the
-    bisection steps as (lo, hi, count) and every other event as a
-    (tag, value) pair, among them ("missed", lambda), and ends with
-    ("certified", (lambda - delta, lambda + delta)). Shared by the radial
-    operators here and the coupled stability blocks.
+    bisection steps as (lo, hi, count) and every other event as a (tag, value)
+    pair: a window test as ("lo", sigma) or ("hi", sigma), the end it moved,
+    the reason for a bisection as ("outside", lambda) or ("slow", lambda), and
+    last ("certified", (a, b)), the bracket widened to at least delta on either
+    side of the eigenvalue. Shared by the radial operators here and the coupled
+    stability blocks.
     """
     if np.any(Mb[0] <= 0):
         raise InputError("mass diagonal must be positive")
     Ab, Mb, dscale = equilibrate(Ab, Mb)
     trace: list = []
 
-    def count(sigma: float) -> int:
-        return count_below(Ab, Mb, sigma)
+    def window(sigma: float) -> float:
+        return 1e-9 * (1.0 + abs(sigma))
 
-    const = 1.0 / dscale                    # the constant function
-    const /= math.sqrt(sym_matvec(Mb, const) @ const)
-    supplied = x0 is not None
-    if supplied:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != dscale.shape or not np.isfinite(x0).all():
+    def split(sigma: float) -> int:
+        """Move the bracket end that the test at sigma gives; 1 if A -
+        sigma*M is not positive definite."""
+        nonlocal lo, hi, solve
+        factor = shifted_factor(Ab, Mb, sigma)
+        if factor is None:
+            hi = sigma
+        else:
+            lo, solve = sigma, factor
+        return int(factor is None)
+
+    def bisect() -> None:
+        # the tuple takes lo and hi before split moves one of them
+        trace.append((lo, hi, split(0.5 * (lo + hi))))
+
+    def step(x: np.ndarray) -> tuple[np.ndarray, float]:
+        """One inverse iteration step on the factor at lo; x M-normalized."""
+        y = solve(sym_matvec(Mb, x))
+        nrm = math.sqrt(sym_matvec(Mb, y) @ y)
+        if not 0.0 < nrm < math.inf:
+            raise ConvergenceError("inverse iteration overflow", trace)
+        y /= nrm
+        return y, float(sym_matvec(Ab, y) @ y)
+
+    if x0 is None:
+        x = 1.0 / dscale                        # the constant function
+    else:
+        x = np.asarray(x0, dtype=float)
+        if x.shape != dscale.shape or not np.isfinite(x).all():
             raise InputError("start vector must be finite, one entry per "
                              "unknown")
-        x0 = x0 / dscale
-        norm2 = sym_matvec(Mb, x0) @ x0
-        if not norm2 > 0.0:
-            raise InputError("start vector must not vanish")
-        x0 /= math.sqrt(norm2)
-    else:
-        x0 = const
-    hi = float(sym_matvec(Ab, x0) @ x0)    # Rayleigh quotient upper bound
-    if supplied:
+        x = x / dscale
+    norm2 = sym_matvec(Mb, x) @ x
+    if not norm2 > 0.0:
+        raise InputError("start vector must not vanish")
+    x /= math.sqrt(norm2)
+    hi = float(sym_matvec(Ab, x) @ x)      # Rayleigh quotient upper bound
+    if x0 is not None:
         # a supplied start lies close: the first width is ten times the
         # coarse bisection's, and hi clears the rounding of the quotient
-        hi += 1e-9 * (1.0 + abs(hi))
+        hi += window(hi)
         width = 0.1 * (1.0 + abs(hi))
     else:
         width = max(1.0, 0.1 * abs(hi))
     lo = hi - width
-    while count(lo):
+    while (solve := shifted_factor(Ab, Mb, lo)) is None:
         width *= 4.0
         lo -= width
         trace.append(("expand", lo))
         if width > 1e18:
             raise ConvergenceError("failed to bracket the eigenvalue from "
                                    "below", trace)
-    while not count(hi):
+    while not split(hi):
         hi += max(1.0, abs(hi))
         trace.append(("raise", hi))
         if hi > 1e18:
             raise ConvergenceError("failed to bracket the eigenvalue from "
                                    "above", trace)
+    while hi - lo > 1e-2 * (1.0 + max(abs(lo), abs(hi))):
+        bisect()
 
-    # invariant: count(lo) == 0 < count(hi). The coarse bracket only
-    # steers the shift; the inertia certificate decides the result
-    # a restart after a miss comes from the constant function: a supplied
-    # start that missed once (one orthogonal to the wanted vector, say)
-    # would miss again
-    for rel, start in ((1e-2, x0), (1e-6, const)):
-        while hi - lo > rel * (1.0 + max(abs(lo), abs(hi))):
-            mid = 0.5 * (lo + hi)
-            c = count(mid)
-            trace.append((lo, hi, c))
-            if c:
-                hi = mid
-            else:
-                lo = mid
-        sigma = 0.5 * (lo + hi)
-        x = start
-        lam = sigma
-        resid = math.inf
-        for _ in range(8):
-            try:
-                # unscaled on purpose: with row scaling, inverse iteration
-                # stalls at backward error ~3.5e-8 on stability blocks
-                solve = lu_solver(sym_to_full(Ab - sigma * Mb))
-                for _ in range(3):
-                    y = solve(sym_matvec(Mb, x))
-                    nrm = math.sqrt(abs(sym_matvec(Mb, y) @ y))
-                    if not np.isfinite(nrm) or nrm == 0.0:
-                        raise np.linalg.LinAlgError(
-                            "inverse iteration overflow")
-                    x = y / nrm
-            except (np.linalg.LinAlgError, ValueError):
-                sigma += (hi - lo) * 1e-3 + abs(sigma) * 1e-13
-                trace.append(("shift-jitter", sigma))
-                continue
-            lam = float(sym_matvec(Ab, x) @ x)        # x is M-normalized
-            r = sym_matvec(Ab, x) - lam * sym_matvec(Mb, x)
-            # normwise backward error: immune to the huge row-scale spread
-            # and meaningful even when lam sits near zero
-            denom = np.linalg.norm(_abs_matvec(Ab, x)
-                                   + abs(lam) * _abs_matvec(Mb, x))
-            resid = float(np.linalg.norm(r)) / max(denom, 1e-300)
-            # a Rayleigh quotient that leaves the bracket is heading for
-            # another eigenvalue: stop, so every shift stays inside
-            if resid < _BACKWARD_TOL or not lo < lam < hi:
-                break
-            sigma = lam
-        if resid >= _BACKWARD_TOL and lo < lam < hi:
-            raise ConvergenceError(
-                f"inverse iteration stalled (backward error {resid:.3e})",
-                trace)
-
-        # a small backward error alone does not say which eigenvalue lam is
-        delta = 1e-9 * (1.0 + abs(lam))
-        below, above = count(lam - delta), count(lam + delta)
-        if resid < _BACKWARD_TOL and not below and above:
+    # lambda is at least the smallest eigenvalue up to rounding: the window
+    # tests move hi down until lambda is within delta of it, and then pin
+    # (lambda - delta, lambda + delta]; once stopped, one more step. The
+    # quotient's error contracts by ((lambda_1 - lo) / (lambda_2 - lo))^2
+    # a step, and so does its fall: a fall above half the last one is
+    # slower than bisection, which then moves lo up as well
+    done, last, fall = False, math.inf, math.inf
+    for _ in range(_MAX_STEPS):
+        x, lam = step(x)
+        if done:
             break
-        trace.append(("missed", lam))
-        if below:
-            hi = min(hi, lam - delta)
-        elif not above:
-            lo = max(lo, lam + delta)
+        slow = last - lam > 0.5 * fall
+        last, fall = lam, last - lam
+        delta = window(lam)
+        tested = False
+        for sigma in (lam - delta, lam + delta):
+            if lo < sigma < hi:
+                trace.append(("hi" if split(sigma) else "lo", sigma))
+                tested = True
+        done = (lam - delta <= lo and hi <= lam + delta
+                or hi - lo <= 2.0 * window(0.5 * (lo + hi)))
+        if not done and (slow or not tested):
+            trace.append(("slow" if tested else "outside", lam))
+            bisect()
     else:
         raise ConvergenceError(
-            f"eigenvalue {lam!r} (backward error {resid:.1e}) not certified "
-            f"by inertia: counts {below} at lam - {delta:.1e} and {above} at "
-            f"lam + {delta:.1e} (want 0 and 1)", trace)
-    trace.append(("certified", (lam - delta, lam + delta)))
+            f"eigenvalue not certified by inertia in {_MAX_STEPS} steps: "
+            f"bracket ({lo!r}, {hi!r}), last quotient {lam!r}", trace)
+    if not lo <= lam <= hi:
+        lam = 0.5 * (lo + hi)
+    r = sym_matvec(Ab, x) - lam * sym_matvec(Mb, x)
+    # normwise backward error: immune to the huge row-scale spread and
+    # meaningful even when lam sits near zero
+    denom = np.linalg.norm(_abs_matvec(Ab, x) + abs(lam) * _abs_matvec(Mb, x))
+    resid = float(np.linalg.norm(r)) / max(denom, 1e-300)
+    if resid >= _BACKWARD_TOL:
+        raise ConvergenceError(
+            f"inverse iteration stalled (backward error {resid:.3e})", trace)
+    delta = window(lam)
+    trace.append(("certified", (min(lo, lam - delta), max(hi, lam + delta))))
     return lam, x * dscale, resid, trace
 
 

@@ -11,12 +11,14 @@ import scipy.linalg
 from scipy.linalg.lapack import dpbtrf
 
 from vortexlab import banded
-from vortexlab.banded import (abs_matvec, count_below, lu_solver, sym_matvec,
-                              sym_to_full)
+from vortexlab.banded import (abs_matvec, count_below, lu_solver,
+                              shifted_factor, sym_matvec)
 
+from test_spectral import _dense as _sym_dense
 from test_spectral import ldl_count_below
 
-ROUTINES = ("dgbtrf", "dgbtrs", "dgtsv", "dpbtrf", "dpttrf")
+ROUTINES = ("dgbtrf", "dgbtrs", "dgtsv", "dpbtrf", "dpbtrs", "dpttrf",
+            "dpttrs")
 
 
 def _dense(ab):
@@ -68,8 +70,8 @@ def _row_maxima(ab):
 
 
 def _scaling(ab, scale):
-    """What lu_solver is given: the row maxima, or None for no scaling."""
-    return _row_maxima(ab) if scale else None
+    """What lu_solver is given: the row maxima, or ones for no scaling."""
+    return _row_maxima(ab) if scale else np.ones(ab.shape[1])
 
 
 def _reference_solver(ab, scale):
@@ -167,8 +169,7 @@ def test_tridiagonal_definiteness_matches_cholesky_and_ldl(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(4, 80))
     A, M = _graded_tridiagonal_pencil(rng, m, decades=seed % 7)
-    lam = scipy.linalg.eigh(_dense(sym_to_full(A)), _dense(sym_to_full(M)),
-                            eigvals_only=True)
+    lam = scipy.linalg.eigh(_sym_dense(A), _sym_dense(M), eigvals_only=True)
     shifts = np.concatenate([lam[:3] * (1.0 - 1e-6) - 1e-9,
                              lam[:3] * (1.0 + 1e-6) + 1e-9,
                              rng.uniform(lam[0] - 1.0, lam[-1], 10)])
@@ -178,6 +179,24 @@ def test_tridiagonal_definiteness_matches_cholesky_and_ldl(seed):
         ldl = min(ldl_count_below(A, M, sigma), 1)
         assert got == cholesky == ldl
         assert got == int(np.sum(lam <= sigma) > 0)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_shifted_factor_solves_where_definite(b):
+    # below the smallest eigenvalue the factor solves A - sigma*M; at or
+    # above it there is none
+    rng = np.random.default_rng(20 + b)
+    m = 30
+    Ab, Mb = _banded_pencil(rng, b, m)
+    A, M = _sym_dense(Ab), _sym_dense(Mb)
+    lam = scipy.linalg.eigh(A, M, eigvals_only=True)
+    rhs = rng.standard_normal(m)
+    for sigma in (lam[0] - 1.0, lam[0] - 1e-3):
+        x = shifted_factor(Ab, Mb, sigma)(rhs)
+        assert np.allclose(x, np.linalg.solve(A - sigma * M, rhs),
+                           rtol=1e-8, atol=1e-10)
+    for sigma in (lam[0] + 1e-3, lam[1], lam[-1] + 1.0):
+        assert shifted_factor(Ab, Mb, sigma) is None
 
 
 def test_lu_solver_leaves_its_input_alone():
@@ -198,7 +217,7 @@ def test_symmetric_storage_round_trip(b):
     band = rng.standard_normal((b + 1, m))
     for d in range(1, b + 1):
         band[d, m - d:] = 0.0              # outside the matrix
-    A = _dense(sym_to_full(band))
+    A = _sym_dense(band)
     assert np.array_equal(A, A.T)
     for d in range(b + 1):
         assert np.array_equal(np.diag(A, -d), band[d, :m - d])
@@ -258,10 +277,11 @@ def _banded_pencil(rng, b, m):
 
 
 def _lapack_outputs():
-    """What the five routines give through banded on fixed inputs:
+    """What the seven routines give through banded on fixed inputs:
     lu_solver at bandwidth 1 (dgtsv) and 2 (dgbtrf/dgbtrs), count_below on a
-    tridiagonal (dpttrf) and a b = 2 pencil (dpbtrf), and the two Cholesky
-    factors themselves."""
+    tridiagonal (dpttrf) and a b = 2 pencil (dpbtrf), a shifted_factor
+    solve on each (dpttrs, dpbtrs), and the two Cholesky factors
+    themselves."""
     rng = np.random.default_rng(14)
     out = []
     for b in (1, 2):
@@ -270,11 +290,13 @@ def _lapack_outputs():
         out += [solve(rng.standard_normal(60)) for _ in range(2)]
     for Ab, Mb in (_graded_tridiagonal_pencil(rng, 50, decades=4),
                    _banded_pencil(rng, 2, 50)):
-        lam = scipy.linalg.eigh(_dense(sym_to_full(Ab)),
-                                _dense(sym_to_full(Mb)), eigvals_only=True)
+        lam = scipy.linalg.eigh(_sym_dense(Ab), _sym_dense(Mb),
+                                eigvals_only=True)
         shifts = np.concatenate([lam[:2] - 1e-9, lam[:2] + 1e-9,
                                  [lam[0] - 1.0]])
         out.append(np.array([count_below(Ab, Mb, s) for s in shifts]))
+        out.append(shifted_factor(Ab, Mb, lam[0] - 1.0)(
+            rng.standard_normal(Ab.shape[1])))
         S = Ab - (lam[0] - 1.0) * Mb
         if Ab.shape[0] == 2:
             out += banded.dpttrf(S[0], S[1, :-1])
@@ -302,6 +324,6 @@ def test_lapack_fallback_gives_the_same_bits(monkeypatch, failure):
     for name in ROUTINES:
         monkeypatch.setattr(banded, name, getattr(fallback, name))
     got = _lapack_outputs()
-    assert len(got) == len(direct) == 11
+    assert len(got) == len(direct) == 13
     for a, b in zip(direct, got):
         assert np.array_equal(a, b)

@@ -207,6 +207,32 @@ def test_eigen_threshold(tmp_path):
     assert data["bracket"] == [0.05, 1.0]
 
 
+# eps0 at N = 3 extrapolated from grids n = 2000 to 16000; the n = 2000 value
+# is 2.8e-7 below it
+EPS0_N3 = 0.2039597322
+
+
+def test_readme_threshold_on_a_fine_grid(tmp_path):
+    # on fine grids the Rayleigh quotient's rounding outgrows the window
+    # delta = 1e-9 (1 + |lambda|); the inertia counts still pin lambda
+    assert _run(tmp_path, "eigen", "--N", "3", "--W", "quadratic",
+                "--eps-sweep", "0.05:1.0:12", "--find-threshold",
+                "--grid-n", "4000") == 0
+    data = json.loads((tmp_path / "eigen.json").read_text())
+    assert abs(data["eps0"] - EPS0_N3) < 2.8e-7
+
+
+def test_readme_sweep_on_a_fine_grid(tmp_path):
+    assert _run(tmp_path, "phase", "sweep", "--N", "3", "--W", "quadratic",
+                "--Wt", "linear", "--eps", "0.05:0.45:20", "--eta",
+                "0.1:1.0:20", "--confirm", "0.1", "--grid-n", "6000") == 0
+    _, rows = _read_csv(tmp_path / "phase.csv")
+    assert len(rows) == 400
+    assert {r["class"] for r in rows} == {"Escaping", "NonEscaping"}
+    diag = json.loads((tmp_path / "phase.manifest.json").read_text())
+    assert abs(diag["diagnostics"]["eps0"] - EPS0_N3) < 2.8e-7
+
+
 @pytest.mark.parametrize("eps", ["0.02", "0.018"])
 def test_eigen_n2_small_eps(tmp_path, eps):
     # the ground state's exponentially small tail carries rounding noise of

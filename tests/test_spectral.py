@@ -112,20 +112,47 @@ def _assert_certified_by_oracle(A, M, lam, trace):
                for t in trace)
 
 
-# pencils on which inverse iteration from the coarse bracket lands on another
-# eigenvalue first (tridiagonal and bandwidth 3)
+# pencils whose coarse bracket holds a second eigenvalue (tridiagonal and
+# bandwidth 3)
 MISSING_PENCILS = [(44, 1, 493631901, 4.374090702457856),
                    (35, 3, 626647812, 5.131102561603006)]
 
 
-def test_missed_eigenvalue_moves_the_bracket():
+def test_second_eigenvalue_in_the_coarse_bracket():
+    # inverse iteration on the factor at the bracket's lower end converges
+    # to the smallest eigenpair, with the second one in the bracket too
     for pencil in MISSING_PENCILS:
         A, M = _random_pencil(*pencil)
         lam, x, resid, trace = pencil_smallest(A, M)
-        missed = [t[1] for t in trace if t[0] == "missed"]
-        assert len(missed) == 1 and missed[0] != lam
+        first_pair = next(i for i, t in enumerate(trace)
+                          if t[0] in ("lo", "hi", "outside"))
+        lo, hi, c = [t for t in trace[:first_pair] if len(t) == 3][-1]
+        lo, hi = (lo, 0.5 * (lo + hi)) if c else (0.5 * (lo + hi), hi)
+        assert ldl_count_below(A, M, lo) == 0
+        assert ldl_count_below(A, M, hi) >= 2
         _assert_certified_by_oracle(A, M, lam, trace)
         assert resid < 1e-9
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-8])
+def test_close_second_eigenvalue_bisects(gap):
+    # two uncoupled fields, interleaved per node as in a stability block: 1-D
+    # Dirichlet Laplacians whose ground states lie a relative gap apart.
+    # Inverse iteration on a shift 1e-2 below contracts the error by a
+    # factor near 1 per step; the quotient's slow fall hands the bracket to
+    # bisection
+    n = 100
+    h = 1.0 / (n + 1)
+    A, M = np.zeros((4, 2 * n)), np.zeros((4, 2 * n))
+    for f, s in ((0, 1.0), (1, 1.0 + gap)):
+        A[0, f::2], A[2, f:2 * n - 2:2] = 2.0 * s / h, -s / h
+        M[0, f::2], M[2, f:2 * n - 2:2] = 4.0 * h / 6.0, h / 6.0
+    lam, x, resid, trace = pencil_smallest(A, M)
+    assert any(t[0] == "slow" for t in trace)
+    _assert_certified_by_oracle(A, M, lam, trace)
+    assert resid < 1e-9
+    ev = scipy.linalg.eigh(_dense(A), _dense(M), eigvals_only=True)
+    assert abs(lam - ev[0]) <= 2e-9 * (1.0 + abs(ev[0]))
 
 
 # fixed stand-in for a long random stress: 400 graded banded pencils, drawn
@@ -137,14 +164,14 @@ STRESS_PENCILS = [(int(_rng.integers(4, 61)), int(_rng.integers(1, 4)),
 
 
 def test_pencil_smallest_stress_against_oracle():
-    misses = 0
+    outside = 0
     for pencil in STRESS_PENCILS:
         A, M = _random_pencil(*pencil)
         lam, x, resid, trace = pencil_smallest(A, M)
         _assert_certified_by_oracle(A, M, lam, trace)
         assert resid < 1e-9
-        misses += any(t[0] == "missed" for t in trace)
-    assert misses > 0           # the restart after a miss is exercised
+        outside += any(t[0] == "outside" for t in trace)
+    assert outside > 0          # the bisection of a quotient outside it
 
 
 def test_bisection_stays_coarse(grid_n3):
