@@ -226,24 +226,30 @@ _MODEL_FLAGS = {"gl": ("W", "eps"), "sphere": ("Wt", "eta"),
 
 
 def _infer_model(cfg: RunConfig) -> str:
+    """The profile model cfg names (--model) or implies by its flags; a
+    potential or parameter flag the model does not read is refused."""
     if cfg.model:
         missing = [f"--{k}" for k in _MODEL_FLAGS[cfg.model]
                    if getattr(cfg, k) is None]
         if missing:
             raise InputError(f"--model {cfg.model} needs "
                              + " and ".join(missing))
-        return cfg.model
-    has_w = cfg.W is not None and cfg.eps is not None
-    has_wt = cfg.Wt is not None and cfg.eta is not None
-    if has_w and has_wt:
-        return "extended"
-    if has_w:
-        return "gl"
-    if has_wt:
-        return "sphere"
-    raise InputError("cannot infer the model: give --W/--eps for the "
-                     "amplitude equation, --Wt/--eta for the sphere map, "
-                     "or both for the two-field model")
+        model = cfg.model
+    else:
+        has_w = cfg.W is not None and cfg.eps is not None
+        has_wt = cfg.Wt is not None and cfg.eta is not None
+        if not (has_w or has_wt):
+            raise InputError("cannot infer the model: give --W/--eps for the "
+                             "amplitude equation, --Wt/--eta for the sphere "
+                             "map, or both for the two-field model")
+        model = ("extended" if has_w and has_wt
+                 else "gl" if has_w else "sphere")
+    unread = [f"--{k}" for k in ("W", "Wt", "eps", "eta")
+              if getattr(cfg, k) is not None and k not in _MODEL_FLAGS[model]]
+    if unread:
+        raise InputError(f"the {model} model does not read "
+                         + " or ".join(unread))
+    return model
 
 
 def _solver_options(cfg: RunConfig) -> SolverOptions:

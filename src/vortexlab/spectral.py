@@ -342,13 +342,15 @@ class EigenPair:
     q spans the full grid (Dirichlet zeros included), is normalized to
     ∫ q^2 r^(N-1) dr = 1 and sign-normalized positive near r_min. `residual`
     is the normwise backward error of the generalized eigen-residual on the
-    assembled pencil.
+    assembled pencil, and `bracket` the (a, b) that pencil_smallest's
+    inertia counts certify to hold the eigenvalue.
     """
     eigenvalue: float
     q: np.ndarray
     grid: RadialGrid
     mu: float
     residual: float
+    bracket: tuple
 
     def to_csv(self) -> str:
         return "r,q\n" + csv_rows(self.grid.nodes, self.q)
@@ -373,8 +375,8 @@ def smallest_eigenpair(op: RadialPencil,
     q_init = np.asarray(q_init, dtype=float)
     if q_init.shape != op.grid.nodes.shape:
         raise InputError("q_init must be sampled on the grid nodes")
-    lam, x, resid, _ = pencil_smallest(op.A, op.M,
-                                       x0=op.interior({"q": q_init}))
+    lam, x, resid, trace = pencil_smallest(op.A, op.M,
+                                           x0=op.interior({"q": q_init}))
     q = op.embed(x)["q"]
     nrm = math.sqrt(op.grid.quadrature(q * q))
     q = q / nrm
@@ -382,7 +384,7 @@ def smallest_eigenpair(op: RadialPencil,
         q = -q
     q.setflags(write=False)
     return EigenPair(eigenvalue=lam, q=q, grid=op.grid, mu=op.angular,
-                     residual=resid)
+                     residual=resid, bracket=trace[-1][1])
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +423,14 @@ def gl_linearization_eigenvalue(N: int, W, eps: float, grid: RadialGrid,
                                                         profile.f),
                               q_init=q_init)
     lam = pair.eigenvalue
+    # for a convex W, V >= -W'(1)/eps^2 at every node (W' is nondecreasing
+    # and 1 - f^2 <= 1), so the P1 pencil's smallest eigenvalue is at least
+    # that: a certified bracket wholly below it is a solver fault
     lower = -W.eval(1.0, 1) / eps ** 2
-    if lam <= lower - 1e-9 * (1.0 + abs(lower)):
+    if pair.bracket[1] < lower:
         raise ConvergenceError(
             f"linearization eigenvalue {lam} under its lower bound {lower}",
-            [("eps", eps)])
+            [("eps", eps), ("certified", pair.bracket)])
     return lam, pair, profile
 
 

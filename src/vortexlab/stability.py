@@ -3,11 +3,12 @@
 Perturbations decompose over sphere harmonics; each harmonic level lambda =
 k(k+N-2) yields an independent radial block coupling an amplitude field s, a
 tangential field psi (absent at lambda = 0), and — in the extended model — a
-transverse field q. Each block is a spectral.RadialPencil, Dirichlet at r_min
-and 1 (the admissible perturbations vanish near the origin puncture and on
-the sphere), so sector identities (the decoupled q-sector against the
-scalar linearization) hold at the discrete level. Verdicts are only
-reported after an r_min-refinement stability check.
+transverse field q. The GL blocks are the two-field blocks at g ≡ 0 without
+q. Each block is a spectral.RadialPencil, Dirichlet at r_min and 1 (the
+admissible perturbations vanish near the origin puncture and on the sphere),
+so sector identities (the decoupled q-sector against the scalar
+linearization) hold at the discrete level. Verdicts are only reported after
+an r_min-refinement stability check.
 """
 from __future__ import annotations
 
@@ -28,14 +29,7 @@ _CONVERGED_RESIDUAL = 1e-6
 
 
 def _angular_check(N: int, lam: float) -> None:
-    if lam == 0:
-        return
-    disc = (N - 2) ** 2 + 4.0 * lam
-    if lam < 0 or disc < 0:
-        raise InputError(
-            f"lambda={lam} is not a sphere-Laplacian eigenvalue k(k+N-2)")
-    k = 0.5 * (-(N - 2) + math.sqrt(disc))
-    if abs(k - round(k)) > 1e-9 or round(k) < 1:
+    if not (0 <= lam < math.inf and lam in sphere_eigenvalues(N, lam)):
         raise InputError(
             f"lambda={lam} is not a sphere-Laplacian eigenvalue k(k+N-2)")
 
@@ -75,7 +69,9 @@ def _form_params(profile, W, Wt, eps, eta) -> tuple:
 
 def _profile_terms(profile, W, Wt, eps, eta, lam):
     """Fields, per-field weights and zero-order coefficient functions of the
-    lambda-mode quadratic form for the given background profile.
+    lambda-mode quadratic form for the given background profile. One list
+    serves both amplitude models: the GL terms are the two-field terms at
+    g ≡ 0 with the q field and its terms left out.
 
     zero terms are (field_a, field_b, node values, radial shift): a == b adds
     values*a^2, a != b adds values*a*b to the integrand (against r^(N-1+shift)).
@@ -108,52 +104,40 @@ def _profile_terms(profile, W, Wt, eps, eta, lam):
             ]
         return fields, weights, terms
 
-    if isinstance(profile, GLProfile):
-        f = profile.f
-        X = 1.0 - f ** 2
-        wp = W.eval(X, 1)
-        wpp = W.eval(X, 2)
-        fields = ("s",) if lam == 0 else ("s", "psi")
-        weights = {"s": 1.0, "psi": lam}
-        terms = [
-            ("s", "s", (lam + N - 1) * one, -2),
-            ("s", "s", -wp / eps ** 2 + 2.0 * wpp * f ** 2 / eps ** 2, 0),
-        ]
-        if lam > 0:
-            terms += [
-                ("psi", "psi", lam * (lam - N + 3) * one, -2),
-                ("psi", "psi", -lam * wp / eps ** 2, 0),
-                ("s", "psi", -4.0 * lam * one, -2),
-            ]
-        return fields, weights, terms
-
-    if isinstance(profile, ExtendedProfile):
-        f, g = profile.f, profile.g
-        X = 1.0 - f ** 2 - g ** 2
-        wp = W.eval(X, 1)
-        wpp = W.eval(X, 2)
+    # the amplitude models: GL is the two-field model at g ≡ 0 without q
+    if not isinstance(profile, (GLProfile, ExtendedProfile)):
+        raise InputError(f"unsupported profile type {type(profile).__name__}")
+    two_field = isinstance(profile, ExtendedProfile)
+    f = profile.f
+    g = profile.g if two_field else 0.0
+    X = 1.0 - f ** 2 - g ** 2
+    wp = W.eval(X, 1)
+    wpp = W.eval(X, 2)
+    fields = ("s",) if lam == 0 else ("s", "psi")
+    weights = {"s": 1.0, "psi": lam, "q": 1.0}
+    terms = [
+        ("s", "s", (lam + N - 1) * one, -2),
+        ("s", "s", (-wp + 2.0 * wpp * f ** 2) / eps ** 2, 0),
+    ]
+    if two_field:
+        fields += ("q",)
         g2 = g ** 2
         wtp = Wt.eval(g2, 1)
         wtpp = Wt.eval(g2, 2)
-        fields = ("s", "q") if lam == 0 else ("s", "psi", "q")
-        weights = {"s": 1.0, "psi": lam, "q": 1.0}
-        terms = [
-            ("s", "s", (lam + N - 1) * one, -2),
-            ("s", "s", (-wp + 2.0 * wpp * f ** 2) / eps ** 2, 0),
+        terms += [
             ("q", "q", (-wp + 2.0 * wpp * g2) / eps ** 2
              + (wtp + 2.0 * wtpp * g2) / eta ** 2, 0),
             ("s", "q", 4.0 * wpp * f * g / eps ** 2, 0),
         ]
-        if lam > 0:
-            terms += [
-                ("q", "q", lam * one, -2),
-                ("psi", "psi", lam * (lam - N + 3) * one, -2),
-                ("psi", "psi", -lam * wp / eps ** 2, 0),
-                ("s", "psi", -4.0 * lam * one, -2),
-            ]
-        return fields, weights, terms
-
-    raise InputError(f"unsupported profile type {type(profile).__name__}")
+    if lam > 0:
+        terms += [
+            ("q", "q", lam * one, -2),
+            ("psi", "psi", lam * (lam - N + 3) * one, -2),
+            ("psi", "psi", -lam * wp / eps ** 2, 0),
+            ("s", "psi", -4.0 * lam * one, -2),
+        ]
+    # GL has no q: its angular term goes
+    return fields, weights, [t for t in terms if t[0] in fields]
 
 
 def mode_block(profile, W, Wt, eps, eta, lam) -> RadialPencil:

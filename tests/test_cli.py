@@ -375,6 +375,11 @@ def test_argument_validation(capsys):
         # a threshold search needs a bracket, which one eps does not give
         ["eigen", "--N", "3", "--eps", "0.3", "--find-threshold"],
         ["eigen", "--N", "3", "--eps-sweep", "0.1:0.4:1", "--find-threshold"],
+        # a potential or parameter flag the model does not read
+        ["profile", "--N", "3", "--W", "quadratic", "--eps", "0.3",
+         "--eta", "0.5"],
+        ["energy", "--N", "3", "--Wt", "linear", "--eta", "0.5",
+         "--eps", "0.2"],
         # an explicit --model without its parameter
         ["profile", "--N", "3", "--model", "gl", "--W", "quadratic"],
         ["profile", "--N", "3", "--model", "sphere", "--Wt", "linear"],
@@ -386,6 +391,15 @@ def test_argument_validation(capsys):
         payload = _one_line_json(capsys.readouterr().err)
         assert payload["error"] == "InputError"
     assert payload["message"] == "--model extended needs --eta"
+    # an unread flag is named with the model, inferred or given by --model
+    for argv, msg in (
+            (["energy", "--N", "3", "--Wt", "linear", "--eta", "0.5",
+              "--eps", "0.2"], "the sphere model does not read --eps"),
+            (["profile", "--N", "3", "--model", "gl", "--W", "quadratic",
+              "--eps", "0.3", "--Wt", "linear", "--eta", "0.5"],
+             "the gl model does not read --Wt or --eta")):
+        assert main(argv) == 1
+        assert _one_line_json(capsys.readouterr().err)["message"] == msg
 
 
 def test_threshold_without_a_sweep_is_refused_before_any_solve(

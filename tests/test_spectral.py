@@ -441,6 +441,31 @@ def test_threshold_never_solves_a_given_eps(grid_n3, monkeypatch):
     assert seen[-1][:2] == (eps0, False)
 
 
+def test_lower_bound_gate_reads_the_certified_bracket(monkeypatch):
+    # V >= -W'(1)/eps^2 for a convex W: an eigenvalue is refused only when
+    # its whole certified bracket lies below that bound
+    from dataclasses import replace
+
+    from vortexlab import spectral
+    grid = make_grid(3, 400, {"graded": 2.0})
+    eps = 0.3
+    lower = -QUAD.eval(1.0, 1) / eps ** 2
+    pair = gl_linearization_eigenvalue(3, QUAD, eps, grid)[1]
+    a, b = pair.bracket
+    assert a <= pair.eigenvalue <= b and lower < a
+    for bracket, refused in (((lower - 2.0, lower - 1.0), True),
+                             ((lower - 2.0, lower + 1.0), False)):
+        fake = replace(pair, eigenvalue=lower - 1.5, bracket=bracket)
+        monkeypatch.setattr(spectral, "smallest_eigenpair",
+                            lambda op, q_init=None: fake)
+        if refused:
+            with pytest.raises(ConvergenceError, match="under its lower"):
+                gl_linearization_eigenvalue(3, QUAD, eps, grid)
+        else:
+            assert gl_linearization_eigenvalue(3, QUAD, eps,
+                                               grid)[0] == lower - 1.5
+
+
 @pytest.mark.parametrize("W", ["quadratic", "flat_well:0.3"])
 @pytest.mark.parametrize("beta", [2.0, 3.0])
 @pytest.mark.parametrize("N", [2, 3, 5])

@@ -79,6 +79,24 @@ def test_gl_and_sphere_blocks_match_direct(grid_n3):
             assert abs(qm - qd) <= 1e-8 * (abs(qm) + abs(qd))
 
 
+def test_gl_block_is_the_non_escaping_s_psi_sector():
+    # the GL vortex is the two-field one at g ≡ 0: its blocks are the
+    # (s, psi) sector of the non-escaping blocks, bit for bit
+    for N in (2, 3, 5):
+        for beta in (2.0, 3.0):
+            grid = make_grid(N, 400, {"graded": beta})
+            for eps in (0.05, 0.3):
+                glp = solve_gl_profile(N, QUAD, eps, grid)
+                non = solve_extended_profile(N, QUAD, LIN, eps, 1.0, grid,
+                                             branch_hint="non_escaping")
+                for lam in sphere_eigenvalues(N, 12.0):
+                    blk = mode_block(glp, QUAD, None, eps, None, lam)
+                    sub = mode_block(non, QUAD, LIN, eps, 1.0,
+                                     lam).sector(*blk.fields)
+                    assert np.array_equal(blk.A, sub.A), (N, beta, eps, lam)
+                    assert np.array_equal(blk.M, sub.M), (N, beta, eps, lam)
+
+
 def test_block_field_layout(escaping_profile, escaping_point):
     eps, eta, _ = escaping_point
     assert mode_block(escaping_profile, QUAD, LIN, eps, eta, 0.0).fields \
@@ -290,6 +308,10 @@ def test_invalid_angular_eigenvalue(escaping_profile, escaping_point):
         mode_block(escaping_profile, QUAD, LIN, eps, eta, 3.0)
     with pytest.raises(InputError):
         mode_block(escaping_profile, QUAD, LIN, eps, eta, -2.0)
+    # admissible means listed by sphere_eigenvalues, exactly
+    for lam in (2.0 + 1e-12, math.nan, math.inf):
+        with pytest.raises(InputError, match="not a sphere-Laplacian"):
+            mode_block(escaping_profile, QUAD, LIN, eps, eta, lam)
 
 
 def test_sphere_eigenvalue_list():
