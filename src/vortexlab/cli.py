@@ -244,12 +244,24 @@ def _infer_model(cfg: RunConfig) -> str:
                              "map, or both for the two-field model")
         model = ("extended" if has_w and has_wt
                  else "gl" if has_w else "sphere")
+    _refuse_unread(cfg, model)
+    return model
+
+
+def _stability_model(cfg: RunConfig) -> str:
+    """stability's model: the sphere map when --point has no eps, else the
+    two-field model (unset potentials take their defaults)."""
+    return "sphere" if cfg.eps is None else "extended"
+
+
+def _refuse_unread(cfg: RunConfig, model: str) -> None:
+    """InputError naming each potential or parameter flag of cfg that the
+    model does not read."""
     unread = [f"--{k}" for k in ("W", "Wt", "eps", "eta")
               if getattr(cfg, k) is not None and k not in _MODEL_FLAGS[model]]
     if unread:
         raise InputError(f"the {model} model does not read "
                          + " or ".join(unread))
-    return model
 
 
 def _solver_options(cfg: RunConfig) -> SolverOptions:
@@ -390,9 +402,7 @@ def _run_phase(cfg: RunConfig, grid, opts: SolverOptions) -> tuple:
 
 
 def _run_stability(cfg: RunConfig, grid, opts: SolverOptions) -> tuple:
-    # the sphere map without eps
-    model = "sphere" if cfg.eps is None else "extended"
-    prof = _solve_profile(cfg, model, grid, opts, cfg.branch)
+    prof = _solve_profile(cfg, _stability_model(cfg), grid, opts, cfg.branch)
     report = spectrum_summary(prof, None, None, None, None,
                               lam_max=cfg.lam_max)
     artifacts = {"stability.json": report.to_json() + "\n"}
@@ -444,6 +454,8 @@ def run(config: RunConfig) -> int:
     config.validate()
     if config.command in ("profile", "energy"):
         config.model = _infer_model(config)
+    elif config.command == "stability":
+        _refuse_unread(config, _stability_model(config))
     payload = _cache_load(config) if config.command in _CACHED else None
     if payload is None:
         artifacts, diagnostics = _RUNNERS[config.command](

@@ -7,8 +7,10 @@ blocks of stability.py. Each is one RadialPencil: fields interleaved per
 node, assembled by _assemble_pencil from RadialGrid.stiffness (one weight per
 field) and consistent-P1 zero-order terms against the weighted P1 mass, as a
 symmetric banded pencil (A, M). pencil_smallest computes its smallest
-eigenpair: inertia counts pin the eigenvalue, and inverse iteration on the
-factor that certifies the bracket's lower end gives the vector.
+eigenpair: inverse iteration runs on the factor that certifies the bracket's
+lower end and gives the vector, its Rayleigh quotients choose the next shifts
+to test, and the inertia counts at those shifts pin the eigenvalue. Cold
+solves start from RadialPencil.cold_start, 1 - r^2 in every field.
 
 Conventions: Dirichlet at r = 1. At r_min the pencil's first active node
 `start` is 0 (the zero-flux closure, which the radial operator keeps when
@@ -30,8 +32,9 @@ from .profiles import (CONTINUATION_FACTOR, GLProfile, SolverOptions,
                        gl_eps_tangent, solve_gl_profile)
 
 _BACKWARD_TOL = 1e-9        # normwise backward error an eigenpair must meet
-# inverse iteration steps after the coarse bracket; bisection alone takes its
-# 1e-2 to the 2e-9 of the window in 23
+# inverse iteration steps from the first definite shift; a step bisects at
+# most once, and bisection alone takes the widest first bracket that the
+# expansion allows, 1e18, to the 2e-9 of the window in about 90
 _MAX_STEPS = 100
 
 
@@ -49,29 +52,40 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray,
     positive definite and A - hi*M is not (banded.shifted_factor, exact for
     a nearby matrix), and the factor at lo also solves. The start vector x0
     is given in the caller's unknowns (default: the constant function). Its
-    Rayleigh quotient (a few times the smallest eigenvalue for the constant
-    function on the radial pencils; a supplied start gets a first width on
-    the scale of the coarse bisection) seeds the bracket, which is widened
-    until it holds the eigenvalue and then bisected to 1e-2 (relative).
+    Rayleigh quotient less a width (0.1 (1 + |quotient|) for a supplied
+    start, else the larger of 1 and a tenth of the quotient; four times
+    wider at each retry) is the first lo, and every shift that fails on the
+    way is hi; hi is unbounded until one does.
 
-    Inverse iteration from x0 runs on the factor at lo, a shift below the
-    smallest eigenvalue, so it can only converge to that eigenpair, and the
-    quotient lambda of each step only steers: the bracket is split at lambda -+
-    delta, delta = 1e-9 (1 + |lambda|), where those points fall inside it, and
-    bisected once where neither does or where lambda fell by more than half its
-    last fall (a second eigenvalue close above the first). Once the bracket
-    lies within (lambda - delta, lambda + delta] or is 2 delta wide, one more
-    step gives the vector. The result is its quotient if that lies in the
-    bracket, else the bracket's midpoint; a backward error above 1e-9 raises
+    Inverse iteration from x0 starts at once on the factor at lo, a shift
+    below the smallest eigenvalue, so it can only converge to that
+    eigenpair. From (A - lo M) y = M x, each step's quotient is
+    lambda = lo + y^T M x / y^T M y, one matvec a step. The quotients only
+    steer the shifts, by their falls and by the ratio r of two successive
+    falls on one factor, with delta = 1e-9 (1 + |lambda|):
+
+    * r >= 1/2 (a second eigenvalue close above the first): bisect
+      (lo, min(hi, lambda + delta)]; a lambda above hi bisects (lo, hi];
+    * lambda fell by less than delta, or the error left, about
+      fall r / (1 - r), is under delta / 2: test lambda -+ delta where
+      they lie inside the bracket;
+    * else test lambda less twice the error left: a definite answer moves
+      lo, and the factor to solve with, to just below the eigenvalue.
+
+    Once the bracket lies within (lambda - delta, lambda + delta] or is
+    2 delta wide, one more step gives the vector. The result is its
+    quotient if that lies in the bracket, else the bracket's midpoint; a
+    backward error above 1e-9, from explicit matvecs, raises
     ConvergenceError.
 
     Returns (eigenvalue, vector, residual, trace). The trace holds the
-    bisection steps as (lo, hi, count) and every other event as a (tag, value)
-    pair: a window test as ("lo", sigma) or ("hi", sigma), the end it moved,
-    the reason for a bisection as ("outside", lambda) or ("slow", lambda), and
-    last ("certified", (a, b)), the bracket widened to at least delta on either
-    side of the eigenvalue. Shared by the radial operators here and the coupled
-    stability blocks.
+    bisection steps as (lo, top, count), the interval split at its midpoint,
+    and every other event as a (tag, value) pair: a lower end that failed as
+    ("expand", new lo), a tested shift as ("lo", sigma) or ("hi", sigma), the
+    end it moved, the reason for a bisection as ("outside", lambda) or
+    ("slow", lambda), and last ("certified", (a, b)), the bracket widened to
+    at least delta on either side of the eigenvalue. Shared by the radial
+    operators here and the coupled stability blocks.
     """
     if np.any(Mb[0] <= 0):
         raise InputError("mass diagonal must be positive")
@@ -92,18 +106,23 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray,
             lo, solve = sigma, factor
         return int(factor is None)
 
-    def bisect() -> None:
-        # the tuple takes lo and hi before split moves one of them
-        trace.append((lo, hi, split(0.5 * (lo + hi))))
+    def test(sigma: float) -> None:
+        trace.append(("hi" if split(sigma) else "lo", sigma))
 
-    def step(x: np.ndarray) -> tuple[np.ndarray, float]:
-        """One inverse iteration step on the factor at lo; x M-normalized."""
-        y = solve(sym_matvec(Mb, x))
-        nrm = math.sqrt(sym_matvec(Mb, y) @ y)
-        if not 0.0 < nrm < math.inf:
+    def bisect(top: float) -> None:
+        # the tuple takes lo before split moves it
+        trace.append((lo, top, split(0.5 * (lo + top))))
+
+    def step(x: np.ndarray, Mx: np.ndarray):
+        """One inverse iteration step on the factor at lo, x M-normalized:
+        the next x, its M x and its quotient."""
+        y = solve(Mx)
+        My = sym_matvec(Mb, y)
+        nrm2 = float(My @ y)
+        if not 0.0 < nrm2 < math.inf:
             raise ConvergenceError("inverse iteration overflow", trace)
-        y /= nrm
-        return y, float(sym_matvec(Ab, y) @ y)
+        nrm = math.sqrt(nrm2)
+        return y / nrm, My / nrm, lo + float(y @ Mx) / nrm2
 
     if x0 is None:
         x = 1.0 / dscale                        # the constant function
@@ -113,59 +132,55 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray,
             raise InputError("start vector must be finite, one entry per "
                              "unknown")
         x = x / dscale
-    norm2 = sym_matvec(Mb, x) @ x
+    Mx = sym_matvec(Mb, x)
+    norm2 = Mx @ x
     if not norm2 > 0.0:
         raise InputError("start vector must not vanish")
-    x /= math.sqrt(norm2)
-    hi = float(sym_matvec(Ab, x) @ x)      # Rayleigh quotient upper bound
-    if x0 is not None:
-        # a supplied start lies close: the first width is ten times the
-        # coarse bisection's, and hi clears the rounding of the quotient
-        hi += window(hi)
-        width = 0.1 * (1.0 + abs(hi))
-    else:
-        width = max(1.0, 0.1 * abs(hi))
-    lo = hi - width
-    while (solve := shifted_factor(Ab, Mb, lo)) is None:
+    x, Mx = x / math.sqrt(norm2), Mx / math.sqrt(norm2)
+    lam = float(sym_matvec(Ab, x) @ x)     # Rayleigh quotient upper bound
+    width = (0.1 * (1.0 + abs(lam)) if x0 is not None
+             else max(1.0, 0.1 * abs(lam)))
+    lo, hi, solve = lam - width, math.inf, None
+    while split(lo):
         width *= 4.0
         lo -= width
         trace.append(("expand", lo))
         if width > 1e18:
             raise ConvergenceError("failed to bracket the eigenvalue from "
                                    "below", trace)
-    while not split(hi):
-        hi += max(1.0, abs(hi))
-        trace.append(("raise", hi))
-        if hi > 1e18:
-            raise ConvergenceError("failed to bracket the eigenvalue from "
-                                   "above", trace)
-    while hi - lo > 1e-2 * (1.0 + max(abs(lo), abs(hi))):
-        bisect()
 
-    # lambda is at least the smallest eigenvalue up to rounding: the window
-    # tests move hi down until lambda is within delta of it, and then pin
-    # (lambda - delta, lambda + delta]; once stopped, one more step. The
-    # quotient's error contracts by ((lambda_1 - lo) / (lambda_2 - lo))^2
-    # a step, and so does its fall: a fall above half the last one is
-    # slower than bisection, which then moves lo up as well
-    done, last, fall = False, math.inf, math.inf
+    # the quotient's error contracts by ((lambda_1 - lo) / (lambda_2 - lo))^2
+    # a step, and so does its fall, so the error left is about the geometric
+    # tail fall r / (1 - r), r the ratio of two falls on one factor. A ratio
+    # r >= 1/2 is slower than bisection, and it is tested first: the falls of
+    # a second eigenvalue close above stay under delta long before the
+    # quotient is within delta of lambda_1
+    done, fall = False, math.inf
     for _ in range(_MAX_STEPS):
-        x, lam = step(x)
+        last, shift = lam, lo
+        x, Mx, lam = step(x, Mx)
         if done:
             break
-        slow = last - lam > 0.5 * fall
-        last, fall = lam, last - lam
+        prev, fall = fall, last - lam
+        ratio = fall / prev if 0.0 < prev < math.inf else None
         delta = window(lam)
-        tested = False
-        for sigma in (lam - delta, lam + delta):
-            if lo < sigma < hi:
-                trace.append(("hi" if split(sigma) else "lo", sigma))
-                tested = True
-        done = (lam - delta <= lo and hi <= lam + delta
-                or hi - lo <= 2.0 * window(0.5 * (lo + hi)))
-        if not done and (slow or not tested):
-            trace.append(("slow" if tested else "outside", lam))
-            bisect()
+        slow = ratio is not None and ratio >= 0.5
+        if slow or lam >= hi:
+            trace.append(("slow" if slow else "outside", lam))
+            bisect(min(hi, lam + delta))
+        else:
+            tail = math.inf if ratio is None else fall * ratio / (1.0 - ratio)
+            if fall < delta or 2.0 * tail < delta:
+                for sigma in (lam - delta, lam + delta):
+                    if lo < sigma < hi:
+                        test(sigma)
+            elif lo < lam - 2.0 * tail:
+                test(lam - 2.0 * tail)
+        if lo != shift:
+            fall = math.inf         # the next step runs on a new factor
+        done = hi < math.inf and (
+            lam - delta <= lo and hi <= lam + delta
+            or hi - lo <= 2.0 * window(0.5 * (lo + hi)))
     else:
         raise ConvergenceError(
             f"eigenvalue not certified by inertia in {_MAX_STEPS} steps: "
@@ -238,6 +253,14 @@ class RadialPencil:
         for i, name in enumerate(self.fields):
             x[i::F] = np.asarray(fields[name])[self.start:-1]
         return x
+
+    def cold_start(self) -> np.ndarray:
+        """1 - r^2 in every field, as unknowns: a start for inverse
+        iteration that meets the Dirichlet condition at r = 1, where the
+        constant function jumps and has a Rayleigh quotient decades above
+        the smallest eigenvalue."""
+        return self.interior(dict.fromkeys(self.fields,
+                                           1.0 - self.grid.nodes ** 2))
 
     def sector(self, *names) -> "RadialPencil":
         """Sub-pencil on a subset of fields; valid only when couplings to the
@@ -362,21 +385,20 @@ def smallest_eigenpair(op: RadialPencil,
     inverse iteration.
 
     Inverse iteration starts from q_init (node samples on the grid, say the
-    eigenfunction at a nearby eps), or else from 1 - r^2, which meets the
-    boundary conditions: the constant function jumps at the Dirichlet node
-    r = 1, and its Rayleigh quotient lies decades above the eigenvalue.
+    eigenfunction at a nearby eps), or else from RadialPencil.cold_start.
 
     The inertia certificate says which eigenvalue the pair belongs to; the
     vector's entries are not tested for sign. (A Sturm-Liouville ground
     state has one sign, but inverse iteration leaves noise of the order of
     its backward error where the mode is exponentially small.)"""
     if q_init is None:
-        q_init = 1.0 - op.grid.nodes ** 2
-    q_init = np.asarray(q_init, dtype=float)
-    if q_init.shape != op.grid.nodes.shape:
-        raise InputError("q_init must be sampled on the grid nodes")
-    lam, x, resid, trace = pencil_smallest(op.A, op.M,
-                                           x0=op.interior({"q": q_init}))
+        x0 = op.cold_start()
+    else:
+        q_init = np.asarray(q_init, dtype=float)
+        if q_init.shape != op.grid.nodes.shape:
+            raise InputError("q_init must be sampled on the grid nodes")
+        x0 = op.interior({"q": q_init})
+    lam, x, resid, trace = pencil_smallest(op.A, op.M, x0=x0)
     q = op.embed(x)["q"]
     nrm = math.sqrt(op.grid.quadrature(q * q))
     q = q / nrm

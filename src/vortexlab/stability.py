@@ -185,7 +185,7 @@ def mode_form_value(profile, W, Wt, eps, eta, lam, trial: dict) -> float:
 
 def mode_min_eigenvalue(block: RadialPencil) -> float:
     """Smallest generalized eigenvalue of the block pencil."""
-    return pencil_smallest(block.A, block.M)[0]
+    return pencil_smallest(block.A, block.M, block.cold_start())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +415,7 @@ def spectrum_summary(profile, W, Wt, eps, eta,
 
     for lam in lams:
         blk = mode_block(profile, W, Wt, eps, eta, lam)
-        val, x, _, _ = pencil_smallest(blk.A, blk.M)
+        val, x, _, _ = pencil_smallest(blk.A, blk.M, blk.cold_start())
         efun = blk.embed(x)
         rblk = mode_block(refined, W, Wt, eps, eta, lam)
         # the refined pencil is this one plus a node at r_min/2: start it

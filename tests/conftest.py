@@ -87,6 +87,20 @@ def escaping_profile(escaping_point, grid_n3):
 
 
 @pytest.fixture
+def factorizations(monkeypatch):
+    """The shift of every inertia factorization that pencil_smallest makes
+    while the test runs (spectral.shifted_factor, counted)."""
+    import vortexlab.spectral as spectral
+    shifts, real = [], spectral.shifted_factor
+
+    def counting(Ab, Mb, sigma):
+        shifts.append(sigma)
+        return real(Ab, Mb, sigma)
+    monkeypatch.setattr(spectral, "shifted_factor", counting)
+    return shifts
+
+
+@pytest.fixture
 def guarded_python():
     """Run python code in a child process capped at 1 GiB of address space
     and 60 s, and return its stdout parsed as JSON: a regression to an

@@ -380,6 +380,8 @@ def test_argument_validation(capsys):
          "--eta", "0.5"],
         ["energy", "--N", "3", "--Wt", "linear", "--eta", "0.5",
          "--eps", "0.2"],
+        ["stability", "--N", "3", "--W", "quadratic", "--Wt", "linear",
+         "--point", "eta=1.0", "--lambda-max", "2", "--grid-n", "400"],
         # an explicit --model without its parameter
         ["profile", "--N", "3", "--model", "gl", "--W", "quadratic"],
         ["profile", "--N", "3", "--model", "sphere", "--Wt", "linear"],
@@ -391,13 +393,18 @@ def test_argument_validation(capsys):
         payload = _one_line_json(capsys.readouterr().err)
         assert payload["error"] == "InputError"
     assert payload["message"] == "--model extended needs --eta"
-    # an unread flag is named with the model, inferred or given by --model
+    # an unread flag is named with the model, inferred, given by --model
+    # or implied by stability's --point
     for argv, msg in (
             (["energy", "--N", "3", "--Wt", "linear", "--eta", "0.5",
               "--eps", "0.2"], "the sphere model does not read --eps"),
             (["profile", "--N", "3", "--model", "gl", "--W", "quadratic",
               "--eps", "0.3", "--Wt", "linear", "--eta", "0.5"],
-             "the gl model does not read --Wt or --eta")):
+             "the gl model does not read --Wt or --eta"),
+            # stability without eps in --point is the sphere map
+            (["stability", "--N", "3", "--W", "quadratic", "--point",
+              "eta=1.0", "--lambda-max", "2", "--grid-n", "400"],
+             "the sphere model does not read --W")):
         assert main(argv) == 1
         assert _one_line_json(capsys.readouterr().err)["message"] == msg
 

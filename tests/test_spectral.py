@@ -119,17 +119,16 @@ MISSING_PENCILS = [(44, 1, 493631901, 4.374090702457856),
 
 
 def test_second_eigenvalue_in_the_coarse_bracket():
-    # inverse iteration on the factor at the bracket's lower end converges
-    # to the smallest eigenpair, with the second one in the bracket too
+    # inverse iteration starts at once on the factor at the first definite
+    # shift lo, and the first interval it bisects, (lo, top], holds the
+    # second eigenvalue too: the steered shifts still end on the first
     for pencil in MISSING_PENCILS:
         A, M = _random_pencil(*pencil)
         lam, x, resid, trace = pencil_smallest(A, M)
-        first_pair = next(i for i, t in enumerate(trace)
-                          if t[0] in ("lo", "hi", "outside"))
-        lo, hi, c = [t for t in trace[:first_pair] if len(t) == 3][-1]
-        lo, hi = (lo, 0.5 * (lo + hi)) if c else (0.5 * (lo + hi), hi)
+        lo, top, _ = next(t for t in trace if len(t) == 3)
+        assert lo == [t[1] for t in trace if t[0] == "expand"][-1]
         assert ldl_count_below(A, M, lo) == 0
-        assert ldl_count_below(A, M, hi) >= 2
+        assert ldl_count_below(A, M, top) >= 2
         _assert_certified_by_oracle(A, M, lam, trace)
         assert resid < 1e-9
 
@@ -174,18 +173,20 @@ def test_pencil_smallest_stress_against_oracle():
     assert outside > 0          # the bisection of a quotient outside it
 
 
-def test_bisection_stays_coarse(grid_n3):
-    # the constant start vector's Rayleigh quotient is within a few decades
-    # of the eigenvalue, and bisection stops at a coarse width: inverse
-    # iteration and the certificate do the rest
+def test_cold_start_factorization_bound(grid_n3, factorizations):
+    # inverse iteration starts on the first definite shift and its quotients
+    # choose the rest, so even the constant start needs few factorizations,
+    # and 1 - r^2, which meets the Dirichlet condition, fewer still
     lap = assemble_radial_operator(3, grid_n3, 0.0, 0.0)
     prof = gl_linearization_eigenvalue(3, QUAD, 0.3, grid_n3)[2]
     V = -QUAD.eval(1.0 - prof.f ** 2, 1) / 0.3 ** 2
     gl = assemble_radial_operator(3, grid_n3, 0.0, V)
     for op in (lap, gl):
-        lam, x, resid, trace = pencil_smallest(op.A, op.M)
-        assert sum(1 for t in trace if len(t) == 3) <= 20
-        assert trace[-1][0] == "certified" and resid < 1e-9
+        for x0, bound in ((None, 16), (op.cold_start(), 6)):
+            factorizations.clear()
+            lam, x, resid, trace = pencil_smallest(op.A, op.M, x0)
+            assert len(factorizations) <= bound, trace
+            assert trace[-1][0] == "certified" and resid < 1e-9
 
 
 @given(pencils, st.floats(-1.0, 1.0))
@@ -577,19 +578,22 @@ def test_start_vector_validation():
             pencil_smallest(A, M, x0=bad)
 
 
-def test_eigenpair_start_cuts_bisection(grid_n3):
+def test_eigenpair_start_cuts_factorizations(grid_n3, factorizations):
     # 1 - r^2 meets the Dirichlet condition that the constant function
-    # breaks, and a nearby eps's eigenvector lies closer still
+    # breaks, and a nearby eps's eigenvector lies closer still: one
+    # factorization for the first shift and one for each end of the window
     lam, pair, prof = gl_linearization_eigenvalue(3, QUAD, 0.2, grid_n3)
     V = -QUAD.eval(1.0 - prof.f ** 2, 1) / 0.2 ** 2
     op = assemble_radial_operator(3, grid_n3, 0.0, V)
     near = gl_linearization_eigenvalue(3, QUAD, 0.21, grid_n3)[1]
 
-    def bisections(x0):
-        trace = pencil_smallest(op.A, op.M, x0=x0)[3]
-        return sum(1 for t in trace if len(t) == 3)
-    r = grid_n3.nodes[:op.size]
-    assert bisections(1.0 - r * r) < bisections(None)
-    assert bisections(near.q[:op.size]) <= 4
+    def count(x0):
+        factorizations.clear()
+        pencil_smallest(op.A, op.M, x0=x0)
+        return len(factorizations)
+    cold = count(op.cold_start())
+    assert cold < count(None)
+    assert cold <= 8
+    assert count(near.q[:op.size]) <= 3
     warm = smallest_eigenpair(op, q_init=near.q)
     assert abs(warm.eigenvalue - lam) <= 2e-9 * (1.0 + abs(lam))

@@ -302,6 +302,24 @@ def test_refined_pencil_starts_warm(small_profiles, monkeypatch, kind):
         assert abs(lam - cold) <= 2e-9 * (1.0 + abs(cold))
 
 
+@pytest.mark.parametrize("kind", ["gl", "escaping", "non_escaping",
+                                  "sphere"])
+def test_cold_block_factorization_bound(small_profiles, factorizations,
+                                        kind):
+    # a cold block starts from 1 - r^2 in every field (RadialPencil.
+    # cold_start), in mode_min_eigenvalue as in spectrum_summary, and ends on
+    # the constant start's eigenvalue in at most 12 factorizations
+    from vortexlab.spectral import pencil_smallest
+    prof, W, Wt, eps, eta = small_profiles[kind]
+    for lam in (0.0, 2.0, 6.0):
+        blk = mode_block(prof, W, Wt, eps, eta, lam)
+        factorizations.clear()
+        val = mode_min_eigenvalue(blk)
+        assert len(factorizations) <= 12
+        const = pencil_smallest(blk.A, blk.M)[0]
+        assert abs(val - const) <= 2e-9 * (1.0 + abs(const))
+
+
 def test_invalid_angular_eigenvalue(escaping_profile, escaping_point):
     eps, eta, _ = escaping_point
     with pytest.raises(InputError):
