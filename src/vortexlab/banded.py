@@ -6,7 +6,9 @@ Two storage forms:
   LAPACK's lower storage (dpbtrf takes it as is);
 * full band, shape (2b+1, m): ab[b + i - j, j] = A[i, j], LAPACK's general
   band (gb) layout with b sub- and b superdiagonals, without the b rows of
-  fill-in space that dgbtrf adds on top.
+  fill-in space that dgbtrf adds on top. The Newton solvers pass their
+  Jacobians to lu_solver in this form, and nothing else: it reads each
+  row's scale off the band.
 
 The LAPACK routines (dgbtrf, dgbtrs, dgtsv, dpbtrf, dpbtrs, dpttrf, dpttrs)
 are scipy's own f2py wrappers, loaded from its extension module
@@ -18,6 +20,7 @@ bits. If the direct load fails, scipy.linalg.lapack is imported instead.
 """
 from __future__ import annotations
 
+import math
 import os
 from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
                                  FileFinder)
@@ -125,27 +128,32 @@ def count_below(Ab: np.ndarray, Mb: np.ndarray, sigma: float) -> int:
     return int(shifted_factor(Ab, Mb, sigma) is None)
 
 
-def lu_solver(ab: np.ndarray, row_max: np.ndarray):
+def lu_solver(ab: np.ndarray):
     """solve(rhs) for the square matrix in full band storage ab (equal sub-
     and superdiagonal counts), factored once.
 
-    row_max is the largest |entry| of each matrix row. Each row and its
-    right-hand side entry are first divided by it (by 1 where it is 0): the
-    r^(N+1) weights of the Newton systems span ~50 decades at large N on a
-    graded grid, and without the row scaling the factorization loses the
-    step. The caller knows its stencil, so it supplies the maxima. The
-    scaled band goes straight into LAPACK's storage: a tridiagonal matrix is
-    solved by dgtsv on every call, a wider one factored by dgbtrf here and
-    solved by dgbtrs per call, which gives the bits of one dgbsv call per
-    right-hand side. Entries of ab outside the matrix are not read.
-    A matrix or right-hand side that is not finite raises ValueError, a zero
-    pivot LinAlgError.
+    Each row and its right-hand side entry are first divided by the row's
+    largest |entry| (by 1 where it is 0): the r^(N+1) weights of the Newton
+    systems span ~50 decades at large N on a graded grid, and without the
+    row scaling the factorization loses the step. The scaled band goes
+    straight into LAPACK's storage: a tridiagonal matrix is solved by dgtsv
+    on every call, a wider one factored by dgbtrf here and solved by dgbtrs
+    per call, which gives the bits of one dgbsv call per right-hand side.
+    Entries of ab outside the matrix are ignored. A matrix or right-hand
+    side that is not finite raises ValueError, a zero pivot LinAlgError.
     """
     b = ab.shape[0] // 2
     m = ab.shape[1]
-    if not np.isfinite(ab).all():
+    mag = np.abs(ab)
+    rs = mag[b].copy()
+    for d in range(1, b + 1):       # superdiagonal d, then subdiagonal d
+        np.maximum(rs[:m - d], mag[b - d, d:], out=rs[:m - d])
+        np.maximum(rs[d:], mag[b + d, :m - d], out=rs[d:])
+    # every entry inside the matrix enters one row maximum, and NaN
+    # propagates through np.maximum and max
+    if not math.isfinite(rs.max()):
         raise ValueError("band matrix must not contain infs or NaNs")
-    rs = np.where(row_max > 0, row_max, 1.0)
+    rs[rs == 0] = 1.0
     lu = np.zeros((3 * b + 1, m), order="F")     # b rows of fill-in on top
     for k in range(2 * b + 1):                   # ab[k, j] holds A[j+k-b, j]
         j0, j1 = max(0, b - k), min(m, m + b - k)

@@ -404,7 +404,7 @@ def _run_phase(cfg: RunConfig, grid, opts: SolverOptions) -> tuple:
 def _run_stability(cfg: RunConfig, grid, opts: SolverOptions) -> tuple:
     prof = _solve_profile(cfg, _stability_model(cfg), grid, opts, cfg.branch)
     report = spectrum_summary(prof, None, None, None, None,
-                              lam_max=cfg.lam_max)
+                              lam_max=cfg.lam_max, opts=opts)
     artifacts = {"stability.json": report.to_json() + "\n"}
     diag = {"verdict": report.verdict,
             "profile_residual": prof.residual_norm,

@@ -233,23 +233,19 @@ class RadialGrid:
                             lambda: _product_weights(self.nodes, self.N - 1 + shift))
 
     def hat_weights(self, shift: int = 0) -> np.ndarray:
-        """Lumped hat-function moments against r^(N-1+shift) dr.
+        """Lumped hat-function moments against r^(N-1+shift) dr: the row
+        sums of p1_mass(shift), since the hats sum to 1.
 
         Always positive; used for mass lumping and zero-order operator terms.
-        For shift making the origin-segment moment divergent (power <= -1) the
-        first node's origin contribution is dropped; callers in that regime
-        hold Dirichlet data at r_min and never touch node 0.
+        For shift making the origin-segment moment divergent (power <= -1)
+        the P1 tables drop the origin segment; callers in that regime hold
+        Dirichlet data at r_min and never touch node 0.
         """
         def build():
-            p = self.N - 1 + shift
-            a, b = self.nodes[:-1], self.nodes[1:]
-            mm0 = _moments(a, b, p)
-            mm1 = _moments(a, b, p + 1)
-            w = np.zeros(self.n)
-            w[:-1] += (b * mm0 - mm1) / self.h
-            w[1:] += (mm1 - a * mm0) / self.h
-            if p > -1:
-                w[0] += _moment(0.0, self.nodes[0], p)
+            diag, off = self.p1_mass(shift)
+            w = diag.copy()
+            w[:-1] += off
+            w[1:] += off
             return w
 
         return self._cached(("hw", shift), build)
@@ -378,6 +374,24 @@ class RadialGrid:
 
         return self._cached(("stiff", power), build)
 
+    def stiffness_band(self, *powers: int) -> np.ndarray:
+        """The stiffness(power) of each of len(powers) = F fields, with the
+        fields' unknowns interleaved per node (field o of node j is unknown
+        o + F j), as a full band of F sub- and superdiagonals
+        (banded.lu_solver's storage): the part of every Newton Jacobian
+        that does not change with the iterate."""
+        def build():
+            F = len(powers)
+            size = F * (self.n - 1)
+            ab = np.zeros((2 * F + 1, size))
+            for o, power in enumerate(powers):
+                diag, off = self.stiffness(power)
+                ab[F, o::F] = diag
+                ab[0, F + o::F] = ab[2 * F, o:size - F:F] = off
+            return ab
+
+        return self._cached(("stiff_band", powers), build)
+
     def origin_moment(self, shift: int = 0) -> float:
         """Moment of r^(N-1+shift) over [0, r_min]."""
         p = self.N - 1 + shift
@@ -441,10 +455,11 @@ class RadialGrid:
         return self._cached("halved", build)
 
     @staticmethod
-    def onto_halved(u: np.ndarray, odd: bool = False) -> np.ndarray:
-        """Node samples u on halve_rmin()'s grid: u(r_min) at r_min/2 for an
-        even field (u'(0) = 0), u(r_min)/2 for an odd one (u ~ c r)."""
-        return np.concatenate(([0.5 * u[0] if odd else u[0]], u))
+    def onto_halved(u: np.ndarray) -> np.ndarray:
+        """Node samples u on halve_rmin()'s grid, u(r_min) at r_min/2: u
+        held flat over [0, r_min], as the P1 tables and the zero-flux
+        closure hold it."""
+        return np.concatenate(([u[0]], u))
 
     # -- serialization ------------------------------------------------------
 

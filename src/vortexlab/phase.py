@@ -19,7 +19,7 @@ import numpy as np
 from .core import (DEFAULT_GRID, ConvergenceError, InconsistentError,
                    InputError, NoEscapingRegionError, OutOfRangeError,
                    Potential, RadialGrid, csv_rows, make_grid, map_jobs)
-from .profiles import (PREDICTOR_POINTS, SolverOptions,
+from .profiles import (PREDICTOR_POINTS, SolverOptions, _check_scale,
                        solve_extended_profile)
 from .spectral import (ell_never_negative, find_epsilon0,
                        gl_linearization_eigenvalue)
@@ -160,8 +160,7 @@ def eta0(N: int, W, Wt, eps: float, grid: RadialGrid | None = None,
     reason = ell_never_negative(N, W)
     if reason:
         raise NoEscapingRegionError(f"no escaping region: {reason}")
-    if not eps > 0:                 # NaN fails this test too
-        raise InputError("eps must be positive")
+    _check_scale("eps", eps)
     if grid is None:
         grid = make_grid(N, **DEFAULT_GRID)
     ell, _, _ = gl_linearization_eigenvalue(N, W, eps, grid, opts)
@@ -182,8 +181,8 @@ def classify_point(N: int, W, Wt, eps: float, eta: float,
     PhasePoint as that point of a sweep over one column."""
     W = Potential.from_spec(W)
     Wt = Potential.from_spec(Wt)
-    if not (eps > 0 and eta > 0):   # NaN fails this test too
-        raise InputError("eps and eta must be positive")
+    _check_scale("eps", eps)
+    _check_scale("eta", eta)
     if grid is None:
         grid = make_grid(N, **DEFAULT_GRID)
     return _column(N, W, Wt, float(eps), [eta], grid,
@@ -274,6 +273,9 @@ def sweep(N: int, W, Wt, eps_range, eta_range, resolution: tuple[int, int],
     n_eps, n_eta = int(resolution[0]), int(resolution[1])
     eps_samples = axis_samples(eps_range, n_eps)
     eta_samples = axis_samples(eta_range, n_eta)
+    for name, samples in (("eps", eps_samples), ("eta", eta_samples)):
+        for value in (samples[0], samples[-1]):     # they ascend
+            _check_scale(name, value)
     if grid is None:
         grid = make_grid(N, **DEFAULT_GRID)
 

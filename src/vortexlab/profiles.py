@@ -138,16 +138,17 @@ def _newton(assemble: Callable, u0: np.ndarray, opts: SolverOptions,
 
 
 def _lazy_solver(jacobian: Callable) -> Callable:
-    """solve(rhs) that builds and factors jacobian() (full band storage and
-    its row maxima) on its first call and keeps the factorization for later
-    ones. _newton calls it for an iterate it steps from (and again for the
-    closing correction), so a rejected line-search trial and a stage's final
-    iterate never pay for a Jacobian. solve.jacobian builds the band again."""
+    """solve(rhs) that builds and factors jacobian() (full band storage) on
+    its first call and keeps the factorization for later ones. _newton
+    calls it for an iterate it steps from (and again for the closing
+    correction), so a rejected line-search trial and a stage's final
+    iterate never pay for a Jacobian. solve.jacobian builds the band
+    again."""
     factored = []               # one per assemble: lighter than a cache
 
     def solve(rhs):
         if not factored:
-            factored.append(lu_solver(*jacobian()))
+            factored.append(lu_solver(jacobian()))
         return factored[0](rhs)
     solve.jacobian = jacobian
     return solve
@@ -157,7 +158,7 @@ def _rounding_floor(solve, z) -> float:
     """u·max_i (|J||z|)_i at the iterate z whose solve(rhs) this is: the
     componentwise bound on the rounding error of evaluating its residual
     (u the unit roundoff). Converged profiles sit at 0.4-0.8 of it."""
-    ab = solve.jacobian()[0]
+    ab = solve.jacobian()
     return float(np.max(abs_matvec(ab, z))) * np.finfo(float).eps / 2
 
 
@@ -176,12 +177,11 @@ def _rounding_floor(solve, z) -> float:
 # value would, so every entry keeps its bits; no body branches on the
 # potential. An assembler builds its stage once and evaluates only what the
 # iterate changes; a record's _residual_parts builds the stage on the spot.
-# Each Jacobian's constant part, the stiffness off-diagonals, is kept in the
-# grid's cache (laid out as a band for the two-field model) with each row's
-# largest off-diagonal magnitude: an iterate fills in its diagonal and
-# couplings, and the row maxima that lu_solver scales by follow from those
-# entries alone. _newton returns the final iterate's sup norm, the very
-# value residual() recomputes, and a solved record stores it.
+# Each Jacobian copies the grid's stiffness band (RadialGrid.stiffness_band,
+# built once per grid) and adds the iterate's reaction entries: the
+# diagonal and, in the two-field model, the v-g couplings. lu_solver reads
+# the row scales off that band. _newton returns the final iterate's sup
+# norm, the very value residual() recomputes, and a solved record stores it.
 
 
 def _derivative(pot: Potential, order: int) -> Callable:
@@ -191,31 +191,6 @@ def _derivative(pot: Potential, order: int) -> Callable:
     if value is None:
         return lambda t: pot.eval(t, order, clamp=True)
     return lambda t: value
-
-
-def _neighbour_max(off):
-    """Largest |off-diagonal| of each row of the symmetric tridiagonal matrix
-    with off-diagonal off."""
-    a = np.abs(off)
-    return np.maximum(np.append(a, 0.0), np.append(0.0, a))
-
-
-def _tridiagonal_stiffness(grid, power):
-    """The stiffness(power) diagonal and off-diagonal with each row's
-    largest |off-diagonal|."""
-    sd, off = grid.stiffness(power)
-    return sd, off, grid._cached(("newton_row_max", power),
-                                 lambda: _neighbour_max(off))
-
-
-def _tridiagonal_jacobian(off, off_max, diag):
-    """Full band and row maxima of a one-field Newton Jacobian: the
-    stiffness off-diagonals off (row maxima off_max) and diag on the
-    diagonal."""
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = ab[2, :-1] = off
-    ab[1] = diag
-    return ab, np.maximum(off_max, np.abs(diag))
 
 
 def _gl_stage(grid, eps, well):
@@ -237,14 +212,15 @@ def _gl_residual(st, v, right):
 
 def _gl_assemble(grid, eps, well):
     st = _gl_stage(grid, eps, well)
-    sd, off, off_max = _tridiagonal_stiffness(grid, grid.N + 1)
+    band = grid.stiffness_band(grid.N + 1)
 
     def assemble(vi):
         res, x, wp = _gl_residual(st, vi, 1.0)
 
         def jacobian():
-            diag = sd - st.me * (wp - st.r2x2 * vi**2 * st.wpp(x))
-            return _tridiagonal_jacobian(off, off_max, diag)
+            ab = band.copy()
+            ab[1] -= st.me * (wp - st.r2x2 * vi**2 * st.wpp(x))
+            return ab
         return res, _lazy_solver(jacobian)
 
     return assemble
@@ -280,16 +256,7 @@ def _extended_residual(st, v, g, right):
 
 def _extended_assemble(grid, eps, eta, well, penalty):
     st = _extended_stage(grid, eps, eta, well, penalty)
-    sv, ov = grid.stiffness(grid.N + 1)
-    sg, og = grid.stiffness(grid.N - 1)
-
-    def constant_band():
-        ab = np.zeros((5, 2 * grid.n - 2))
-        ab[0, 2::2] = ab[4, 0:-2:2] = ov      # (2j, 2j+2) and transpose
-        ab[0, 3::2] = ab[4, 1:-2:2] = og      # (2j+1, 2j+3) and transpose
-        return ab, _interleave(_neighbour_max(ov), _neighbour_max(og))
-
-    band, off_max = grid._cached(("newton_band", "extended"), constant_band)
+    band = grid.stiffness_band(grid.N + 1, grid.N - 1)
 
     def assemble(z):
         v, g = z[0::2], z[1::2]
@@ -301,15 +268,12 @@ def _extended_assemble(grid, eps, eta, well, penalty):
             rv = st.r * v
             g2x2 = 2 * g * g
             ab = band.copy()
-            ab[2, 0::2] = sv - st.mve * (wp - 2 * rv * rv * wpp)
-            ab[2, 1::2] = sg - st.mg * ((wp - g2x2 * wpp) / st.eps2
-                                        - (tp + g2x2 * tpp) / st.eta2)
+            ab[2, 0::2] -= st.mve * (wp - 2 * rv * rv * wpp)
+            ab[2, 1::2] -= st.mg * ((wp - g2x2 * wpp) / st.eps2
+                                    - (tp + g2x2 * tpp) / st.eta2)
             ab[1, 1::2] = st.mve2 * v * g * wpp       # (2j, 2j+1)
             ab[3, 0::2] = st.mge2r * rv * g * wpp     # (2j+1, 2j)
-            row_max = np.maximum(off_max, np.abs(ab[2]))
-            np.maximum(row_max[0::2], np.abs(ab[1, 1::2]), out=row_max[0::2])
-            np.maximum(row_max[1::2], np.abs(ab[3, 0::2]), out=row_max[1::2])
-            return ab, row_max
+            return ab
         return res, _lazy_solver(jacobian)
 
     return assemble
@@ -337,7 +301,7 @@ def _sphere_residual(st, theta, right):
 
 def _sphere_assemble(grid, eta, penalty):
     st = _sphere_stage(grid, eta, penalty)
-    sd, off, off_max = _tridiagonal_stiffness(grid, grid.N - 1)
+    band = grid.stiffness_band(grid.N - 1)
 
     def assemble(ti):
         res, c2, tp = _sphere_residual(st, ti, 0.5 * math.pi)
@@ -345,9 +309,10 @@ def _sphere_assemble(grid, eta, penalty):
         def jacobian():
             cos2 = np.cos(2 * ti)
             sin2 = np.sin(2 * ti)
-            diag = sd + st.cent * cos2
-            diag -= st.m0e * (tp * cos2 - 0.5 * st.tpp(c2) * sin2 * sin2)
-            return _tridiagonal_jacobian(off, off_max, diag)
+            ab = band.copy()
+            ab[1] += st.cent * cos2
+            ab[1] -= st.m0e * (tp * cos2 - 0.5 * st.tpp(c2) * sin2 * sin2)
+            return ab
         return res, _lazy_solver(jacobian)
 
     return assemble
@@ -469,6 +434,18 @@ def _check_well(W: Potential) -> None:
         raise InputError("W domain must reach 1 (solutions hit 1-f²-g²=0..1)")
 
 
+def _check_scale(name: str, value) -> None:
+    """InputError unless the length scale (eps or eta) is inf, or positive
+    with a finite nonzero square whose inverse is finite too: the equations
+    divide by its square. NaN fails too."""
+    value = float(value)
+    square = value * value
+    if not (value == math.inf or value > 0 and 0 < square < math.inf
+            and math.isfinite(1.0 / square)):
+        raise InputError(f"{name} must be positive, with {name}^2 and "
+                         f"1/{name}^2 finite (or {name} = inf), got {value!r}")
+
+
 def solve_gl_profile(N: int, W: Potential, eps: float, grid: RadialGrid,
                      opts: SolverOptions = SolverOptions(),
                      v_init=None) -> GLProfile:
@@ -481,8 +458,7 @@ def solve_gl_profile(N: int, W: Potential, eps: float, grid: RadialGrid,
     """
     W = Potential.from_spec(W)
     _check_well(W)
-    if not eps > 0:                 # NaN fails this test too
-        raise InputError("eps must be positive")
+    _check_scale("eps", eps)
     if grid.N != N:
         raise InputError("grid dimension does not match N")
     if v_init is not None:
@@ -560,8 +536,7 @@ def solve_sphere_profile(N: int, Wt: Potential, eta: float, grid: RadialGrid,
     rounding is a solver failure. A Newton stall raises ConvergenceError.
     """
     Wt = Potential.from_spec(Wt)
-    if not eta > 0:                 # NaN fails this test too
-        raise InputError("eta must be positive")
+    _check_scale("eta", eta)
     if grid.N != N:
         raise InputError("grid dimension does not match N")
     trace: list = []
@@ -628,8 +603,8 @@ def solve_extended_profile(N: int, W: Potential, Wt: Potential, eps: float,
     W = Potential.from_spec(W)
     Wt = Potential.from_spec(Wt)
     _check_well(W)
-    if not (eps > 0 and eta > 0):   # NaN fails this test too
-        raise InputError("eps and eta must be positive")
+    _check_scale("eps", eps)
+    _check_scale("eta", eta)
     if grid.N != N:
         raise InputError("grid dimension does not match N")
     if branch_hint not in ("escaping", "non_escaping"):

@@ -262,6 +262,15 @@ class RadialPencil:
         return self.interior(dict.fromkeys(self.fields,
                                            1.0 - self.grid.nodes ** 2))
 
+    def refined(self) -> "RadialPencil":
+        """The same form on grid.halve_rmin(), each node-sampled coefficient
+        held at its r_min value on the new node at r_min/2: the pencil holds
+        coefficients flat over [0, r_min] already, so only the cutoff
+        moves."""
+        return replace(self, grid=self.grid.halve_rmin(), terms=tuple(
+            (a, b, RadialGrid.onto_halved(c) if np.ndim(c) else c, shift)
+            for a, b, c, shift in self.terms))
+
     def sector(self, *names) -> "RadialPencil":
         """Sub-pencil on a subset of fields; valid only when couplings to the
         dropped fields vanish (checked)."""

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .banded import sym_matvec
 from .core import (ConvergenceError, InputError, Potential, RadialGrid,
                    csv_rows, make_grid)
-from .profiles import ExtendedProfile, GLProfile, SphereProfile
+from .profiles import (ExtendedProfile, GLProfile, SolverOptions,
+                       SphereProfile)
 from .spectral import (RadialPencil, gl_linearization_eigenvalue,
                        pencil_smallest)
 
@@ -371,28 +372,17 @@ class StabilityReport:
                            *(self.kernel[n] for n in names)))
 
 
-def _refined_profile(profile):
-    """Insert a node at r_min/2 (fields extended by their leading-order
-    behavior; no re-solve — this only probes the Dirichlet cutoff, and the
-    coefficient perturbation is O(r_min^2))."""
-    def stretch(name):
-        # v and g are even at the origin; theta ~ c r off the equator
-        odd = name == "theta" and not profile.no_escape
-        return RadialGrid.onto_halved(getattr(profile, name), odd=odd)
-
-    return replace(profile, grid=profile.grid.halve_rmin(),
-                   **{name: stretch(name) for name in profile.unknowns})
-
-
 def spectrum_summary(profile, W, Wt, eps, eta,
-                     lam_max: float | None = None) -> StabilityReport:
+                     lam_max: float | None = None,
+                     opts: SolverOptions = SolverOptions()) -> StabilityReport:
     """Smallest eigenvalue of every harmonic block up to lam_max, with the
     divergence-free certificate, an r_min-refinement stability check, and the
-    verdict {PositiveDefinite, Kernel(dim), Indefinite}.
+    verdict {PositiveDefinite, Kernel(dim), Indefinite}. The amplitude
+    models' linearization eigenvalue ell solves its GL profile with opts.
 
-    The refinement check solves each block again on the halved-r_min grid,
-    which is the same pencil plus one node next to the origin; that solve
-    starts from the block's certified eigenvector, prolonged by
+    The refinement check solves each block again as RadialPencil.refined,
+    the same pencil plus one node next to the origin; that solve starts
+    from the block's certified eigenvector, prolonged by
     RadialGrid.onto_halved, and is certified by inertia like the first.
     lam_max must be finite and >= 0 (InputError otherwise)."""
     grid = profile.grid
@@ -404,10 +394,9 @@ def spectrum_summary(profile, W, Wt, eps, eta,
     ell = None
     Wv, _, epsv, _ = _form_params(profile, W, Wt, eps, eta)
     if epsv is not None:            # the amplitude models
-        ell, _, _ = gl_linearization_eigenvalue(N, Wv, epsv, grid)
+        ell, _, _ = gl_linearization_eigenvalue(N, Wv, epsv, grid, opts)
     band = 1e-4 * (1.0 + (abs(ell) if ell is not None else 0.0))
 
-    refined = _refined_profile(profile)
     mins, shifts, vectors = [], [], []
 
     def sign_class(v):
@@ -417,7 +406,7 @@ def spectrum_summary(profile, W, Wt, eps, eta,
         blk = mode_block(profile, W, Wt, eps, eta, lam)
         val, x, _, _ = pencil_smallest(blk.A, blk.M, blk.cold_start())
         efun = blk.embed(x)
-        rblk = mode_block(refined, W, Wt, eps, eta, lam)
+        rblk = blk.refined()
         # the refined pencil is this one plus a node at r_min/2: start it
         # from x, whose fields are 0 at the old r_min node, now interior
         x0 = rblk.interior({k: RadialGrid.onto_halved(u)

@@ -322,7 +322,32 @@ def test_error_report(tmp_path, capsys):
     assert payload["message"]
 
 
-def test_argument_validation(capsys):
+# an eps or eta whose square underflows or overflows, or whose 1/eps^2 or
+# 1/eta^2 overflows: each ended in a traceback (a ValueError from the banded
+# LU, a ZeroDivisionError in the two-field residual, an OverflowError in a
+# Newton stage) or walked the eps ladder down to a misleading rounding-floor
+# error
+BAD_SCALES = [
+    ("eta", ["profile", "--N", "3", "--Wt", "linear", "--eta", "1e-160",
+             "--grid-n", "200"]),
+    ("eta", ["profile", "--N", "3", "--W", "quadratic", "--Wt", "linear",
+             "--eps", "0.1", "--eta", "1e-300", "--grid-n", "200"]),
+    ("eps", ["profile", "--N", "3", "--W", "quadratic", "--eps", "1e-160",
+             "--grid-n", "200"]),
+    ("eps", ["profile", "--N", "3", "--W", "quadratic", "--eps", "1e200",
+             "--grid-n", "200"]),
+    ("eta", ["stability", "--N", "3", "--Wt", "linear", "--point",
+             "eta=1e-160", "--grid-n", "200"]),
+    ("eta", ["stability", "--N", "3", "--point", "eps=0.1,eta=1e-160",
+             "--grid-n", "200"]),
+    ("eta", ["energy", "--N", "3", "--W", "quadratic", "--Wt", "linear",
+             "--eps", "0.1", "--eta", "1e-160", "--grid-n", "200"]),
+    ("eta", ["phase", "sweep", "--N", "3", "--eps", "0.1:0.4:3", "--eta",
+             "1e-160:1:3", "--confirm", "1", "--grid-n", "200"]),
+]
+
+
+def test_argument_validation(tmp_path, capsys, monkeypatch):
     # every malformed invocation reports structured JSON and exits 1
     cases = [
         ["profile", "--N", "3"],                            # no potentials
@@ -407,6 +432,35 @@ def test_argument_validation(capsys):
              "the sphere model does not read --W")):
         assert main(argv) == 1
         assert _one_line_json(capsys.readouterr().err)["message"] == msg
+    # an eps or eta too small to square and invert is refused before any
+    # Newton step, by name; inf, the limit the models define, is solved
+    from vortexlab import profiles
+
+    def no_newton(*args):
+        raise AssertionError("a Newton step before refusing")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(profiles, "_newton", no_newton)
+        for name, argv in BAD_SCALES:
+            assert _run(tmp_path, *argv) == 1
+            payload = _one_line_json(capsys.readouterr().err)
+            assert payload["error"] == "InputError"
+            assert payload["message"].startswith(f"{name} must be positive")
+    assert _run(tmp_path, "profile", "--N", "3", "--W", "quadratic",
+                "--eps", "inf", "--grid-n", "200") == 0
+
+
+def test_stability_ell_solves_with_the_request_tol(tmp_path):
+    # spectrum_summary's ell comes from the GL profile solved with the
+    # request's --tol and --max-iter: the eigen command's value, bit for bit
+    common = ("--N", "3", "--W", "quadratic", "--grid-n", "800", "--tol",
+              "1e-12")
+    assert _run(tmp_path / "stab", "stability", *common, "--Wt", "linear",
+                "--point", "eps=0.1,eta=1.0", "--lambda-max", "2") == 0
+    assert _run(tmp_path / "eigen", "eigen", *common, "--eps", "0.1") == 0
+    ell = json.loads((tmp_path / "stab" / "stability.json").read_text())["ell"]
+    _, rows = _read_csv(tmp_path / "eigen" / "eigen.csv")
+    assert ell == float(rows[0]["eigenvalue"])
 
 
 def test_threshold_without_a_sweep_is_refused_before_any_solve(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,6 +155,38 @@ def test_hat_weights_positive():
         assert np.all(g.hat_weights(shift) > 0)
 
 
+def _exact_hat_moments(r, p):
+    """∫ φ_j r^p dr over [0, 1] for each hat φ_j of the nodes r (held at 1
+    over [0, r_0]), in exact rational arithmetic on the nodes' binary
+    values."""
+    x = [Fraction(t) for t in r.tolist()]
+    w = [Fraction(0)] * len(x)
+    w[0] = x[0] ** (p + 1) / (p + 1)
+    for j in range(len(x) - 1):
+        a, b = x[j], x[j + 1]
+        m0 = (b ** (p + 1) - a ** (p + 1)) / (p + 1)
+        m1 = (b ** (p + 2) - a ** (p + 2)) / (p + 2)
+        w[j] += (b * m0 - m1) / (b - a)
+        w[j + 1] += (m1 - a * m0) / (b - a)
+    return np.array([float(t) for t in w])
+
+
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+def test_hat_weights_match_exact_moments_on_fine_grids(N, beta):
+    # the row sums of the P1 mass: the hat moments to rounding, where the
+    # raw-moment formula b·m0 - m1 lost up to 2.2e-9 to cancellation on the
+    # fine cells far from the origin. The cells hugging it (r/h < 8) keep
+    # the exact moment formulas of the P1 tables, which lose up to 1.8e-12
+    # of their own, hence the looser bound node by node
+    g = make_grid(N, 8000, {"graded": beta})
+    for shift in (0, 2):
+        exact = _exact_hat_moments(g.nodes, N - 1 + shift)
+        err = np.abs(g.hat_weights(shift) - exact)
+        assert np.max(err) <= 1e-12 * np.max(exact)
+        assert np.max(err / exact) <= 1e-11
+
+
 # cell-by-cell references: one scalar moment per cell, powers and logs from
 # libm, accumulated in node order
 
@@ -188,18 +221,6 @@ def _ref_product_weights(r, p):
     return w
 
 
-def _ref_hat_weights(r, p):
-    w = np.zeros(r.size)
-    for j in range(r.size - 1):
-        a, b = r[j], r[j + 1]
-        mm0, mm1 = _ref_moment(a, b, p), _ref_moment(a, b, p + 1)
-        w[j] += (b * mm0 - mm1) / (b - a)
-        w[j + 1] += (mm1 - a * mm0) / (b - a)
-    if p > -1:
-        w[0] += _ref_moment(0.0, r[0], p)
-    return w
-
-
 @pytest.mark.parametrize("N", [2, 3, 5, 7])
 @pytest.mark.parametrize("n", [16, 17, 401, 2000])
 @pytest.mark.parametrize("grading", ["uniform", {"graded": 2.0}])
@@ -213,7 +234,6 @@ def test_moment_weights_match_cell_loops(N, n, grading):
         if p > -1:
             assert np.array_equal(g.product_weights(shift),
                                   _ref_product_weights(r, p))
-        assert np.array_equal(g.hat_weights(shift), _ref_hat_weights(r, p))
         assert np.array_equal(
             g.cell_moments(shift),
             [_ref_moment(r[j], r[j + 1], p) for j in range(n - 1)])

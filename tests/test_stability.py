@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -300,6 +301,45 @@ def test_refined_pencil_starts_warm(small_profiles, monkeypatch, kind):
         assert len(steps) <= 5, trace
         cold = pencil_smallest(Ab, Mb)[0]
         assert abs(lam - cold) <= 2e-9 * (1.0 + abs(cold))
+
+
+def _stretched_record(profile):
+    """The record on the halved-r_min grid, each stored field extended by
+    its leading order at the origin (v and g even, theta ~ c r off the
+    equator), with no re-solve: the r_min probe that spectrum_summary
+    passed through mode_block before RadialPencil.refined."""
+    def stretch(name):
+        u = getattr(profile, name)
+        if name == "theta" and not profile.no_escape:
+            return np.concatenate(([0.5 * u[0]], u))
+        return np.concatenate(([u[0]], u))
+
+    return dataclasses.replace(
+        profile, grid=profile.grid.halve_rmin(),
+        **{name: stretch(name) for name in profile.unknowns})
+
+
+@pytest.mark.parametrize("kind", ["gl", "escaping", "non_escaping",
+                                  "sphere"])
+def test_refined_block_matches_the_stretched_record(small_profiles, kind):
+    # refined() moves only the cutoff: the same terms, each node-sampled
+    # coefficient held at its r_min value on the new node. The stretched
+    # record re-derives every term (the sphere's through node_gradient) and
+    # must give the same smallest eigenvalue within the window delta
+    prof, W, Wt, eps, eta = small_profiles[kind]
+    stretched = _stretched_record(prof)
+    for lam in (0.0, 2.0, 6.0):
+        blk = mode_block(prof, W, Wt, eps, eta, lam)
+        refined = blk.refined()
+        reference = mode_block(stretched, W, Wt, eps, eta, lam)
+        assert refined.grid is reference.grid is prof.grid.halve_rmin()
+        assert refined.fields == blk.fields and refined.start == blk.start
+        for (a, b, c, shift), term in zip(refined.terms, blk.terms):
+            assert (a, b, shift) == term[:2] + term[3:]
+            assert np.array_equal(c[1:], term[2]) and c[0] == c[1]
+        new = mode_min_eigenvalue(refined)
+        old = mode_min_eigenvalue(reference)
+        assert abs(new - old) <= 1e-9 * (1.0 + abs(old)), (lam, new, old)
 
 
 @pytest.mark.parametrize("kind", ["gl", "escaping", "non_escaping",
