@@ -73,8 +73,6 @@ class RunConfig:
         if self.seed < 0:
             raise InputError("--seed must be >= 0")
         _solver_options(self)
-        if self.command == "stability" and self.eta is None:
-            raise InputError("stability needs eta in --point")
         if self.find_threshold and not (isinstance(self.eps, dict)
                                         and self.eps["count"] >= 2):
             raise InputError("--find-threshold needs a bracket: give "
@@ -187,7 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--point", required=True, metavar="eps=X,eta=Y")
     sp.add_argument("--branch", choices=("escaping", "non_escaping"),
                     default="escaping")
-    sp.add_argument("--lambda-max", type=float, default=None, dest="lam_max")
+    sp.add_argument("--lambda-max", type=float, default=None, dest="lam_max",
+                    help="also report the harmonics k(k+N-2) up to this "
+                         "value; the verdict reads lambda = 0 and N-1, "
+                         "which are always solved (default N-1)")
 
     sp = sub.add_parser("energy", help="reduced energy of a profile, JSON")
     common(sp)
@@ -249,9 +250,11 @@ def _infer_model(cfg: RunConfig) -> str:
 
 
 def _stability_model(cfg: RunConfig) -> str:
-    """stability's model: the sphere map when --point has no eps, else the
-    two-field model (unset potentials take their defaults)."""
-    return "sphere" if cfg.eps is None else "extended"
+    """stability's model: the sphere map when --point has no eps, GL when it
+    has no eta, else the two-field model (unset potentials take their
+    defaults)."""
+    return ("sphere" if cfg.eps is None else "gl" if cfg.eta is None
+            else "extended")
 
 
 def _refuse_unread(cfg: RunConfig, model: str) -> None:

@@ -247,7 +247,13 @@ class RadialPencil:
 
     def interior(self, fields: dict) -> np.ndarray:
         """Per-field full-grid arrays -> unknowns (the inverse of embed on
-        fields that vanish off the active nodes)."""
+        fields that vanish off the active nodes). InputError names each of
+        the block's fields that is missing or not sampled on the grid."""
+        bad = [k for k in self.fields
+               if np.shape(fields.get(k)) != self.grid.nodes.shape]
+        if bad:
+            raise InputError(f"fields {bad} must be given as samples on the "
+                             f"grid's {self.grid.n} nodes")
         F = len(self.fields)
         x = np.empty(self.size)
         for i, name in enumerate(self.fields):

@@ -210,11 +210,10 @@ def hardy_identity_check(profile: ExtendedProfile, W, Wt, eps, eta,
             "factored form divides by g: escaping profile required")
     W, Wt, eps, eta = _form_params(profile, W, Wt, eps, eta)
     grid = profile.grid
+    direct = mode_form_value(profile, W, Wt, eps, eta, 0.0, trial)
     s = np.array(trial["s"], dtype=float)
     q = np.array(trial["q"], dtype=float)
     s[0] = s[-1] = q[0] = q[-1] = 0.0
-    direct = mode_form_value(profile, W, Wt, eps, eta, 0.0,
-                             {"s": s, "q": q})
 
     f, g = profile.f, profile.g
     if np.any(g[:-1] <= 0):
@@ -375,21 +374,33 @@ class StabilityReport:
 def spectrum_summary(profile, W, Wt, eps, eta,
                      lam_max: float | None = None,
                      opts: SolverOptions = SolverOptions()) -> StabilityReport:
-    """Smallest eigenvalue of every harmonic block up to lam_max, with the
-    divergence-free certificate, an r_min-refinement stability check, and the
-    verdict {PositiveDefinite, Kernel(dim), Indefinite}. The amplitude
+    """Smallest eigenvalue of every harmonic block up to max(lam_max, N-1)
+    (lam_max finite and >= 0, else InputError; default N-1), with the
+    divergence-free certificate, an r_min-refinement stability check, and
+    the verdict {PositiveDefinite, Kernel(dim), Indefinite}. The amplitude
     models' linearization eigenvalue ell solves its GL profile with opts.
 
-    The refinement check solves each block again as RadialPencil.refined,
-    the same pencil plus one node next to the origin; that solve starts
-    from the block's certified eigenvector, prolonged by
-    RadialGrid.onto_halved, and is certified by inertia like the first.
-    lam_max must be finite and >= 0 (InputError otherwise)."""
+    The verdict and kernel_dim read only lambda = 0 and lambda = N-1 (k = 0
+    and 1), which decide them for every harmonic. With phi = sqrt(lambda)
+    psi, the lambda-dependent part of each block is C(lambda) ⊗ M_-2 on
+    (s, phi) (sphere: (p, phi)), plus lambda q^2/r^2 for the two-field
+    model; M_-2 is the positive definite r^-2-weighted mass, and
+    C(lambda) = [[lambda+N-1, -2 sqrt(lambda) c], [-2 sqrt(lambda) c,
+    lambda-N+3]] with c = 1, or cos(theta) for the sphere. The rest, phi's
+    mass included, is free of lambda. C(lambda') - C(lambda) has
+    eigenvalues >= (sqrt(lambda') - sqrt(lambda))(sqrt(lambda') +
+    sqrt(lambda) - 2|c|) >= 0 for lambda' > lambda >= 1, so by
+    Courant-Fischer the smallest eigenvalue does not decrease from N-1 on.
+    The blocks stay in psi: a diagonal congruence, the same eigenvalues.
+
+    The refinement check solves each block again as RadialPencil.refined
+    (one more node next to the origin), from the block's certified
+    eigenvector prolonged by RadialGrid.onto_halved, certified by inertia."""
     grid = profile.grid
     N = grid.N
-    if lam_max is None:
-        lam_max = 3.0 * (N + 1)
-    lams = sphere_eigenvalues(N, lam_max)
+    lams = sphere_eigenvalues(N, N - 1.0 if lam_max is None else lam_max)
+    if len(lams) < 2:
+        lams.append(N - 1.0)
 
     ell = None
     Wv, _, epsv, _ = _form_params(profile, W, Wt, eps, eta)
@@ -425,27 +436,17 @@ def spectrum_summary(profile, W, Wt, eps, eta,
                 "the grid before trusting the verdict",
                 [("lam", lam), ("min", val), ("refined", rval)])
 
-    # ordering check: the lambda-dependent terms are nonnegative additions
-    rest = [v for lam, v in zip(lams, mins) if lam >= N - 1]
-    for a, b in zip(rest, rest[1:]):
-        if b < a - max(1e-8, 1e-8 * abs(a)):
-            raise ConvergenceError(
-                "mode ordering violated: smallest eigenvalues must be "
-                f"non-decreasing in lambda, got {rest}",
-                [("lams", lams), ("mins", mins)])
-
     if isinstance(profile, (GLProfile, ExtendedProfile)):
         monotone_ok = bool(np.all(np.diff(profile.f) > -1e-12))
     else:
         monotone_ok = bool(np.all(np.diff(np.sin(profile.theta)) > -1e-9))
     cert = divfree_certificate(N, -(N - 2) / 2.0) and monotone_ok
 
-    kernel_idx = [i for i, v in enumerate(mins) if abs(v) <= band]
-    negative = [v for v in mins if v < -band]
-    if negative:
+    # lams[:2] are lambda = 0 and N-1, which decide for every harmonic
+    kernel_idx = [i for i, v in enumerate(mins[:2]) if abs(v) <= band]
+    kernel, kdim = None, 0
+    if min(mins[:2]) < -band:
         verdict = "Indefinite"
-        kernel = None
-        kdim = 0
     elif kernel_idx:
         kdim = len(kernel_idx)
         verdict = f"Kernel({kdim})"
@@ -460,8 +461,6 @@ def spectrum_summary(profile, W, Wt, eps, eta,
                 "all blocks positive but the divergence-free certificate "
                 "prerequisites failed (profile monotonicity)", [])
         verdict = "PositiveDefinite"
-        kernel = None
-        kdim = 0
 
     return StabilityReport(profile_kind=type(profile).__name__,
                            lam_values=tuple(lams),

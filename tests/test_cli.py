@@ -542,13 +542,25 @@ def test_stability_report(tmp_path):
     assert manifest["diagnostics"]["verdict"] == "PositiveDefinite"
 
 
-def test_stability_needs_eta(tmp_path, capsys):
-    # eps alone used to die in float(None) with a traceback
-    assert _run(tmp_path, "stability", "--N", "3", "--Wt", "linear",
+def test_stability_without_eta_is_the_gl_verdict(tmp_path, capsys):
+    # claim (c): eps alone in --point solves the GL profile, which is
+    # positive definite, decided from lambda = 0 and N - 1
+    for N in (2, 3):
+        out = tmp_path / f"n{N}"
+        assert _run(out, "stability", "--N", str(N), "--point", "eps=0.1",
+                    "--grid-n", "400") == 0
+        rep = json.loads((out / "stability.json").read_text())
+        assert rep["profile"] == "GLProfile"
+        assert rep["lambda"] == [0.0, N - 1.0]
+        assert rep["verdict"] == "PositiveDefinite"
+        assert rep["kernel_dim"] == 0
+        assert rep["ell"] < 0 and min(rep["min_eigenvalues"]) > 0
+    # a penalty the GL model does not read is still refused
+    assert _run(tmp_path / "wt", "stability", "--N", "3", "--Wt", "linear",
                 "--point", "eps=0.1") == 1
     payload = _one_line_json(capsys.readouterr().err)
     assert payload == {"error": "InputError",
-                       "message": "stability needs eta in --point"}
+                       "message": "the gl model does not read --Wt"}
 
 
 @pytest.mark.parametrize("argv", [

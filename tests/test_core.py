@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -157,18 +156,26 @@ def test_hat_weights_positive():
 
 def _exact_hat_moments(r, p):
     """∫ φ_j r^p dr over [0, 1] for each hat φ_j of the nodes r (held at 1
-    over [0, r_0]), in exact rational arithmetic on the nodes' binary
-    values."""
-    x = [Fraction(t) for t in r.tolist()]
-    w = [Fraction(0)] * len(x)
-    w[0] = x[0] ** (p + 1) / (p + 1)
-    for j in range(len(x) - 1):
-        a, b = x[j], x[j + 1]
-        m0 = (b ** (p + 1) - a ** (p + 1)) / (p + 1)
-        m1 = (b ** (p + 2) - a ** (p + 2)) / (p + 2)
-        w[j] += (b * m0 - m1) / (b - a)
-        w[j + 1] += (m1 - a * m0) / (b - a)
-    return np.array([float(t) for t in w])
+    over [0, r_0]), exactly on the nodes' binary values, each rounded once.
+
+    In integers X = D r over the nodes' common power-of-two denominator D,
+    with S_k = (B^k - A^k)/(B - A) = Σ B^i A^(k-1-i), the cell [A, B] adds
+    (p+2) B S_(p+1) - (p+1) S_(p+2) to its left node and
+    (p+1) S_(p+2) - (p+2) A S_(p+1) to its right one, all over
+    (p+1)(p+2) D^(p+1); the first node adds (p+2) X_0^(p+1)."""
+    ratios = [t.as_integer_ratio() for t in r.tolist()]
+    D = max(d for _, d in ratios)
+    powers = [[x ** i for i in range(p + 2)]
+              for x in (m * (D // d) for m, d in ratios)]
+    num = [0] * len(powers)
+    num[0] = (p + 2) * powers[0][1] ** (p + 1)
+    for j, (a, b) in enumerate(zip(powers, powers[1:])):
+        s1 = sum(b[i] * a[p - i] for i in range(p + 1))
+        s2 = sum(b[i] * a[p + 1 - i] for i in range(p + 2))
+        num[j] += (p + 2) * b[1] * s1 - (p + 1) * s2
+        num[j + 1] += (p + 1) * s2 - (p + 2) * a[1] * s1
+    den = (p + 1) * (p + 2) * D ** (p + 1)
+    return np.array([k / den for k in num])
 
 
 @pytest.mark.parametrize("N", [3, 5])

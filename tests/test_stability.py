@@ -273,6 +273,21 @@ def test_embed_interior_round_trip(start, F):
     assert np.array_equal(blk.interior(full), x)
 
 
+def test_interior_needs_every_field_on_the_grid():
+    # a length-3 array used to broadcast one value over every unknown
+    from vortexlab import RadialPencil
+    grid = make_grid(3, 30, {"graded": 2.0})
+    fields = ("s", "psi", "q")
+    blk = RadialPencil(grid, fields, dict.fromkeys(fields, 1.0), (), 0.0)
+    full = blk.embed(np.ones(blk.size))
+    for q in (np.ones(3), np.ones(grid.n + 1), 1.0):
+        with pytest.raises(InputError, match=r"\['q'\]"):
+            blk.interior({**full, "q": q})
+    del full["q"]
+    with pytest.raises(InputError, match=r"\['q'\]"):
+        blk.interior(full)
+
+
 @pytest.mark.parametrize("kind", ["gl", "escaping", "non_escaping",
                                   "sphere"])
 def test_refined_pencil_starts_warm(small_profiles, monkeypatch, kind):
@@ -468,6 +483,15 @@ def test_hardy_proportional_trial(escaping_profile, escaping_point):
     assert np.all(np.diff(u) == 0.0)
 
 
+def test_hardy_identity_names_a_missing_field(escaping_profile,
+                                              escaping_point):
+    eps, eta, _ = escaping_point
+    r = escaping_profile.grid.nodes
+    with pytest.raises(InputError, match=r"missing fields \['q'\]"):
+        hardy_identity_check(escaping_profile, QUAD, LIN, eps, eta,
+                             {"s": r * (1 - r)})
+
+
 def test_hardy_identity_needs_escaping(escaping_point, grid_n3):
     eps, eta, _ = escaping_point
     non = solve_extended_profile(3, QUAD, LIN, eps, eta, grid_n3,
@@ -621,10 +645,50 @@ def test_summary_report_json(escaping_profile, escaping_point):
 
 def test_mode_ordering(escaping_profile, escaping_point):
     eps, eta, _ = escaping_point
-    rep = spectrum_summary(escaping_profile, QUAD, LIN, eps, eta)
+    rep = spectrum_summary(escaping_profile, QUAD, LIN, eps, eta,
+                           lam_max=12.0)
+    assert rep.lam_values == (0.0, 2.0, 6.0, 12.0)
     rest = [v for lam, v in zip(rep.lam_values, rep.min_eigenvalues)
             if lam >= 2.0]
     assert all(b >= a for a, b in zip(rest, rest[1:]))
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_blocks_grow_in_loewner_order_from_n_minus_1(N):
+    # the argument behind spectrum_summary's verdict: with psi scaled to
+    # phi = sqrt(lambda) psi, M does not depend on lambda >= N - 1 and
+    # A(lambda') - A(lambda) is positive definite, so the smallest
+    # eigenvalue of the blocks above N - 1 cannot fall below that at N - 1
+    grid = make_grid(N, 120, {"graded": 2.0})
+    eps = 0.1 if N < 5 else 0.04        # inside each N's escaping region
+    models = {
+        "gl": (solve_gl_profile(N, QUAD, 0.3, grid), QUAD, None, 0.3, None),
+        "escaping": (solve_extended_profile(N, QUAD, LIN, eps, 1.0, grid),
+                     QUAD, LIN, eps, 1.0),
+        "non_escaping": (solve_extended_profile(
+            N, QUAD, LIN, eps, 1.0, grid, branch_hint="non_escaping"),
+            QUAD, LIN, eps, 1.0),
+        "sphere": (solve_sphere_profile(N, LIN, 1.0, grid), None, LIN, None,
+                   1.0),
+    }
+    assert models["escaping"][0].branch == "escaping"
+    lams = [float(k * (k + N - 2)) for k in (1, 2, 3)]
+    for kind, (prof, *params) in models.items():
+        scaled = []
+        for lam in lams:
+            blk = mode_block(prof, *params, lam)
+            d = np.ones(blk.size)
+            d[blk.fields.index("psi")::len(blk.fields)] = 1.0 / math.sqrt(lam)
+            D = np.diag(d)
+            scaled.append([D @ np.column_stack([sym_matvec(X, c) for c in D])
+                           for X in (blk.A, blk.M)])
+        M0 = scaled[0][1]
+        for _, M in scaled[1:]:
+            assert np.all(np.abs(M - M0) <= 1e-15 * np.abs(M0)), kind
+        e = 1.0 / np.sqrt(np.diag(M0))
+        for (A, _), (A2, _) in zip(scaled, scaled[1:]):
+            gap = np.linalg.eigvalsh(e[:, None] * (A2 - A) * e[None, :])[0]
+            assert gap > 0, (kind, gap)
 
 
 def test_translation_trial_small(escaping_profile, escaping_point):
@@ -670,3 +734,7 @@ def test_decomposition_of_combined_trial(escaping_profile, escaping_point):
     joint, total = decomposition_check(escaping_profile, QUAD, LIN, eps, eta,
                                        trials)
     assert abs(joint - total) <= 1e-8 * (abs(joint) + abs(total))
+    # a trial that lacks one of its level's fields is refused by name
+    del trials[2.0]["psi"]
+    with pytest.raises(InputError, match=r"\['psi'\]"):
+        decomposition_check(escaping_profile, QUAD, LIN, eps, eta, trials)
