@@ -28,7 +28,7 @@ from .profiles import (SolverOptions, profile_to_csv, reduced_energy_extended,
                        solve_sphere_profile)
 from .spectral import (find_epsilon0, linearization_eigenvalue_sweep,
                        sweep_to_csv)
-from .stability import spectrum_summary
+from .stability import sphere_eigenvalues, spectrum_summary
 
 _COMMANDS = ("profile", "eigen", "phase", "stability", "energy")
 # the commands whose payload VORTEXLAB_CACHE_DIR keeps
@@ -72,6 +72,8 @@ class RunConfig:
             raise InputError("--jobs must be >= 1")
         if self.seed < 0:
             raise InputError("--seed must be >= 0")
+        if self.lam_max is not None:    # refused before any solve
+            sphere_eigenvalues(self.N, self.lam_max)
         _solver_options(self)
         if self.find_threshold and not (isinstance(self.eps, dict)
                                         and self.eps["count"] >= 2):

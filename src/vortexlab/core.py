@@ -15,6 +15,7 @@ import copy
 import functools
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -99,9 +100,11 @@ def csv_rows(*cols) -> str:
 def map_jobs(fn, calls: list, jobs: int = 1) -> list:
     """[fn(*args) for args in calls], in call order; with jobs > 1 the same
     calls run over up to that many worker processes, never more than there
-    are calls (fn and its arguments must pickle). No result can change."""
-    if jobs > 1 and len(calls) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(calls))) as pool:
+    are calls or CPUs this process may run on (fn and its arguments must
+    pickle). No result can change."""
+    workers = min(jobs, len(calls), len(os.sched_getaffinity(0)))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, *zip(*calls)))
     return [fn(*args) for args in calls]
 
@@ -110,18 +113,10 @@ def map_jobs(fn, calls: list, jobs: int = 1) -> list:
 # moments of r^p over intervals
 
 
-def _moment(a: float, b: float, p: float) -> float:
-    """Integral of r^p over [a, b]; supports p = -1 (needs a > 0 then)."""
-    if p == -1:
-        return math.log(b / a)
-    q = p + 1.0
-    return (b**q - a**q) / q
-
-
 def _moments(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
-    """_moment over the intervals [a_k, b_k], bit for bit. Powers and logs
-    come from libm one value at a time: numpy's vectorized pow and log differ
-    from it in the last bit on some inputs and CPUs."""
+    """Integrals of r^p over the intervals [a_k, b_k] (p = -1 needs a > 0).
+    Powers and logs come from libm one value at a time: numpy's vectorized
+    pow and log differ from it in the last bit on some inputs and CPUs."""
     if p == -1:
         return np.array([math.log(t) for t in (b / a).tolist()])
     q = p + 1.0
@@ -227,11 +222,6 @@ class RadialGrid:
             raise InputError("value array does not match the grid")
         return float(self.weights @ values)
 
-    def product_weights(self, shift: int = 0) -> np.ndarray:
-        """Degree-2 node weights against r^(N-1+shift) dr."""
-        return self._cached(("pw", shift),
-                            lambda: _product_weights(self.nodes, self.N - 1 + shift))
-
     def hat_weights(self, shift: int = 0) -> np.ndarray:
         """Lumped hat-function moments against r^(N-1+shift) dr: the row
         sums of p1_mass(shift), since the hats sum to 1.
@@ -300,10 +290,13 @@ class RadialGrid:
                 t21[far] = (wgt * (1 - s) ** 2 * s).sum(axis=1)
                 t12[far] = (wgt * (1 - s) * s ** 2).sum(axis=1)
                 t03[far] = (wgt * s ** 3).sum(axis=1)
-            orig = _moment(0.0, r[0], p) if p > -1 else 0.0
+            orig = r[0] ** (p + 1.0) / (p + 1.0) if p > -1 else 0.0
             return t30, t21, t12, t03, orig
 
-        return self._cached(("p1t", shift), build)
+        # h^3 underflows to 0 on steep gradings: the profile solvers refuse
+        # the NaN entries that gives (profiles._checked_band)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._cached(("p1t", shift), build)
 
     def p1_weighted_mass(self, values, shift: int = 0
                          ) -> tuple[np.ndarray, np.ndarray]:
@@ -324,11 +317,6 @@ class RadialGrid:
         diag[0] += V[0] * orig
         off = V[:-1] * t21 + V[1:] * t12
         return diag, off
-
-    def cell_moments(self, shift: int = 0) -> np.ndarray:
-        """Moments of r^(N-1+shift) over the n-1 cells [r_j, r_{j+1}]."""
-        return self._cached(("cm", shift), lambda: _moments(
-            self.nodes[:-1], self.nodes[1:], self.N - 1 + shift))
 
     def face_coeffs(self, power: int) -> np.ndarray:
         """Midpoint flux coefficients  mid^power / h  on the n-1 faces."""
@@ -392,28 +380,7 @@ class RadialGrid:
 
         return self._cached(("stiff_band", powers), build)
 
-    def origin_moment(self, shift: int = 0) -> float:
-        """Moment of r^(N-1+shift) over [0, r_min]."""
-        p = self.N - 1 + shift
-        if p <= -1:
-            raise InputError("origin moment diverges for this power")
-        return _moment(0.0, self.r_min, p)
-
     # -- discrete calculus --------------------------------------------------
-
-    def gradient_energy(self, u: np.ndarray, left_value: float | None = None,
-                        shift: int = 0) -> float:
-        """Integral of (u')^2 r^(N-1+shift) dr for the piecewise-linear u.
-
-        left_value: value at r = 0 closing the [0, r_min] segment; None means
-        zero slope there (even/Neumann extension).
-        """
-        u = np.asarray(u, dtype=float)
-        slopes = np.diff(u) / self.h
-        total = float(self.cell_moments(shift) @ slopes**2)
-        if left_value is not None:
-            total += ((u[0] - left_value) / self.nodes[0])**2 * self.origin_moment(shift)
-        return total
 
     def node_gradient(self, u: np.ndarray) -> np.ndarray:
         """Third-order derivative samples at the nodes.

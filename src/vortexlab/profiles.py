@@ -10,10 +10,12 @@ Three models on the unit ball, reduced to r ∈ (0, 1]:
 * the sphere-valued polar angle θ with θ(1) = π/2 (g = cos θ escapes toward
   the pole at the origin).
 
-All solvers are damped Newton on the finite-volume operator of
-RadialGrid.flux_residual and RadialGrid.stiffness (stencil and boundary
-conventions are documented there) plus pointwise well terms, with parameter
-continuation for stiff regimes.
+All solvers are damped Newton, with parameter continuation for stiff
+regimes, on the gradient of the model's one lumped energy (reduced_energy_*):
+the finite-volume operator of RadialGrid.flux_residual and
+RadialGrid.stiffness (stencil and boundary conventions are documented there)
+plus pointwise well terms. A solved profile is a critical point of the
+energy it reports.
 """
 
 from __future__ import annotations
@@ -168,7 +170,8 @@ def _rounding_floor(solve, z) -> float:
 
 # One residual body per model reads the unknowns at nodes 0..n-2 and the
 # Dirichlet value `right` at node n-1: Newton's iterate and the model's
-# boundary value, or a record's stored fields. It takes the model's stage,
+# boundary value, or a record's stored fields, and is the gradient of the
+# model's reduced energy in those unknowns. It takes the model's stage,
 # what stays fixed while Newton solves at one eps or eta: products of the
 # grid's weights with the parameters, and each potential derivative as a
 # function of its argument (clamped onto the domain), which is a Python
@@ -179,9 +182,11 @@ def _rounding_floor(solve, z) -> float:
 # iterate changes; a record's _residual_parts builds the stage on the spot.
 # Each Jacobian copies the grid's stiffness band (RadialGrid.stiffness_band,
 # built once per grid) and adds the iterate's reaction entries: the
-# diagonal and, in the two-field model, the v-g couplings. lu_solver reads
-# the row scales off that band. _newton returns the final iterate's sup
-# norm, the very value residual() recomputes, and a solved record stores it.
+# diagonal and, in the two-field model, the v-g coupling, one array on both
+# sides of the diagonal (the Jacobian is the energy's Hessian). lu_solver
+# reads the row scales off that band. _newton returns the final iterate's
+# sup norm, the very value residual() recomputes, and a solved record
+# stores it.
 
 
 def _derivative(pot: Potential, order: int) -> Callable:
@@ -193,10 +198,23 @@ def _derivative(pot: Potential, order: int) -> Callable:
     return lambda t: value
 
 
+def _checked_band(grid, powers, shifts):
+    """grid.stiffness_band(*powers); InputError if it or a hat_weights(s),
+    s in shifts, is not finite, or the band's diagonal has a zero: at large
+    N or steep gradings mid^power / h underflows to 0, the P1 tables to 0/0."""
+    band = grid.stiffness_band(*powers)
+    if not (band[len(powers)].all() and all(np.isfinite(t).all() for t in (
+            band, *map(grid.hat_weights, shifts)))):
+        raise InputError(f"the grid N={grid.N}, n={grid.n}, grading "
+                         f"{grid.grading['grading']} underflows near the "
+                         "origin: take fewer nodes or a milder grading")
+    return band
+
+
 def _gl_stage(grid, eps, well):
     r = grid.nodes[:-1]
     return SimpleNamespace(grid=grid, rr=r * r, r2x2=2 * r**2,
-                           me=grid.hat_weights(2)[:-1] / eps**2,
+                           me=r * r * grid.hat_weights(0)[:-1] / eps**2,
                            wp=_derivative(well, 1), wpp=_derivative(well, 2))
 
 
@@ -212,7 +230,7 @@ def _gl_residual(st, v, right):
 
 def _gl_assemble(grid, eps, well):
     st = _gl_stage(grid, eps, well)
-    band = grid.stiffness_band(grid.N + 1)
+    band = _checked_band(grid, (grid.N + 1,), (0,))
 
     def assemble(vi):
         res, x, wp = _gl_residual(st, vi, 1.0)
@@ -228,11 +246,10 @@ def _gl_assemble(grid, eps, well):
 
 def _extended_stage(grid, eps, eta, well, penalty):
     r = grid.nodes[:-1]
-    mve = grid.hat_weights(2)[:-1] / eps**2
     mg = grid.hat_weights(0)[:-1]
     return SimpleNamespace(
-        grid=grid, eps2=eps**2, eta2=eta**2, r=r, rr=r * r, mg=mg, mve=mve,
-        mve2=mve * 2, mge2r=mg / eps**2 * 2 * r,
+        grid=grid, eps2=eps**2, eta2=eta**2, r=r, rr=r * r, mg=mg,
+        mve=r * r * mg / eps**2,
         wp=_derivative(well, 1), wpp=_derivative(well, 2),
         tp=_derivative(penalty, 1), tpp=_derivative(penalty, 2))
 
@@ -256,7 +273,7 @@ def _extended_residual(st, v, g, right):
 
 def _extended_assemble(grid, eps, eta, well, penalty):
     st = _extended_stage(grid, eps, eta, well, penalty)
-    band = grid.stiffness_band(grid.N + 1, grid.N - 1)
+    band = _checked_band(grid, (grid.N + 1, grid.N - 1), (0,))
 
     def assemble(z):
         v, g = z[0::2], z[1::2]
@@ -271,8 +288,8 @@ def _extended_assemble(grid, eps, eta, well, penalty):
             ab[2, 0::2] -= st.mve * (wp - 2 * rv * rv * wpp)
             ab[2, 1::2] -= st.mg * ((wp - g2x2 * wpp) / st.eps2
                                     - (tp + g2x2 * tpp) / st.eta2)
-            ab[1, 1::2] = st.mve2 * v * g * wpp       # (2j, 2j+1)
-            ab[3, 0::2] = st.mge2r * rv * g * wpp     # (2j+1, 2j)
+            # the v-g coupling at (2j, 2j+1) and at (2j+1, 2j)
+            ab[1, 1::2] = ab[3, 0::2] = 2 * st.mve * v * g * wpp
             return ab
         return res, _lazy_solver(jacobian)
 
@@ -301,7 +318,7 @@ def _sphere_residual(st, theta, right):
 
 def _sphere_assemble(grid, eta, penalty):
     st = _sphere_stage(grid, eta, penalty)
-    band = grid.stiffness_band(grid.N - 1)
+    band = _checked_band(grid, (grid.N - 1,), (0, -2))
 
     def assemble(ti):
         res, c2, tp = _sphere_residual(st, ti, 0.5 * math.pi)
@@ -475,8 +492,8 @@ def solve_gl_profile(N: int, W: Potential, eps: float, grid: RadialGrid,
 def gl_eps_tangent(p: GLProfile) -> np.ndarray:
     """dv/deps along the GL branch at the solved profile p, at every node
     (zero at the Dirichlet node): the solve of J dv = -dF/deps with the
-    Newton Jacobian J at p.v, where dF/deps = 2 hat_w(2) W'(x) v / eps^3 is
-    the residual's derivative in eps at fixed v."""
+    Newton Jacobian J at p.v, where dF/deps = 2 r² hat_w(0) W'(x) v / eps^3
+    is the residual's derivative in eps at fixed v."""
     v = p.v[:-1]
     st = _gl_stage(p.grid, p.eps, p.well)
     wp = st.wp(1.0 - st.rr * v * v)
@@ -751,9 +768,15 @@ def _check_start(start, history, ground_state, eps, eta, grid, W, Wt,
 
 
 # ---------------------------------------------------------------------------
-# reduced energies (the common 1/|S^{N-1}| normalization, ½∫[...] r^{N-1} dr)
-# The centrifugal term ∫ f²/r² r^{N-1} dr is integrated through the smooth
-# samples (f/r)², which stay bounded at the origin.
+# reduced energies ½∫[...] r^{N-1} dr (normalized by 1/|S^{N-1}|), lumped on
+# Newton's tables so that each residual is exactly its energy's gradient:
+# face_coeffs on every face, hat_weights on all n nodes. In v = f/r the term
+# |∇(f x/|x|)|² gives ∫ r^{N+1} v'² dr plus the boundary term v(1)².
+
+
+def _dirichlet_energy(grid, u, power) -> float:
+    """½Σ face_coeffs(power) (Δu)², whose gradient is flux_residual."""
+    return 0.5 * float(grid.face_coeffs(power) @ np.diff(u)**2)
 
 
 def reduced_energy_gl(p: GLProfile, W: Potential, eps: float) -> float:
@@ -768,30 +791,26 @@ def reduced_energy_extended(p, W: Potential, Wt: Potential, eps: float,
     W = Potential.from_spec(W)
     Wt = Potential.from_spec(Wt)
     grid = p.grid
-    g = getattr(p, "g", None)
-    if g is None:
-        g = np.zeros(grid.n)
-    pot = W.eval(1.0 - p.f**2 - g**2, 0, clamp=True)
-    pen = Wt.eval(g**2, 0, clamp=True)
-    return 0.5 * (grid.gradient_energy(p.f, left_value=0.0)
-                  + grid.gradient_energy(g, left_value=None)
-                  + (grid.N - 1) * grid.quadrature(p.v**2)
-                  + grid.quadrature(pot) / eps**2
-                  + grid.quadrature(pen) / eta**2)
+    g = getattr(p, "g", np.zeros(grid.n))
+    r = grid.nodes
+    w0 = grid.hat_weights(0)
+    g2 = g * g
+    pot = W.eval(1.0 - r * r * p.v * p.v - g2, 0, clamp=True)
+    pen = Wt.eval(g2, 0, clamp=True)
+    return (_dirichlet_energy(grid, p.v, grid.N + 1) + 0.5 * p.v[-1]**2
+            + _dirichlet_energy(grid, g, grid.N - 1)
+            + float(w0 @ pot) / (2 * eps**2)
+            + float(w0 @ pen) / (2 * eta**2))
 
 
 def reduced_energy_mm(p: SphereProfile, Wt: Potential, eta: float) -> float:
     Wt = Potential.from_spec(Wt)
     grid = p.grid
-    s2 = np.sin(p.theta)**2
-    if grid.N >= 3:
-        cent = float(grid.product_weights(-2) @ s2)
-    else:
-        cent = grid.quadrature(s2 / grid.nodes**2)
     pen = Wt.eval(np.cos(p.theta)**2, 0, clamp=True)
-    return 0.5 * (grid.gradient_energy(p.theta, left_value=None)
-                  + (grid.N - 1) * cent
-                  + grid.quadrature(pen) / eta**2)
+    return (_dirichlet_energy(grid, p.theta, grid.N - 1)
+            + 0.5 * (grid.N - 1) * float(grid.hat_weights(-2)
+                                         @ np.sin(p.theta)**2)
+            + float(grid.hat_weights(0) @ pen) / (2 * eta**2))
 
 
 # ---------------------------------------------------------------------------

@@ -522,7 +522,8 @@ def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
     the next one whenever a Newton step would leave the bracket. The search
     stops at |ell| < tol. The result is accepted only if halving r_min
     moves the eigenvalue by under tol/10, confirming the zero-flux origin
-    closure is not polluting the answer.
+    closure is not polluting the answer. The move is the gap between the two
+    certified brackets (0 where they overlap), each about 2e-9 wide.
 
     samples are (eps, eigenvalue) pairs that the caller has already
     computed on grid with opts (a sweep's rows, say). The search starts on
@@ -608,12 +609,14 @@ def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,
     # v and q are even at the origin: v'(0) = q'(0) = 0
     shifted = gl_linearization_eigenvalue(
         N, W, e_mid, grid.halve_rmin(), opts,
-        start=tuple(map(grid.onto_halved, solved[e_mid])))[0]
-    if abs(shifted - f_mid) > 0.1 * tol:
+        start=tuple(map(grid.onto_halved, solved[e_mid])))[1]
+    (a, b), (c, d) = eig.bracket, shifted.bracket
+    gap = max(0.0, c - b, a - d)
+    if gap > 0.1 * tol:
         raise ConvergenceError(
-            "threshold rejected: halving r_min moved the eigenvalue by "
-            f"{abs(shifted - f_mid):.3e} (limit {0.1 * tol:.1e}); refine the "
-            "grid near the origin", [("eps", e_mid)])
+            "threshold rejected: halving r_min moved the eigenvalue's "
+            f"certified bracket by {gap:.3e} (limit {0.1 * tol:.1e}); refine "
+            "the grid near the origin", [("eps", e_mid)])
     return float(e_mid)
 
 

@@ -27,25 +27,33 @@ from .spectral import (RadialPencil, gl_linearization_eigenvalue,
                        pencil_smallest)
 
 _CONVERGED_RESIDUAL = 1e-6
+MAX_LEVELS = 1000     # block solves one report may take, 12 ms each at n=2000
+
+
+def _top_level(N: int, lam: float) -> int:
+    """The largest k with k(k+N-2) <= lam (finite, >= 0), in exact integer
+    arithmetic: the root of k^2 + (N-2) k - floor(lam), rounded down."""
+    return (math.isqrt((N - 2) ** 2 + 4 * math.floor(lam)) - (N - 2)) // 2
 
 
 def _angular_check(N: int, lam: float) -> None:
-    if not (0 <= lam < math.inf and lam in sphere_eigenvalues(N, lam)):
+    k = _top_level(N, lam) if 0 <= lam < math.inf else -1
+    if k < 0 or float(k * (k + N - 2)) != lam:
         raise InputError(
             f"lambda={lam} is not a sphere-Laplacian eigenvalue k(k+N-2)")
 
 
 def sphere_eigenvalues(N: int, lam_max: float) -> list[float]:
-    """Angular eigenvalues k(k+N-2) up to lam_max, k = 0, 1, 2, ..."""
+    """Angular eigenvalues k(k+N-2) up to lam_max, k = 0, 1, 2, ...;
+    InputError for more than MAX_LEVELS of them."""
     if not (math.isfinite(lam_max) and lam_max >= 0):
         raise InputError(f"lambda_max must be finite and >= 0, got {lam_max}")
-    out, k = [], 0
-    while True:
-        lam = float(k * (k + N - 2))
-        if lam > lam_max:
-            return out
-        out.append(lam)
-        k += 1
+    levels = _top_level(N, lam_max) + 1
+    if levels > MAX_LEVELS:
+        raise InputError(
+            f"--lambda-max {lam_max:g} spans {levels:.3g} harmonic levels "
+            f"k(k+N-2), each a block solve; at most {MAX_LEVELS} are solved")
+    return [float(k * (k + N - 2)) for k in range(levels)]
 
 
 # ---------------------------------------------------------------------------

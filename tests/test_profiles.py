@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortexlab import (ConvergenceError, InputError, Potential, SolverOptions,
+from vortexlab import (ConvergenceError, ExtendedProfile, GLProfile,
+                       InputError, Potential, SolverOptions, SphereProfile,
                        make_grid, pohozaev_check, profile_from_json,
                        profile_to_csv, profile_to_json, reduced_energy_extended,
                        reduced_energy_gl, reduced_energy_mm, residual,
@@ -131,12 +132,13 @@ def test_gl_energy_zero_well_exact():
 
 
 def _three_term_gl_energy(p, W, eps):
-    """The GL energy written out: gradient, centrifugal and well terms."""
+    """The lumped GL energy written out: the face sum of v's gradient term,
+    the boundary term v(1)² and the well term."""
     grid = p.grid
-    pot = W.eval(1.0 - p.f**2, 0, clamp=True)
-    return 0.5 * (grid.gradient_energy(p.f, left_value=0.0)
-                  + (grid.N - 1) * grid.quadrature(p.v**2)
-                  + grid.quadrature(pot) / eps**2)
+    r, v = grid.nodes, p.v
+    pot = W.eval(1.0 - r * r * v * v, 0, clamp=True)
+    return (0.5 * float(grid.face_coeffs(grid.N + 1) @ np.diff(v)**2)
+            + 0.5 * v[-1]**2 + float(grid.hat_weights(0) @ pot) / (2 * eps**2))
 
 
 def test_gl_energy_is_the_two_field_energy_at_zero_g():
@@ -374,6 +376,17 @@ def test_sphere_equator_exact(grid_n3):
                - (7 - 1) / (2.0 * (7 - 2))) < 1e-10
 
 
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 8])
+def test_equator_energy_is_exact(N):
+    # θ ≡ π/2 leaves only the centrifugal term ½(N-1) Σ hat_weights(-2),
+    # whose weights sum to ∫ r^(N-3) dr = 1/(N-2)
+    grid = make_grid(N, 2000, {"graded": 2.0})
+    eq = SphereProfile(grid=grid, eta=1.0, penalty=LIN,
+                       theta=np.full(grid.n, 0.5 * math.pi), residual_norm=0.0)
+    assert abs(reduced_energy_mm(eq, LIN, 1.0)
+               - (N - 1) / (2.0 * (N - 2))) < 1e-15
+
+
 def test_sphere_n2_has_no_equator_branch():
     grid = make_grid(2, 800, {"graded": 2.0})
     prof = solve_sphere_profile(2, LIN, 1.0, grid)
@@ -558,7 +571,7 @@ def _gl_oracle(grid, eps, well, v):
     x = (1.0 - r * r * v * v)[:-1]
     wp = well.eval(x, 1, clamp=True)
     res = _flux_rows(grid, v, grid.N + 1)
-    res -= grid.hat_weights(2)[:-1] / eps**2 * wp * v[:-1]
+    res -= (r * r * grid.hat_weights(0))[:-1] / eps**2 * wp * v[:-1]
     return (res,)
 
 
@@ -569,7 +582,7 @@ def _extended_oracle(grid, eps, eta, well, penalty, v, g):
     tp = penalty.eval((g * g)[:-1], 1, clamp=True)
     res_v = _flux_rows(grid, v, grid.N + 1)
     res_g = _flux_rows(grid, g, grid.N - 1)
-    res_v -= grid.hat_weights(2)[:-1] / eps**2 * wp * v[:-1]
+    res_v -= (r * r * grid.hat_weights(0))[:-1] / eps**2 * wp * v[:-1]
     res_g -= grid.hat_weights(0)[:-1] * (wp / eps**2 - tp / eta**2) * g[:-1]
     return res_v, res_g
 
@@ -663,8 +676,8 @@ def test_newton_residuals_match_full_array_formulas(grid, seed):
 
 def _gl_jacobian_oracle(grid, eps, well, v):
     sd, off = grid.stiffness(grid.N + 1)
-    mass = grid.hat_weights(2)[:-1]
     r = grid.nodes[:-1]
+    mass = r * r * grid.hat_weights(0)[:-1]
     x = 1.0 - r * r * v * v
     wp = well.eval(x, 1, clamp=True)
     wpp = well.eval(x, 2, clamp=True)
@@ -677,9 +690,9 @@ def _gl_jacobian_oracle(grid, eps, well, v):
 def _extended_jacobian_oracle(grid, eps, eta, well, penalty, v, g):
     sv, ov = grid.stiffness(grid.N + 1)
     sg, og = grid.stiffness(grid.N - 1)
-    mv = grid.hat_weights(2)[:-1]
-    mg = grid.hat_weights(0)[:-1]
     r = grid.nodes[:-1]
+    mg = grid.hat_weights(0)[:-1]
+    mv = r * r * mg
     x = 1.0 - r * r * v * v - g * g
     wp = well.eval(x, 1, clamp=True)
     wpp = well.eval(x, 2, clamp=True)
@@ -692,8 +705,8 @@ def _extended_jacobian_oracle(grid, eps, eta, well, penalty, v, g):
     ab[2, 0::2] = sv - mv / eps**2 * (wp - 2 * rv * rv * wpp)
     ab[2, 1::2] = sg - mg * ((wp - 2 * g * g * wpp) / eps**2
                              - (tp + 2 * g * g * tpp) / eta**2)
-    ab[1, 1::2] = mv / eps**2 * 2 * v * g * wpp
-    ab[3, 0::2] = mg / eps**2 * 2 * r * rv * g * wpp
+    # the energy's Hessian: one v-g coupling, above and below the diagonal
+    ab[1, 1::2] = ab[3, 0::2] = 2 * (mv / eps**2) * v * g * wpp
     return ab
 
 
@@ -740,6 +753,75 @@ def test_newton_jacobians_match_full_array_formulas(monkeypatch, grid, seed):
             solve(-res)
             point = (well.kind, penalty.kind, oracle.shape)
             assert np.array_equal(captured.pop(), oracle), point
+
+
+# ---------------------------------------------------------------------------
+# each model's Newton residual is the gradient of its reduced energy
+
+
+@ORACLE_GRIDS
+@pytest.mark.parametrize("seed", range(2))
+def test_newton_residual_is_the_energy_gradient(grid, seed):
+    # residual·d against the central difference of reduced_energy_* along a
+    # random direction d of the unknowns at nodes 0..n-2; the samples keep
+    # every potential's argument inside its domain, where no clamp acts
+    rng = np.random.default_rng(seed)
+    m = grid.n - 1
+
+    def unknowns(lo, hi, right):
+        return np.append(rng.uniform(lo, hi, m), right)
+
+    v, g = unknowns(0.3, 0.8, 1.0), unknowns(-0.5, 0.5, 0.0)   # x in (0, 1)
+    theta = unknowns(0.0, 0.5 * math.pi, 0.5 * math.pi)
+    dv, dg = unknowns(-1.0, 1.0, 0.0), unknowns(-1.0, 1.0, 0.0)
+    eps, eta = rng.uniform(0.05, 1.0, 2)
+    h = 1e-5
+
+    def check(record, directions, energy, point):
+        slope = sum(float(part @ d[:-1]) for part, d in
+                    zip(record._residual_parts(), directions))
+        diff = (energy(h) - energy(-h)) / (2 * h)
+        assert abs(diff - slope) <= 1e-8 * abs(slope), point
+
+    for well, penalty in itertools.product(POTENTIALS, POTENTIALS):
+        point = (well.kind, penalty.kind)
+        ext = ExtendedProfile(grid=grid, eps=eps, eta=eta, well=well,
+                              penalty=penalty, v=v, g=g, branch="escaping",
+                              residual_norm=math.nan)
+        check(ext, (dv, dg), lambda t: reduced_energy_extended(
+            replace(ext, v=v + t * dv, g=g + t * dg), well, penalty, eps,
+            eta), point)
+        if penalty is QUAD:
+            gl = GLProfile(grid=grid, eps=eps, well=well, v=v,
+                           residual_norm=math.nan)
+            check(gl, (dv,), lambda t: reduced_energy_gl(
+                replace(gl, v=v + t * dv), well, eps), point)
+        if well is QUAD:
+            sph = SphereProfile(grid=grid, eta=eta, penalty=penalty,
+                                theta=theta, residual_norm=math.nan)
+            check(sph, (dv,), lambda t: reduced_energy_mm(
+                replace(sph, theta=theta + t * dv), penalty, eta), point)
+
+
+def test_solved_profiles_are_critical_points_of_their_energy():
+    # a solved profile's energy is stationary to the solver's tolerance:
+    # its slope along a random direction of the unknowns is below 1e-8
+    grid = make_grid(3, 800, {"graded": 2.0})
+    d = np.append(np.random.default_rng(0).standard_normal(grid.n - 1), 0.0)
+    h = 1e-6
+    gl = solve_gl_profile(3, QUAD, 0.1, grid)
+    ext = solve_extended_profile(3, QUAD, LIN, 0.1, 1.0, grid)
+    sph = solve_sphere_profile(3, LIN, 1.0, grid)
+    assert ext.branch == "escaping" and not sph.no_escape
+    energies = (
+        lambda t: reduced_energy_gl(replace(gl, v=gl.v + t * d), QUAD, 0.1),
+        lambda t: reduced_energy_extended(
+            replace(ext, v=ext.v + t * d, g=ext.g + t * d), QUAD, LIN, 0.1,
+            1.0),
+        lambda t: reduced_energy_mm(replace(sph, theta=sph.theta + t * d),
+                                    LIN, 1.0))
+    for energy in energies:
+        assert abs(energy(h) - energy(-h)) / (2 * h) < 1e-8
 
 
 # ---------------------------------------------------------------------------

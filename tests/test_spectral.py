@@ -513,11 +513,36 @@ def test_threshold_newton_work_bound(grid_n3, monkeypatch):
     eps0 = find_epsilon0(3, QUAD, (0.05, 1.0), grid=grid_n3, samples=rows)
     assert len(seen) <= 4 + 1
     # the README eps0 (eigen.json) to 1e-10
-    assert abs(eps0 - 0.2039594485627248) < 1e-10
+    assert abs(eps0 - 0.20395971971684923) < 1e-10
     seen.clear()
     wide = find_epsilon0(3, QUAD, (0.05, 1.0), grid=grid_n3)
     assert len(seen) <= 11
-    assert abs(wide - 0.2039594485627248) < 1e-10
+    assert abs(wide - 0.20395971971684923) < 1e-10
+
+
+@pytest.mark.parametrize("N, grading, continuum, tol", [
+    (3, {"graded": 2.0}, 0.2039597322, 2e-8),
+    (2, {"graded": 2.0}, 0.3239142015, 2e-8),
+    (5, {"graded": 3.0}, 0.0666524869, 5e-7)])
+def test_threshold_near_the_continuum(N, grading, continuum, tol):
+    # the continuum values are Richardson limits from n = 2000 and 4000;
+    # with the well lumped as the energy's gradient the 2000-node search
+    # lands within tol of them (the hat_weights(2) lumping missed them by
+    # 1.4e-7 to 1.8e-6)
+    eps0 = find_epsilon0(N, QUAD, (0.05, 1.0), grid=make_grid(N, 2000, grading))
+    assert abs(eps0 - continuum) < tol
+
+
+def test_halved_rmin_gate_reads_certified_brackets():
+    # on the uniform 2000-node grid at N = 2 the halving shift is about
+    # 1e-9, within the eigenvalues' certified brackets: accepted. Comparing
+    # the bare eigenvalues rejected it at 1.078e-9 against the 1e-9 limit
+    eps0 = find_epsilon0(2, QUAD, (0.05, 1.0), grid=make_grid(2, 2000))
+    assert abs(eps0 - 0.3239142015) < 1e-6
+    # a coarse uniform grid still moves the bracket by more than the limit
+    for N, n in ((2, 400), (3, 200)):
+        with pytest.raises(ConvergenceError, match="certified bracket"):
+            find_epsilon0(N, QUAD, (0.05, 1.0), grid=make_grid(N, n))
 
 
 @pytest.mark.parametrize("slope", [1e-12, 0.0, -1.0, math.nan])

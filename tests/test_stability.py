@@ -393,6 +393,17 @@ def test_sphere_eigenvalue_list():
     assert sphere_eigenvalues(3, 0.0) == [0.0]
 
 
+def test_sphere_eigenvalue_levels_are_capped():
+    # the levels are counted in closed form before any is listed; past
+    # MAX_LEVELS (k = 999 at N = 3) the request is refused, naming the flag
+    from vortexlab.stability import MAX_LEVELS
+    levels = sphere_eigenvalues(3, 999.0 * 1000.0)
+    assert len(levels) == MAX_LEVELS
+    assert levels == [float(k * (k + 1)) for k in range(MAX_LEVELS)]
+    with pytest.raises(InputError, match="--lambda-max"):
+        sphere_eigenvalues(3, 1000.0 * 1001.0)
+
+
 def test_lambda_max_validation(guarded_python):
     # a negative lam_max gave no blocks (and so a verdict without evidence),
     # nan and inf an endless list: run in a capped child process
