@@ -1,12 +1,13 @@
-"""Radial grids on (0,1], quadrature for the measure r^(N-1) dr, and convex
-potentials.
+"""Radial grids on (0,1], their integration tables for the measure
+r^(N-1) dr, and convex potentials.
 
 Everything downstream works on the unit ball in dimension N reduced to the
 radial coordinate. A grid carries an inner cutoff r_min > 0 (the continuous
 problems have singular coefficients at r = 0; boundary closures extrapolate
-to the origin), node weights that integrate smooth integrands against
-r^(N-1) dr over the whole interval [0, 1], and helpers for the piecewise
-moments the solvers and quadratic-form assemblies need.
+to the origin) and the two tables every integral is taken from: midpoint
+face coefficients for the gradient terms (face_coeffs), and exact P1
+moments against r^(N-1+shift) dr for every zero-order term
+(p1_weighted_mass, p1_form, hat_weights).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -131,48 +132,10 @@ def _cubes(x: np.ndarray) -> np.ndarray:
     return np.array([t**3 for t in x.tolist()])
 
 
-def _lagrange_weights(x: Sequence[np.ndarray], a: np.ndarray, b: np.ndarray,
-                      p: float) -> np.ndarray:
-    """Weights w[i] with sum_i w[i] phi(x[i]) = integral over [a,b] of the
-    quadratic interpolant of phi (through the three x) times r^p dr, for
-    arrays of triples x[0], x[1], x[2] and intervals [a, b]."""
-    m0 = _moments(a, b, p)
-    m1 = _moments(a, b, p + 1)
-    m2 = _moments(a, b, p + 2)
-    w = np.empty((3, m0.size))
-    for i in range(3):
-        j, k = [s for s in range(3) if s != i]
-        den = (x[i] - x[j]) * (x[i] - x[k])
-        w[i] = (m2 - (x[j] + x[k]) * m1 + x[j] * x[k] * m0) / den
-    return w
-
-
-def _product_weights(nodes: np.ndarray, p: float) -> np.ndarray:
-    """Node weights integrating phi against r^p dr over [0, 1], exact for
-    polynomials phi of degree <= 2 (piecewise-quadratic reconstruction on
-    node triples; the [0, nodes[0]] segment extrapolates the first triple)."""
-    n = nodes.size
-    w = np.zeros(n)
-    # origin segment, quadratic through the first three nodes
-    w[0:3] += _lagrange_weights(nodes[0:3, None], np.zeros(1), nodes[:1],
-                                p)[:, 0]
-    # pair up interior cells: triples (i, i+1, i+2) for even i <= n-3; a node
-    # shared by two triples gets the left triple's weight first
-    k = (n - 1) // 2
-    x = (nodes[0:2 * k - 1:2], nodes[1:2 * k:2], nodes[2:2 * k + 1:2])
-    tw = _lagrange_weights(x, x[0], x[2], p)
-    w[1:2 * k:2] += tw[1]
-    w[2:2 * k + 1:2] += tw[2]
-    w[0:2 * k - 1:2] += tw[0]
-    if n % 2 == 0:  # one unpaired trailing cell
-        w[n - 3:] += _lagrange_weights(nodes[n - 3:, None], nodes[n - 2:n - 1],
-                                       nodes[n - 1:], p)[:, 0]
-    return w
-
-
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Graded mesh 0 < r_1 < ... < r_n = 1 with quadrature for r^(N-1) dr.
+    """Graded mesh 0 < r_1 < ... < r_n = 1 with its face and P1 tables
+    for r^(N-1) dr.
 
     Immutable after construction (frozen, arrays write-locked): make_grid
     hands the same grid to every caller in a process, and the derived tables
@@ -181,13 +144,11 @@ class RadialGrid:
 
     N: int
     nodes: np.ndarray
-    weights: np.ndarray          # degree-2 product rule against r^(N-1)
     grading: dict = field(default_factory=lambda: {"grading": "uniform"})
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
 
     # -- basic queries ------------------------------------------------------
 
@@ -213,14 +174,7 @@ class RadialGrid:
             self._cache[key] = value
         return self._cache[key]
 
-    # -- quadrature ---------------------------------------------------------
-
-    def quadrature(self, values: np.ndarray) -> float:
-        """Integral over [0,1] of phi r^(N-1) dr from node samples of phi."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.nodes.shape:
-            raise InputError("value array does not match the grid")
-        return float(self.weights @ values)
+    # -- P1 tables against r^(N-1+shift) dr ---------------------------------
 
     def hat_weights(self, shift: int = 0) -> np.ndarray:
         """Lumped hat-function moments against r^(N-1+shift) dr: the row
@@ -317,6 +271,14 @@ class RadialGrid:
         diag[0] += V[0] * orig
         off = V[:-1] * t21 + V[1:] * t12
         return diag, off
+
+    def p1_form(self, values, a: np.ndarray, b: np.ndarray,
+                shift: int = 0) -> float:
+        """a^T B b with B = p1_weighted_mass(values, shift) and a, b node
+        samples: ∫ w a b r^(N-1+shift) dr for the P1 interpolants w, a and
+        b of values, a and b, each held flat over [0, r_min]."""
+        d, off = self.p1_weighted_mass(values, shift)
+        return float(d @ (a * b) + off @ (a[:-1] * b[1:] + a[1:] * b[:-1]))
 
     def face_coeffs(self, power: int) -> np.ndarray:
         """Midpoint flux coefficients  mid^power / h  on the n-1 faces."""
@@ -415,9 +377,7 @@ class RadialGrid:
         tables and GL ladder live as long as this grid does."""
         def build():
             nodes = np.concatenate(([0.5 * self.r_min], self.nodes))
-            return RadialGrid(N=self.N, nodes=nodes,
-                              weights=_product_weights(nodes, self.N - 1),
-                              grading=self.grading)
+            return RadialGrid(N=self.N, nodes=nodes, grading=self.grading)
 
         return self._cached("halved", build)
 
@@ -468,8 +428,8 @@ def make_grid(N: int, n: int, grading="uniform") -> RadialGrid:
 
     Every spelling of one (N, n, grading) returns the same shared, immutable
     grid for the life of the process (the last GRID_CACHE_SIZE distinct
-    grids are kept), so its quadrature tables, stencils, halved-r_min grid
-    and GL ladder rungs are built once, not once per request.
+    grids are kept), so its P1 and face tables, stencils, halved-r_min
+    grid and GL ladder rungs are built once, not once per request.
     """
     if not isinstance(N, (int, np.integer)) or N < 2:
         raise InputError("dimension N must be an integer >= 2")
@@ -489,8 +449,7 @@ def _build_grid(N: int, n: int, kind: str, beta: float) -> RadialGrid:
     nodes = (j / n)**beta if kind == "graded" else j / n
     nodes[-1] = 1.0
     spec = {"grading": "uniform"} if kind == "uniform" else {"grading": {"graded": beta}}
-    return RadialGrid(N=N, nodes=nodes,
-                      weights=_product_weights(nodes, N - 1), grading=spec)
+    return RadialGrid(N=N, nodes=nodes, grading=spec)
 
 
 def grid_from_spec(N: int, spec: dict) -> RadialGrid:

@@ -377,11 +377,12 @@ def assemble_radial_operator(N: int, grid: RadialGrid, mu: float,
 class EigenPair:
     """Eigenvalue with its node-sampled eigenfunction.
 
-    q spans the full grid (Dirichlet zeros included), is normalized to
-    ∫ q^2 r^(N-1) dr = 1 and sign-normalized positive near r_min. `residual`
-    is the normwise backward error of the generalized eigen-residual on the
-    assembled pencil, and `bracket` the (a, b) that pencil_smallest's
-    inertia counts certify to hold the eigenvalue.
+    q spans the full grid (Dirichlet zeros included), has q^T M q = 1 in
+    its pencil's mass (the P1 interpolant of q has ∫ q^2 r^(N-1) dr = 1),
+    and its largest |entry| is positive. `residual` is the normwise backward
+    error of the generalized eigen-residual on the assembled pencil, and
+    `bracket` the (a, b) that pencil_smallest's inertia counts certify to
+    hold the eigenvalue.
     """
     eigenvalue: float
     q: np.ndarray
@@ -396,11 +397,14 @@ class EigenPair:
 
 def smallest_eigenpair(op: RadialPencil,
                        q_init: np.ndarray | None = None) -> EigenPair:
-    """Smallest eigenpair of the assembled pencil via inertia bisection +
-    inverse iteration.
+    """Smallest eigenpair of the assembled pencil by pencil_smallest:
+    inverse iteration whose shifts the inertia counts certify.
 
     Inverse iteration starts from q_init (node samples on the grid, say the
     eigenfunction at a nearby eps), or else from RadialPencil.cold_start.
+    q keeps the normalization q^T M q = 1 that pencil_smallest gives it, and
+    its largest |entry| is made positive (the entries near r_min are
+    rounding noise when mu > 0, since q ~ r^k there).
 
     The inertia certificate says which eigenvalue the pair belongs to; the
     vector's entries are not tested for sign. (A Sturm-Liouville ground
@@ -415,9 +419,7 @@ def smallest_eigenpair(op: RadialPencil,
         x0 = op.interior({"q": q_init})
     lam, x, resid, trace = pencil_smallest(op.A, op.M, x0=x0)
     q = op.embed(x)["q"]
-    nrm = math.sqrt(op.grid.quadrature(q * q))
-    q = q / nrm
-    if q[op.start] < 0:
+    if q[np.argmax(np.abs(q))] < 0:
         q = -q
     q.setflags(write=False)
     return EigenPair(eigenvalue=lam, q=q, grid=op.grid, mu=op.angular,
@@ -501,10 +503,7 @@ def gl_linearization_slope(pair: EigenPair, profile: GLProfile) -> float:
           + 2.0 * W.eval(x, 2) * f * grid.nodes * gl_eps_tangent(profile)
           / eps ** 2)
 
-    def form(d, off):           # q^T B q on the full grid; q vanishes at r = 1
-        return float(d @ (q * q) + 2.0 * off @ (q[:-1] * q[1:]))
-
-    return form(*grid.p1_weighted_mass(dV)) / form(*grid.p1_mass(0))
+    return grid.p1_form(dV, q, q) / grid.p1_form(np.ones(grid.n), q, q)
 
 
 def find_epsilon0(N: int, W, bracket: tuple[float, float], tol: float = 1e-8,

@@ -164,9 +164,9 @@ def mode_block(profile, W, Wt, eps, eta, lam) -> RadialPencil:
 
 def mode_form_value(profile, W, Wt, eps, eta, lam, trial: dict) -> float:
     """Direct evaluation of the lambda-mode quadratic form on full-grid trial
-    fields (zero at r_min and 1): cell-by-cell flux sums plus weighted-P1
-    contractions, sharing quadrature conventions with mode_block but none of
-    its matrix plumbing."""
+    fields (zero at r_min and 1): flux sums over face_coeffs plus
+    RadialGrid.p1_form contractions, mode_block's two integration rules
+    without its matrix plumbing."""
     grid = profile.grid
     _angular_check(grid.N, lam)
     fields, weights, terms = _profile_terms(profile, W, Wt, eps, eta, lam)
@@ -185,10 +185,7 @@ def mode_form_value(profile, W, Wt, eps, eta, lam, trial: dict) -> float:
     for name in fields:
         total += weights[name] * float(c @ np.diff(proj[name]) ** 2)
     for (a, b, vals, shift) in terms:
-        d, off = grid.p1_weighted_mass(vals, shift)
-        ua, ub = proj[a], proj[b]
-        total += float(d @ (ua * ub))
-        total += float(off @ (ua[:-1] * ub[1:] + ua[1:] * ub[:-1]))
+        total += grid.p1_form(vals, proj[a], proj[b], shift)
     return total
 
 
@@ -236,13 +233,13 @@ def hardy_identity_check(profile: ExtendedProfile, W, Wt, eps, eta,
     X = 1.0 - f ** 2 - g ** 2
     wpp = W.eval(X, 2)
     wtpp = Wt.eval(g ** 2, 2)
-    mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-    cf = np.interp(mids, grid.nodes, f) ** 2 * mids ** (grid.N - 1) / grid.h
-    cg = np.interp(mids, grid.nodes, g) ** 2 * mids ** (grid.N - 1) / grid.h
-    factored = float(cf @ np.diff(u) ** 2) + float(cg @ np.diff(w) ** 2)
-    rest = 2.0 * wpp * (f * s + g * q) ** 2 / eps ** 2 \
-        + 2.0 * wtpp * g ** 2 * q ** 2 / eta ** 2
-    factored += grid.quadrature(rest)
+    c = grid.face_coeffs(grid.N - 1)
+    fm, gm = 0.5 * (f[:-1] + f[1:]), 0.5 * (g[:-1] + g[1:])  # face values
+    factored = (float(fm ** 2 * c @ np.diff(u) ** 2)
+                + float(gm ** 2 * c @ np.diff(w) ** 2))
+    fsgq = f * s + g * q
+    factored += grid.p1_form(2.0 * wpp / eps ** 2, fsgq, fsgq)
+    factored += grid.p1_form(2.0 * wtpp * g ** 2 / eta ** 2, q, q)
     scale = abs(direct) + abs(factored) + 1e-300
     return abs(direct - factored) / scale
 

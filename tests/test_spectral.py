@@ -11,7 +11,7 @@ from vortexlab import (BracketError, ConvergenceError, InputError,
                        find_epsilon0, gl_linearization_eigenvalue,
                        linearization_eigenvalue_sweep, make_grid,
                        smallest_eigenpair, sweep_to_csv)
-from vortexlab.banded import count_below
+from vortexlab.banded import count_below, sym_matvec
 from vortexlab.core import _build_grid
 from vortexlab.spectral import pencil_smallest
 
@@ -249,6 +249,30 @@ def test_ground_state_positive(grid_n3):
     assert pair.q[-1] == 0.0
     text = pair.to_csv()
     assert text.splitlines()[0] == "r,q"
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+@pytest.mark.parametrize("grading", ["uniform", "graded:2.0", "graded:3.0"])
+def test_angular_ground_states_positive_at_their_peak(N, grading):
+    # with mu = k(k+N-2) > 0 the ground state goes like r^k, so its entries
+    # next to r_min are rounding noise and cannot carry its sign
+    grid = make_grid(N, 400, grading)
+    for k in (1, 2, 3, 6):
+        q = smallest_eigenpair(assemble_radial_operator(
+            N, grid, float(k * (k + N - 2)), 0.0)).q
+        peak = np.max(np.abs(q))
+        assert q[np.argmax(np.abs(q))] == peak
+        assert np.min(q) >= -1e-9 * peak
+
+
+@pytest.mark.parametrize("mu", [0.0, 2.0])
+@pytest.mark.parametrize("V", [0.0, "well"])
+def test_eigenvector_is_unit_in_its_pencils_mass(grid_n3, mu, V):
+    if V == "well":
+        V = -40.0 * (1.0 - grid_n3.nodes ** 2)
+    op = assemble_radial_operator(3, grid_n3, mu, V)
+    x = op.interior({"q": smallest_eigenpair(op).q})
+    assert abs(sym_matvec(op.M, x) @ x - 1.0) < 1e-12
 
 
 def _loop_operator(N, grid, mu, V):

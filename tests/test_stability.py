@@ -488,7 +488,7 @@ def test_hardy_proportional_trial(escaping_profile, escaping_point):
     w = up * up * (3 - 2 * up) * dn * dn * (3 - 2 * dn)
     tr = {"s": escaping_profile.f * w, "q": escaping_profile.g * w}
     assert hardy_identity_check(escaping_profile, QUAD, LIN, eps, eta,
-                                dict(tr)) < 5e-6
+                                dict(tr)) < 2e-7
     plateau = (r >= 0.3) & (r <= 0.7)
     u = tr["s"][plateau] / escaping_profile.f[plateau]
     assert np.all(np.diff(u) == 0.0)
