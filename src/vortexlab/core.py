@@ -327,18 +327,18 @@ class RadialGrid:
     def stiffness_band(self, *powers: int) -> np.ndarray:
         """The stiffness(power) of each of len(powers) = F fields, with the
         fields' unknowns interleaved per node (field o of node j is unknown
-        o + F j), as a full band of F sub- and superdiagonals
-        (banded.lu_solver's storage): the part of every Newton Jacobian
-        that does not change with the iterate."""
+        o + F j), in symmetric lower storage of bandwidth F (shape
+        (F + 1, F (n - 1)), banded.sym_solver's storage): the part of every
+        Newton Jacobian that does not change with the iterate."""
         def build():
             F = len(powers)
             size = F * (self.n - 1)
-            ab = np.zeros((2 * F + 1, size))
+            band = np.zeros((F + 1, size))
             for o, power in enumerate(powers):
                 diag, off = self.stiffness(power)
-                ab[F, o::F] = diag
-                ab[0, F + o::F] = ab[2 * F, o:size - F:F] = off
-            return ab
+                band[0, o::F] = diag
+                band[F, o:size - F:F] = off
+            return band
 
         return self._cached(("stiff_band", powers), build)
 

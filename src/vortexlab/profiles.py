@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .banded import abs_matvec, lu_solver
+from .banded import abs_matvec, sym_solver
 from .core import (
     ConvergenceError,
     InputError,
@@ -140,17 +140,17 @@ def _newton(assemble: Callable, u0: np.ndarray, opts: SolverOptions,
 
 
 def _lazy_solver(jacobian: Callable) -> Callable:
-    """solve(rhs) that builds and factors jacobian() (full band storage) on
-    its first call and keeps the factorization for later ones. _newton
-    calls it for an iterate it steps from (and again for the closing
-    correction), so a rejected line-search trial and a stage's final
-    iterate never pay for a Jacobian. solve.jacobian builds the band
-    again."""
+    """solve(rhs) that builds jacobian() (symmetric lower storage) and
+    factors it by sym_solver on its first call, and keeps the factorization
+    for later ones. _newton calls it for an iterate it steps from (and
+    again for the closing correction), so a rejected line-search trial and
+    a stage's final iterate never pay for a Jacobian. solve.jacobian builds
+    the band again."""
     factored = []               # one per assemble: lighter than a cache
 
     def solve(rhs):
         if not factored:
-            factored.append(lu_solver(jacobian()))
+            factored.append(sym_solver(jacobian()))
         return factored[0](rhs)
     solve.jacobian = jacobian
     return solve
@@ -160,8 +160,8 @@ def _rounding_floor(solve, z) -> float:
     """u·max_i (|J||z|)_i at the iterate z whose solve(rhs) this is: the
     componentwise bound on the rounding error of evaluating its residual
     (u the unit roundoff). Converged profiles sit at 0.4-0.8 of it."""
-    ab = solve.jacobian()
-    return float(np.max(abs_matvec(ab, z))) * np.finfo(float).eps / 2
+    band = solve.jacobian()
+    return float(np.max(abs_matvec(band, z))) * np.finfo(float).eps / 2
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +180,14 @@ def _rounding_floor(solve, z) -> float:
 # value would, so every entry keeps its bits; no body branches on the
 # potential. An assembler builds its stage once and evaluates only what the
 # iterate changes; a record's _residual_parts builds the stage on the spot.
-# Each Jacobian copies the grid's stiffness band (RadialGrid.stiffness_band,
-# built once per grid) and adds the iterate's reaction entries: the
-# diagonal and, in the two-field model, the v-g coupling, one array on both
-# sides of the diagonal (the Jacobian is the energy's Hessian). lu_solver
-# reads the row scales off that band. _newton returns the final iterate's
-# sup norm, the very value residual() recomputes, and a solved record
-# stores it.
+# Each Jacobian is the Hessian of the model's energy, kept in symmetric
+# lower storage: it copies the grid's stiffness band (RadialGrid.
+# stiffness_band, built once per grid) and adds the iterate's reaction
+# entries, the diagonal and, in the two-field model, the v-g coupling below
+# it. sym_solver factors it by Cholesky, as it is positive definite near
+# every stable solution, and by the row-scaled LU only where a pivot fails.
+# _newton returns the final iterate's sup norm, the very value residual()
+# recomputes, and a solved record stores it.
 
 
 def _derivative(pot: Potential, order: int) -> Callable:
@@ -203,7 +204,7 @@ def _checked_band(grid, powers, shifts):
     s in shifts, is not finite, or the band's diagonal has a zero: at large
     N or steep gradings mid^power / h underflows to 0, the P1 tables to 0/0."""
     band = grid.stiffness_band(*powers)
-    if not (band[len(powers)].all() and all(np.isfinite(t).all() for t in (
+    if not (band[0].all() and all(np.isfinite(t).all() for t in (
             band, *map(grid.hat_weights, shifts)))):
         raise InputError(f"the grid N={grid.N}, n={grid.n}, grading "
                          f"{grid.grading['grading']} underflows near the "
@@ -236,9 +237,9 @@ def _gl_assemble(grid, eps, well):
         res, x, wp = _gl_residual(st, vi, 1.0)
 
         def jacobian():
-            ab = band.copy()
-            ab[1] -= st.me * (wp - st.r2x2 * vi**2 * st.wpp(x))
-            return ab
+            jac = band.copy()
+            jac[0] -= st.me * (wp - st.r2x2 * vi**2 * st.wpp(x))
+            return jac
         return res, _lazy_solver(jacobian)
 
     return assemble
@@ -284,13 +285,12 @@ def _extended_assemble(grid, eps, eta, well, penalty):
             tpp = st.tpp(g2)
             rv = st.r * v
             g2x2 = 2 * g * g
-            ab = band.copy()
-            ab[2, 0::2] -= st.mve * (wp - 2 * rv * rv * wpp)
-            ab[2, 1::2] -= st.mg * ((wp - g2x2 * wpp) / st.eps2
-                                    - (tp + g2x2 * tpp) / st.eta2)
-            # the v-g coupling at (2j, 2j+1) and at (2j+1, 2j)
-            ab[1, 1::2] = ab[3, 0::2] = 2 * st.mve * v * g * wpp
-            return ab
+            jac = band.copy()
+            jac[0, 0::2] -= st.mve * (wp - 2 * rv * rv * wpp)
+            jac[0, 1::2] -= st.mg * ((wp - g2x2 * wpp) / st.eps2
+                                     - (tp + g2x2 * tpp) / st.eta2)
+            jac[1, 0::2] = 2 * st.mve * v * g * wpp    # A[2j+1, 2j]: v-g
+            return jac
         return res, _lazy_solver(jacobian)
 
     return assemble
@@ -326,10 +326,10 @@ def _sphere_assemble(grid, eta, penalty):
         def jacobian():
             cos2 = np.cos(2 * ti)
             sin2 = np.sin(2 * ti)
-            ab = band.copy()
-            ab[1] += st.cent * cos2
-            ab[1] -= st.m0e * (tp * cos2 - 0.5 * st.tpp(c2) * sin2 * sin2)
-            return ab
+            jac = band.copy()
+            jac[0] += st.cent * cos2
+            jac[0] -= st.m0e * (tp * cos2 - 0.5 * st.tpp(c2) * sin2 * sin2)
+            return jac
         return res, _lazy_solver(jacobian)
 
     return assemble

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .banded import equilibrate, shifted_factor, sym_matvec
+from .banded import abs_matvec, equilibrate, shifted_factor, sym_matvec
 from .core import (ConvergenceError, InputError, NoThresholdError,
                    BracketError, DEFAULT_GRID, Potential, RadialGrid, csv_rows,
                    make_grid, map_jobs)
@@ -36,10 +36,6 @@ _BACKWARD_TOL = 1e-9        # normwise backward error an eigenpair must meet
 # most once, and bisection alone takes the widest first bracket that the
 # expansion allows, 1e18, to the 2e-9 of the window in about 90
 _MAX_STEPS = 100
-
-
-def _abs_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return sym_matvec(np.abs(band), np.abs(x))
 
 
 def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray,
@@ -190,7 +186,7 @@ def pencil_smallest(Ab: np.ndarray, Mb: np.ndarray,
     r = sym_matvec(Ab, x) - lam * sym_matvec(Mb, x)
     # normwise backward error: immune to the huge row-scale spread and
     # meaningful even when lam sits near zero
-    denom = np.linalg.norm(_abs_matvec(Ab, x) + abs(lam) * _abs_matvec(Mb, x))
+    denom = np.linalg.norm(abs_matvec(Ab, x) + abs(lam) * abs_matvec(Mb, x))
     resid = float(np.linalg.norm(r)) / max(denom, 1e-300)
     if resid >= _BACKWARD_TOL:
         raise ConvergenceError(

@@ -12,7 +12,7 @@ from scipy.linalg.lapack import dpbtrf
 
 from vortexlab import banded
 from vortexlab.banded import (abs_matvec, count_below, lu_solver,
-                              shifted_factor, sym_matvec)
+                              shifted_factor, sym_matvec, sym_solver)
 
 from test_spectral import _dense as _sym_dense
 from test_spectral import ldl_count_below
@@ -216,6 +216,97 @@ def test_lu_solver_leaves_its_input_alone():
     assert np.array_equal(ab, before)
 
 
+def _symmetric_band(rng, b, m, decades, definite):
+    """Random symmetric band matrix in lower storage, diagonally dominant
+    and positive definite, or with one negative eigenvalue (one diagonal
+    entry negated), under a diagonal congruence spanning `decades` decades
+    (the weight spread of the Newton Hessians). Zero outside the matrix."""
+    band = rng.uniform(-1.0, 1.0, (b + 1, m))
+    band[0] = 2.0 * b + 1.0 + rng.uniform(0.0, 1.0, m)
+    if not definite:
+        band[0, m // 3] *= -1.0
+    s = np.logspace(0.0, -0.5 * decades, m)
+    for d in range(b + 1):
+        band[d, :m - d] *= s[d:] * s[:m - d]
+        band[d, m - d:] = 0.0
+    return band
+
+
+def _counting_lu(monkeypatch):
+    """The bands that banded.sym_solver hands to lu_solver while the test
+    runs."""
+    handed, real = [], banded.lu_solver
+
+    def counting(ab):
+        handed.append(ab.copy())
+        return real(ab)
+
+    monkeypatch.setattr(banded, "lu_solver", counting)
+    return handed
+
+
+@pytest.mark.parametrize("definite", [True, False],
+                         ids=["definite", "indefinite"])
+@pytest.mark.parametrize("b", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_sym_solver_matches_dense_solve(monkeypatch, b, definite, seed):
+    # a positive definite band is solved by Cholesky alone; an indefinite
+    # one by the LU of its mirror, to the bits of lu_solver on that mirror
+    handed = _counting_lu(monkeypatch)
+    rng = np.random.default_rng(30 + seed)
+    m = 40 + 7 * seed
+    band = _symmetric_band(rng, b, m, 10 * seed, definite)
+    A = _sym_dense(band)
+    assert (np.linalg.eigvalsh(A)[0] > 0) == definite
+    before = band.copy()
+    solve = sym_solver(band)
+    x_true = rng.standard_normal(m)
+    rhs = A @ x_true
+    got = solve(rhs)
+    assert np.allclose(got, np.linalg.solve(A, rhs), rtol=1e-9, atol=1e-12)
+    assert np.allclose(got, x_true, rtol=1e-9, atol=1e-12)
+    assert np.array_equal(band, before)             # the input is left alone
+    if definite:
+        assert handed == []
+    else:
+        assert len(handed) == 1 and np.array_equal(handed[0], _band(A, b))
+        assert np.array_equal(got, lu_solver(_band(A, b))(rhs))
+
+
+@pytest.mark.parametrize("definite", [True, False],
+                         ids=["definite", "indefinite"])
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_sym_solver_rejects_singular_and_nonfinite(monkeypatch, b, definite):
+    # dpttrf and dpbtrf pass a NaN or +inf diagonal without complaint, so
+    # the band is checked before the Cholesky; a singular matrix fails it
+    # and the LU finds the zero pivot
+    handed = _counting_lu(monkeypatch)
+    rng = np.random.default_rng(40 + b)
+    m = 20
+    band = _symmetric_band(rng, b, m, 10, definite)
+    rhs = np.ones(m)
+    singular = band.copy()
+    singular[:, 7] = 0.0                       # row and column 7 of A
+    for d in range(1, b + 1):
+        singular[d, 7 - d] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        sym_solver(singular)(rhs)           # dgtsv factors on each solve
+    assert len(handed) == 1
+    for d, j in ((0, 3), (1, 3), (b, 0), (b, m - 1)):  # m - 1: outside A
+        for value in (np.nan, np.inf, -np.inf):
+            bad = band.copy()
+            bad[d, j] = value
+            with pytest.raises(ValueError):
+                sym_solver(bad)
+    solve = sym_solver(band)
+    for value in (np.nan, np.inf):
+        bad = rhs.copy()
+        bad[5] = value
+        with pytest.raises(ValueError):
+            solve(bad)
+    assert len(handed) == 1 + (not definite)
+
+
 @pytest.mark.parametrize("b", [1, 2, 3])
 def test_symmetric_storage_round_trip(b):
     rng = np.random.default_rng(b)
@@ -236,10 +327,13 @@ def test_abs_matvec_matches_dense(b):
     # entries of the storage outside the matrix are not read
     rng = np.random.default_rng(10 + b)
     m = 15
-    ab = rng.standard_normal((2 * b + 1, m))
+    band = rng.standard_normal((b + 1, m))
     x = rng.standard_normal(m)
-    ref = np.abs(_dense(ab)) @ np.abs(x)
-    assert np.allclose(abs_matvec(ab, x), ref, rtol=1e-14, atol=0.0)
+    inside = band.copy()
+    for d in range(1, b + 1):
+        inside[d, m - d:] = 0.0
+    ref = np.abs(_sym_dense(inside)) @ np.abs(x)
+    assert np.allclose(abs_matvec(band, x), ref, rtol=1e-14, atol=0.0)
 
 
 def test_package_import_leaves_scipy_linalg_out():
@@ -282,32 +376,76 @@ def _banded_pencil(rng, b, m):
     return A, M
 
 
-def _lapack_outputs():
-    """What the seven routines give through banded on fixed inputs:
-    lu_solver at bandwidth 1 (dgtsv) and 2 (dgbtrf/dgbtrs), count_below on a
-    tridiagonal (dpttrf) and a b = 2 pencil (dpbtrf), a shifted_factor
-    solve on each (dpttrs, dpbtrs), and the two Cholesky factors
-    themselves."""
-    rng = np.random.default_rng(14)
-    out = []
+# every path through banded, with the LAPACK routines it calls in order on
+# the inputs of _lapack_runs: lu_solver at bandwidth 1 (dgtsv, on each
+# solve) and 2 (dgbtrf, then dgbtrs per solve); sym_solver by Cholesky
+# where definite and by the LU of the mirror after a failed Cholesky where
+# not; count_below at five shifts, and a shifted_factor solve
+LAPACK_PATHS = {
+    "lu_solver b=1": ["dgtsv", "dgtsv"],
+    "sym_solver b=1 definite": ["dpttrf", "dpttrs", "dpttrs"],
+    "sym_solver b=1 indefinite": ["dpttrf", "dgtsv", "dgtsv"],
+    "lu_solver b=2": ["dgbtrf", "dgbtrs", "dgbtrs"],
+    "sym_solver b=2 definite": ["dpbtrf", "dpbtrs", "dpbtrs"],
+    "sym_solver b=2 indefinite": ["dpbtrf", "dgbtrf", "dgbtrs", "dgbtrs"],
+    "count_below b=1": ["dpttrf"] * 5,
+    "shifted_factor b=1": ["dpttrf", "dpttrs"],
+    "factor b=1": ["dpttrf"],
+    "count_below b=2": ["dpbtrf"] * 5,
+    "shifted_factor b=2": ["dpbtrf", "dpbtrs"],
+    "factor b=2": ["dpbtrf"],
+}
+
+
+def _lapack_runs(rng):
+    """Run each path of LAPACK_PATHS on fixed inputs, in order, and yield
+    (path, what it gave) after each; "factor" is the Cholesky factor
+    itself."""
     for b in (1, 2):
         ab, _ = _graded_band(rng, b, 60, decades=30)
         solve = lu_solver(ab)
-        out += [solve(rng.standard_normal(60)) for _ in range(2)]
+        yield f"lu_solver b={b}", [solve(rng.standard_normal(60))
+                                   for _ in range(2)]
+        for kind in ("definite", "indefinite"):
+            band = _symmetric_band(rng, b, 60, 30, kind == "definite")
+            solve = sym_solver(band)
+            yield f"sym_solver b={b} {kind}", [solve(rng.standard_normal(60))
+                                               for _ in range(2)]
     for Ab, Mb in (_graded_tridiagonal_pencil(rng, 50, decades=4),
                    _banded_pencil(rng, 2, 50)):
+        b = Ab.shape[0] - 1
         lam = scipy.linalg.eigh(_sym_dense(Ab), _sym_dense(Mb),
                                 eigvals_only=True)
         shifts = np.concatenate([lam[:2] - 1e-9, lam[:2] + 1e-9,
                                  [lam[0] - 1.0]])
-        out.append(np.array([count_below(Ab, Mb, s) for s in shifts]))
-        out.append(shifted_factor(Ab, Mb, lam[0] - 1.0)(
-            rng.standard_normal(Ab.shape[1])))
+        yield f"count_below b={b}", [
+            np.array([count_below(Ab, Mb, s) for s in shifts])]
+        yield f"shifted_factor b={b}", [shifted_factor(Ab, Mb, lam[0] - 1.0)(
+            rng.standard_normal(Ab.shape[1]))]
         S = Ab - (lam[0] - 1.0) * Mb
-        if Ab.shape[0] == 2:
-            out += banded.dpttrf(S[0], S[1, :-1])
-        else:
-            out += banded.dpbtrf(S, lower=1)
+        yield f"factor b={b}", list(banded.dpttrf(S[0], S[1, :-1]) if b == 1
+                                    else banded.dpbtrf(S, lower=1))
+
+
+def _lapack_outputs(monkeypatch, lapack):
+    """{path: (what it gave, the routines it called)} over _lapack_runs,
+    with banded's routines taken from the wrapper module lapack."""
+    calls = []
+
+    def recording(name):
+        routine = getattr(lapack, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return routine(*args, **kwargs)
+        return call
+
+    for name in ROUTINES:
+        monkeypatch.setattr(banded, name, recording(name))
+    out = {}
+    for path, outputs in _lapack_runs(np.random.default_rng(14)):
+        out[path] = outputs, calls[:]
+        calls.clear()
     return out
 
 
@@ -322,14 +460,16 @@ class _FailingLoader(ExtensionFileLoader):
     ("ExtensionFileLoader", _FailingLoader),
 ], ids=["no_scipy_spec", "no_extension_file", "extension_fails_to_load"])
 def test_lapack_fallback_gives_the_same_bits(monkeypatch, failure):
-    direct = _lapack_outputs()
     assert banded.LAPACK.__name__ == "scipy.linalg._flapack"
+    direct = _lapack_outputs(monkeypatch, banded.LAPACK)
     monkeypatch.setattr(banded, *failure)
     fallback = banded._load_lapack()
     assert fallback is scipy.linalg.lapack
-    for name in ROUTINES:
-        monkeypatch.setattr(banded, name, getattr(fallback, name))
-    got = _lapack_outputs()
-    assert len(got) == len(direct) == 13
-    for a, b in zip(direct, got):
-        assert np.array_equal(a, b)
+    got = _lapack_outputs(monkeypatch, fallback)
+    assert list(direct) == list(got) == list(LAPACK_PATHS)
+    for path, routines in LAPACK_PATHS.items():
+        (ours, called), (theirs, called_too) = direct[path], got[path]
+        assert called == called_too == routines, path
+        assert len(ours) == len(theirs)
+        for a, b in zip(ours, theirs):
+            assert np.array_equal(a, b), path

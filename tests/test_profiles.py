@@ -15,6 +15,9 @@ from vortexlab import (ConvergenceError, ExtendedProfile, GLProfile,
                        solve_extended_profile, solve_gl_profile,
                        solve_sphere_profile)
 
+from test_banded import _counting_lu
+from test_spectral import _dense as _sym_dense
+
 QUAD = Potential.quadratic()
 LIN = Potential.linear()
 
@@ -488,25 +491,23 @@ def test_equator_pohozaev_identity():
 
 
 def _jacobians(monkeypatch, assemble, u):
-    """Dense Jacobian that assemble(u) hands to the banded LU, and the central
-    difference of assemble's residual at u, column by column."""
+    """Dense Jacobian that assemble(u) hands to banded.sym_solver (lower
+    storage, mirrored above the diagonal), and the central difference of
+    assemble's residual at u, column by column: the difference is not
+    symmetric by construction, so it checks that the Hessian is."""
     from vortexlab import profiles
     captured = []
-    real = profiles.lu_solver
+    real = profiles.sym_solver
 
-    def capture(ab):
-        captured.append(ab)
-        return real(ab)
+    def capture(band):
+        captured.append(band)
+        return real(band)
 
-    monkeypatch.setattr(profiles, "lu_solver", capture)
+    monkeypatch.setattr(profiles, "sym_solver", capture)
     res, solve = assemble(u)
     solve(-res)
-    ab = captured[0]
-    b, m = (ab.shape[0] - 1) // 2, ab.shape[1]
-    J = np.zeros((m, m))
-    for i in range(m):
-        for j in range(max(0, i - b), min(m, i + b + 1)):
-            J[i, j] = ab[b + i - j, j]
+    J = _sym_dense(captured[0])
+    m = J.shape[0]
     fd = np.empty((m, m))
     for k in range(m):
         h = 1e-6 * max(1.0, abs(u[k]))
@@ -549,6 +550,46 @@ def test_sphere_jacobian_matches_differences(monkeypatch):
     J, fd = _jacobians(monkeypatch, _sphere_assemble(JAC_GRID, 0.8, QUAD),
                        theta)
     _assert_rows_close(J, fd)
+
+
+@pytest.mark.parametrize("N, grading", [(2, 2.0), (3, 2.0), (5, 3.0)])
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.15])
+def test_newton_takes_cholesky_iff_the_escape_criterion_is_positive(
+        monkeypatch, N, grading, eps):
+    # the two-field Jacobian at (v_gl, 0) is the λ = 0 block of the second
+    # variation there: positive definite, so factored by Cholesky, exactly
+    # when ℓ + Wt'(0)/η² > 0. Solved GL, escaping and sphere profiles are
+    # minimizers, and their Jacobians take Cholesky too
+    from vortexlab import profiles
+    from vortexlab.spectral import gl_linearization_eigenvalue
+    handed = _counting_lu(monkeypatch)
+
+    def takes_cholesky(assemble, u):
+        handed.clear()
+        res, solve = assemble(u)
+        solve(-res)
+        return not handed
+
+    grid = make_grid(N, 400, {"graded": grading})
+    ell, _, gl = gl_linearization_eigenvalue(N, QUAD, eps, grid)
+    assert takes_cholesky(profiles._gl_assemble(grid, eps, QUAD), gl.v[:-1])
+    # Wt = LIN: Wt'(0) = 1, and the criterion changes sign at η* = 1/√-ℓ
+    etas = (0.5, 2.0) if ell > 0 else (0.9 / math.sqrt(-ell),
+                                       1.1 / math.sqrt(-ell))
+    at_gl = profiles._interleave(gl.v[:-1], np.zeros(grid.n - 1))
+    for eta in etas:
+        point = (N, eps, eta, ell)
+        assemble = profiles._extended_assemble(grid, eps, eta, QUAD, LIN)
+        assert takes_cholesky(assemble, at_gl) == (ell + 1 / eta**2 > 0), point
+        p = solve_extended_profile(N, QUAD, LIN, eps, eta, grid, start=gl)
+        if p.branch == "escaping":
+            z = profiles._interleave(p.v[:-1], p.g[:-1])
+            assert takes_cholesky(assemble, z), point
+        sphere = solve_sphere_profile(N, LIN, eta, grid)
+        if not sphere.no_escape:
+            assert takes_cholesky(profiles._sphere_assemble(grid, eta, LIN),
+                                  sphere.theta[:-1]), point
+    assert ell > 0 or p.branch == "escaping"
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +712,7 @@ def test_newton_residuals_match_full_array_formulas(grid, seed):
 
 # ---------------------------------------------------------------------------
 # Newton Jacobians against the full-array formulas they replaced: every
-# derivative evaluated as an array, the band filled entry by entry
+# derivative evaluated as an array, the lower band filled entry by entry
 
 
 def _gl_jacobian_oracle(grid, eps, well, v):
@@ -681,10 +722,10 @@ def _gl_jacobian_oracle(grid, eps, well, v):
     x = 1.0 - r * r * v * v
     wp = well.eval(x, 1, clamp=True)
     wpp = well.eval(x, 2, clamp=True)
-    ab = np.zeros((3, v.size))
-    ab[0, 1:] = ab[2, :-1] = off
-    ab[1] = sd - mass / eps**2 * (wp - 2 * r**2 * v**2 * wpp)
-    return ab
+    band = np.zeros((2, v.size))
+    band[1, :-1] = off
+    band[0] = sd - mass / eps**2 * (wp - 2 * r**2 * v**2 * wpp)
+    return band
 
 
 def _extended_jacobian_oracle(grid, eps, eta, well, penalty, v, g):
@@ -699,15 +740,15 @@ def _extended_jacobian_oracle(grid, eps, eta, well, penalty, v, g):
     tp = penalty.eval(g * g, 1, clamp=True)
     tpp = penalty.eval(g * g, 2, clamp=True)
     rv = r * v
-    ab = np.zeros((5, 2 * v.size))
-    ab[0, 2::2] = ab[4, 0:-2:2] = ov
-    ab[0, 3::2] = ab[4, 1:-2:2] = og
-    ab[2, 0::2] = sv - mv / eps**2 * (wp - 2 * rv * rv * wpp)
-    ab[2, 1::2] = sg - mg * ((wp - 2 * g * g * wpp) / eps**2
-                             - (tp + 2 * g * g * tpp) / eta**2)
-    # the energy's Hessian: one v-g coupling, above and below the diagonal
-    ab[1, 1::2] = ab[3, 0::2] = 2 * (mv / eps**2) * v * g * wpp
-    return ab
+    band = np.zeros((3, 2 * v.size))
+    band[2, 0:-2:2] = ov
+    band[2, 1:-2:2] = og
+    band[0, 0::2] = sv - mv / eps**2 * (wp - 2 * rv * rv * wpp)
+    band[0, 1::2] = sg - mg * ((wp - 2 * g * g * wpp) / eps**2
+                               - (tp + 2 * g * g * tpp) / eta**2)
+    # the energy's Hessian: the v-g coupling, below the diagonal
+    band[1, 0::2] = 2 * (mv / eps**2) * v * g * wpp
+    return band
 
 
 def _sphere_jacobian_oracle(grid, eta, penalty, theta):
@@ -717,11 +758,11 @@ def _sphere_jacobian_oracle(grid, eta, penalty, theta):
     tp = penalty.eval(np.cos(theta)**2, 1, clamp=True)
     tpp = penalty.eval(np.cos(theta)**2, 2, clamp=True)
     cos2, sin2 = np.cos(2 * theta), np.sin(2 * theta)
-    ab = np.zeros((3, theta.size))
-    ab[0, 1:] = ab[2, :-1] = off
-    ab[1] = sd + (grid.N - 1) * m_cent * cos2
-    ab[1] -= m0 / eta**2 * (tp * cos2 - 0.5 * tpp * sin2 * sin2)
-    return ab
+    band = np.zeros((2, theta.size))
+    band[1, :-1] = off
+    band[0] = sd + (grid.N - 1) * m_cent * cos2
+    band[0] -= m0 / eta**2 * (tp * cos2 - 0.5 * tpp * sin2 * sin2)
+    return band
 
 
 @ORACLE_GRIDS
@@ -730,11 +771,11 @@ def test_newton_jacobians_match_full_array_formulas(monkeypatch, grid, seed):
     from vortexlab import profiles
     captured = []
 
-    def capture(ab):                    # the band, unfactored
-        captured.append(ab)
+    def capture(band):                  # the band, unfactored
+        captured.append(band)
         return lambda rhs: rhs
 
-    monkeypatch.setattr(profiles, "lu_solver", capture)
+    monkeypatch.setattr(profiles, "sym_solver", capture)
     eps, eta, iterates = _iterates(grid, seed)
     for (v, g, theta), well, penalty in itertools.product(
             iterates, POTENTIALS, POTENTIALS):
