@@ -1,19 +1,12 @@
 """Banded linear algebra shared by the Newton solvers and the eigen pencils.
 
-Two storage forms:
+Every matrix is symmetric and kept in lower band storage, shape (b+1, m):
+band[d, j] = A[j+d, j]. This is LAPACK's lower storage (dpbtrf takes it as
+is). The Newton Jacobians, which are the Hessians of their models'
+energies, and the eigen pencils are kept in it.
 
-* symmetric lower band, shape (b+1, m): band[d, j] = A[j+d, j]. This is
-  LAPACK's lower storage (dpbtrf takes it as is). The Newton Jacobians,
-  which are the Hessians of their models' energies, and the eigen pencils
-  are kept in it, and cholesky factors both;
-* full band, shape (2b+1, m): ab[b + i - j, j] = A[i, j], LAPACK's general
-  band (gb) layout with b sub- and b superdiagonals, without the b rows of
-  fill-in space that dgbtrf adds on top. Only lu_solver takes it: it reads
-  each row's scale off the band. sym_solver mirrors a Newton Jacobian into
-  it when the Jacobian is not positive definite.
-
-The LAPACK routines (dgbtrf, dgbtrs, dgtsv, dpbtrf, dpbtrs, dpttrf, dpttrs)
-are scipy's own f2py wrappers, loaded from its extension module
+The LAPACK routines (dgbtrf, dgbtrs, dpbtrf, dpbtrs, dpttrf, dpttrs) are
+scipy's own f2py wrappers, loaded from its extension module
 scipy/linalg/_flapack without running the scipy.linalg package's __init__:
 that package's array-API layer imports numpy.f2py, numpy.testing, numpy.ma
 and numpy.random, which doubled the start-up of every command. They are the
@@ -22,7 +15,6 @@ bits. If the direct load fails, scipy.linalg.lapack is imported instead.
 """
 from __future__ import annotations
 
-import math
 import os
 from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
                                  FileFinder)
@@ -55,12 +47,12 @@ def _load_lapack():
 
 
 LAPACK = _load_lapack()
-dgbtrf, dgbtrs, dgtsv, dpbtrf, dpbtrs, dpttrf, dpttrs = (
-    LAPACK.dgbtrf, LAPACK.dgbtrs, LAPACK.dgtsv, LAPACK.dpbtrf, LAPACK.dpbtrs,
-    LAPACK.dpttrf, LAPACK.dpttrs)
+dgbtrf, dgbtrs, dpbtrf, dpbtrs, dpttrf, dpttrs = (
+    LAPACK.dgbtrf, LAPACK.dgbtrs, LAPACK.dpbtrf, LAPACK.dpbtrs, LAPACK.dpttrf,
+    LAPACK.dpttrs)
 
 __all__ = ["sym_matvec", "abs_matvec", "equilibrate", "cholesky",
-           "shifted_factor", "count_below", "sym_solver", "lu_solver"]
+           "shifted_factor", "count_below", "sym_solver"]
 
 
 def sym_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -134,7 +126,7 @@ def sym_solver(band: np.ndarray):
     """solve(rhs) for the symmetric matrix in lower storage band, factored
     once: by cholesky when it is positive definite, as every Newton
     Jacobian near a stable profile is (the Jacobian is the Hessian of the
-    model's energy), else by lu_solver on the band mirrored to full storage.
+    model's energy), else by the row-scaled LU of _lu_solver.
 
     Cholesky needs no row scaling: its backward error does not depend on a
     diagonal scaling of the matrix (Higham, Accuracy and Stability of
@@ -145,9 +137,7 @@ def sym_solver(band: np.ndarray):
     """
     if not np.isfinite(band).all():
         raise ValueError("band matrix must not contain infs or NaNs")
-    solve = cholesky(band)
-    if solve is None:
-        return lu_solver(_full_band(band))
+    solve = cholesky(band) or _lu_solver(band)
 
     def checked(rhs):
         if not np.isfinite(rhs).all():
@@ -156,70 +146,34 @@ def sym_solver(band: np.ndarray):
     return checked
 
 
-def _full_band(band: np.ndarray) -> np.ndarray:
-    """The symmetric matrix in lower storage band, in full band storage."""
-    b = band.shape[0] - 1
-    m = band.shape[1]
-    ab = np.zeros((2 * b + 1, m))
-    ab[b] = band[0]
-    for d in range(1, b + 1):
-        ab[b + d, :m - d] = ab[b - d, d:] = band[d, :m - d]
-    return ab
-
-
-def lu_solver(ab: np.ndarray):
-    """solve(rhs) for the square matrix in full band storage ab (equal sub-
-    and superdiagonal counts), factored once.
+def _lu_solver(band: np.ndarray):
+    """solve(rhs) for the symmetric matrix in lower storage band (finite),
+    by LU with partial pivoting: dgbtrf here, dgbtrs per call, the bits of
+    one dgbsv call per right-hand side.
 
     Each row and its right-hand side entry are first divided by the row's
     largest |entry| (by 1 where it is 0): the r^(N+1) weights of the Newton
     systems span ~50 decades at large N on a graded grid, and without the
-    row scaling the factorization loses the step. The scaled band goes
-    straight into LAPACK's storage: a tridiagonal matrix is solved by dgtsv
-    on every call, a wider one factored by dgbtrf here and solved by dgbtrs
-    per call, which gives the bits of one dgbsv call per right-hand side.
-    Entries of ab outside the matrix are ignored. A matrix or right-hand
-    side that is not finite raises ValueError, a zero pivot LinAlgError.
+    row scaling the factorization loses the step. Row i holds band[0, i],
+    band[d, i-d] left of the diagonal and band[d, i] right of it; entries
+    of band outside the matrix are not read. The scaled entries go straight
+    into dgbtrf's storage, A[i, j] at lu[2b + i - j, j] below b rows of
+    fill-in. A zero pivot raises LinAlgError.
     """
-    b = ab.shape[0] // 2
-    m = ab.shape[1]
-    mag = np.abs(ab)
-    rs = mag[b].copy()
-    for d in range(1, b + 1):       # superdiagonal d, then subdiagonal d
-        np.maximum(rs[:m - d], mag[b - d, d:], out=rs[:m - d])
-        np.maximum(rs[d:], mag[b + d, :m - d], out=rs[d:])
-    # every entry inside the matrix enters one row maximum, and NaN
-    # propagates through np.maximum and max
-    if not math.isfinite(rs.max()):
-        raise ValueError("band matrix must not contain infs or NaNs")
+    b = band.shape[0] - 1
+    m = band.shape[1]
+    mag = np.abs(band)
+    rs = mag[0].copy()
+    for d in range(1, b + 1):
+        np.maximum(rs[d:], mag[d, :m - d], out=rs[d:])
+        np.maximum(rs[:m - d], mag[d, :m - d], out=rs[:m - d])
     rs[rs == 0] = 1.0
-    lu = np.zeros((3 * b + 1, m), order="F")     # b rows of fill-in on top
-    for k in range(2 * b + 1):                   # ab[k, j] holds A[j+k-b, j]
-        j0, j1 = max(0, b - k), min(m, m + b - k)
-        np.divide(ab[k, j0:j1], rs[j0 + k - b:j1 + k - b],
-                  out=lu[b + k, j0:j1])
-
-    def scaled(rhs):
-        rhs = rhs / rs
-        if not np.isfinite(rhs).all():
-            raise ValueError("right-hand side must not contain infs or NaNs")
-        return rhs
-
-    if b == 1:
-        dl, d, du = lu[3, :-1], lu[2], lu[1, 1:]
-
-        def solve(rhs):
-            *_, x, info = dgtsv(dl, d, du, scaled(rhs))
-            if info > 0:
-                raise np.linalg.LinAlgError("singular matrix")
-            return x
-        return solve
-
+    lu = np.zeros((3 * b + 1, m), order="F")
+    np.divide(band[0], rs, out=lu[2 * b])
+    for d in range(1, b + 1):
+        np.divide(band[d, :m - d], rs[d:], out=lu[2 * b + d, :m - d])
+        np.divide(band[d, :m - d], rs[:m - d], out=lu[2 * b - d, d:])
     lu, piv, info = dgbtrf(lu, b, b, overwrite_ab=1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
-
-    def solve(rhs):
-        x, _ = dgbtrs(lu, b, b, scaled(rhs), piv)
-        return x
-    return solve
+    return lambda rhs: dgbtrs(lu, b, b, rhs / rs, piv)[0]

@@ -289,11 +289,23 @@ def _cache_key(cfg: RunConfig) -> str:
 
 
 def _cache_load(cfg: RunConfig) -> dict | None:
+    """The payload cached for cfg, or None on a miss. An entry that is not
+    a JSON object with an "artifacts" dict of strings and a "diagnostics"
+    dict (a truncated write, say) is a miss, which the run overwrites."""
     root = os.environ.get("VORTEXLAB_CACHE_DIR")
     path = root and os.path.join(root, _cache_key(cfg) + ".json")
-    if path and os.path.exists(path):
+    if not (path and os.path.exists(path)):
+        return None
+    try:
         with open(path) as fh:
-            return json.load(fh)
+            payload = json.load(fh)
+    except ValueError:              # not JSON, or not UTF-8
+        return None
+    if (isinstance(payload, dict)
+            and isinstance(payload.get("artifacts"), dict)
+            and all(isinstance(t, str) for t in payload["artifacts"].values())
+            and isinstance(payload.get("diagnostics"), dict)):
+        return payload
     return None
 
 

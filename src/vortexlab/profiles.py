@@ -881,15 +881,29 @@ def profile_to_json(profile) -> str:
 
 def profile_from_json(text: str):
     """The record profile_to_json wrote. A parameter missing from the text
-    (flags or no_escape in older files) takes the record's default."""
-    data = json.loads(text)
-    grid = grid_from_spec(data["N"], data["grid"])
-    cls = _RECORDS.get(data["model"])
-    if cls is None:
-        raise InputError(f"unknown profile model {data['model']!r}")
-    params = {name: _CODECS.get(name, _AS_IS)[1](data[name])
-              for name in cls.params if name in data}
-    fields = {u: np.asarray(data["fields"][u], dtype=float)
-              for u in cls.unknowns}
-    return cls(grid=grid, residual_norm=data["residual_norm"], **params,
-               **fields)
+    (flags or no_escape in older files) takes the record's default; text
+    that is not such a record raises InputError."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"profile JSON does not parse: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError("profile JSON must be an object, not "
+                         f"{type(data).__name__}")
+    try:
+        cls = _RECORDS.get(data["model"])
+        if cls is None:
+            raise InputError(f"unknown profile model {data['model']!r}")
+        grid = grid_from_spec(data["N"], data["grid"])
+        params = {name: _CODECS.get(name, _AS_IS)[1](data[name])
+                  for name in cls.params if name in data}
+        fields = {u: np.asarray(data["fields"][u], dtype=float)
+                  for u in cls.unknowns}
+        if any(a.shape != (grid.n,) for a in fields.values()):
+            raise InputError(f"each field needs {grid.n} node values")
+        return cls(grid=grid, residual_norm=data["residual_norm"], **params,
+                   **fields)
+    except KeyError as exc:
+        raise InputError(f"profile JSON lacks {exc}") from None
+    except (TypeError, ValueError) as exc:     # InputError is a ValueError
+        raise InputError(f"profile JSON is malformed: {exc}") from None

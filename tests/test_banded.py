@@ -11,31 +11,18 @@ import scipy.linalg
 from scipy.linalg.lapack import dpbtrf
 
 from vortexlab import banded
-from vortexlab.banded import (abs_matvec, count_below, lu_solver,
-                              shifted_factor, sym_matvec, sym_solver)
+from vortexlab.banded import (abs_matvec, count_below, shifted_factor,
+                              sym_matvec, sym_solver)
 
 from test_spectral import _dense as _sym_dense
 from test_spectral import ldl_count_below
 
-ROUTINES = ("dgbtrf", "dgbtrs", "dgtsv", "dpbtrf", "dpbtrs", "dpttrf",
-            "dpttrs")
-
-
-def _dense(ab):
-    """Dense matrix of full band storage ab[b + i - j, j] = A[i, j]."""
-    b = ab.shape[0] // 2
-    m = ab.shape[1]
-    A = np.zeros((m, m))
-    for k in range(2 * b + 1):
-        for j in range(m):
-            i = j + k - b
-            if 0 <= i < m:
-                A[i, j] = ab[k, j]
-    return A
+ROUTINES = ("dgbtrf", "dgbtrs", "dpbtrf", "dpbtrs", "dpttrf", "dpttrs")
 
 
 def _band(A, b):
-    """Full band storage of the dense matrix A (zeros outside it)."""
+    """Full band storage ab[b + i - j, j] = A[i, j] of the dense matrix A
+    (zeros outside it): solve_banded's layout."""
     m = A.shape[0]
     ab = np.zeros((2 * b + 1, m))
     for k in range(2 * b + 1):
@@ -44,15 +31,6 @@ def _band(A, b):
             if 0 <= i < m:
                 ab[k, j] = A[i, j]
     return ab
-
-
-def _graded_band(rng, b, m, decades):
-    """Random diagonally dominant band matrix whose rows are scaled over
-    `decades` decades (the weight spread of the Newton systems)."""
-    ab = rng.uniform(-1.0, 1.0, (2 * b + 1, m))
-    ab[b] = 2.0 * b + 1.0 + rng.uniform(0.0, 1.0, m)
-    A = _dense(ab) * np.logspace(0.0, -decades, m)[:, None]
-    return _band(A, b), A
 
 
 def _row_maxima(ab):
@@ -84,23 +62,47 @@ def _unit_rows(ab):
     return ab, rs
 
 
-def _reference_solver(ab, scale):
-    """Row scaling by _unit_rows (none if not scale), then
-    scipy.linalg.solve_banded: the bits lu_solver must reproduce."""
-    b = ab.shape[0] // 2
+def _reference_solver(band, scale):
+    """The symmetric matrix in lower storage band mirrored to full band
+    storage, its rows scaled by _unit_rows (not if not scale), then
+    scipy.linalg.solve_banded: the bits sym_solver's LU must reproduce. At
+    bandwidth 1 solve_banded takes dgtsv, so there the reference is the
+    dgbsv that it calls at every wider band."""
+    b = band.shape[0] - 1
+    ab = _band(_sym_dense(band), b)
     ab, rs = _unit_rows(ab) if scale else (ab, np.ones(ab.shape[1]))
+    if b == 1:
+        work = np.vstack([np.zeros((1, ab.shape[1])), ab])
+        return lambda rhs: scipy.linalg.lapack.dgbsv(1, 1, work, rhs / rs)[2]
     return lambda rhs: scipy.linalg.solve_banded((b, b), ab, rhs / rs)
+
+
+def _unit_diagonal(band):
+    """band under the diagonal congruence that makes every |A[i, i]| 1 (set
+    exactly). For a diagonally dominant band each row then peaks at 1 on
+    the diagonal."""
+    m = band.shape[1]
+    s = 1.0 / np.sqrt(np.abs(band[0]))
+    band = band.copy()
+    for d in range(1, band.shape[0]):
+        band[d, :m - d] *= s[d:] * s[:m - d]
+    band[0] = np.sign(band[0])
+    return band
 
 
 @pytest.mark.parametrize("b", [1, 2])
 @pytest.mark.parametrize("seed", range(5))
-def test_lu_solver_matches_dense_solve(b, seed):
+def test_lu_solver_matches_dense_solve(monkeypatch, b, seed):
+    # row weights over 40 decades: the LU scales each row first
+    handed = _counting_lu(monkeypatch)
     rng = np.random.default_rng(seed)
     m = 40 + 7 * seed
-    ab, A = _graded_band(rng, b, m, decades=40)
+    band = _symmetric_band(rng, b, m, 40, definite=False)
+    A = _sym_dense(band)
     x_true = rng.standard_normal(m)
     rhs = A @ x_true
-    got = lu_solver(ab)(rhs)
+    got = sym_solver(band)(rhs)
+    assert len(handed) == 1
     ref = np.linalg.solve(A, rhs)
     assert np.allclose(got, ref, rtol=1e-10, atol=1e-12)
     assert np.allclose(got, x_true, rtol=1e-10, atol=1e-12)
@@ -109,51 +111,60 @@ def test_lu_solver_matches_dense_solve(b, seed):
 @pytest.mark.parametrize("scale", [True, False])
 @pytest.mark.parametrize("b", [1, 2])
 @pytest.mark.parametrize("seed", range(3))
-def test_lu_solver_matches_row_scaled_solve_banded(b, seed, scale):
-    # scale=False hands over rows that already peak at 1, which lu_solver
-    # must solve as given: the bits of plain solve_banded
+def test_lu_solver_matches_row_scaled_solve_banded(monkeypatch, b, seed,
+                                                   scale):
+    # scale=False hands over rows that already peak at 1, which the LU must
+    # solve as given: the bits of the plain banded solve
+    handed = _counting_lu(monkeypatch)
     rng = np.random.default_rng(100 + seed)
     m = 50 + 9 * seed
-    ab, _ = _graded_band(rng, b, m, decades=40)
-    # entries outside the matrix are never read
-    ab[:b, 0] = rng.standard_normal(b)
-    ab[b + 1:, -1] = rng.standard_normal(b)
-    # a diagonal of structural zeros, as in the two-field Newton band
-    sparse = ab.copy()
-    sparse[b - 1, 1:] = 0.0
-    for band in (ab, sparse):
-        if not scale:
-            band = _unit_rows(band)[0]
-        solve = lu_solver(band)
-        ref = _reference_solver(band, scale)
+    band = _symmetric_band(rng, b, m, 40 if scale else 0, definite=False)
+    if not scale:
+        band = _unit_diagonal(band)
+    # a subdiagonal of structural zeros, as in the two-field Newton band
+    # at g = 0
+    sparse = band.copy()
+    sparse[1] = 0.0
+    for given in (band, sparse):
+        ref = _reference_solver(given, scale)
+        # entries of the storage outside the matrix are never read
+        for d in range(1, b + 1):
+            given[d, m - d:] = rng.standard_normal(d)
+        solve = sym_solver(given)
         for _ in range(3):                 # one factorization, three solves
             rhs = rng.standard_normal(m) * 10.0 ** rng.uniform(-20, 20, m)
             assert np.array_equal(solve(rhs), ref(rhs))
+    assert len(handed) == 2
 
 
 @pytest.mark.parametrize("scale", [True, False])
 @pytest.mark.parametrize("b", [1, 2])
-def test_lu_solver_rejects_singular_and_nonfinite(b, scale):
+def test_lu_solver_rejects_singular_and_nonfinite(monkeypatch, b, scale):
+    # the Cholesky fails at the negative pivot m // 3 = 6, before the zero
+    # row 7, so the LU finds the singularity itself
+    handed = _counting_lu(monkeypatch)
     rng = np.random.default_rng(b)
     m = 20
-    ab, A = _graded_band(rng, b, m, decades=10)
-
-    def given(band):                       # what lu_solver is handed
-        return band if scale else _unit_rows(band)[0]
-
+    band = _symmetric_band(rng, b, m, 10 if scale else 0, definite=False)
+    if not scale:
+        band = _unit_diagonal(band)
     rhs = np.ones(m)
-    singular = A.copy()
-    singular[7] = 0.0                      # a zero row: its maximum is 0
-    singular = _band(singular, b)
+    singular = band.copy()
+    singular[:, 7] = 0.0                       # row and column 7 of A
+    for d in range(1, b + 1):
+        singular[d, 7 - d] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        lu_solver(given(singular))(rhs)
-    bad = ab.copy()
-    bad[b, 3] = np.nan
+        sym_solver(singular)
+    assert len(handed) == 1
+    bad = band.copy()
+    bad[0, 3] = np.nan
     with pytest.raises(ValueError):
-        lu_solver(given(bad))(rhs)
+        sym_solver(bad)
     rhs[5] = np.nan
+    solve = sym_solver(band)
     with pytest.raises(ValueError):
-        lu_solver(given(ab))(rhs)
+        solve(rhs)
+    assert len(handed) == 2
 
 
 def _graded_tridiagonal_pencil(rng, m, decades):
@@ -208,12 +219,13 @@ def test_shifted_factor_solves_where_definite(b):
         assert shifted_factor(Ab, Mb, sigma) is None
 
 
-def test_lu_solver_leaves_its_input_alone():
+def test_lu_solver_leaves_its_input_alone(monkeypatch):
+    handed = _counting_lu(monkeypatch)
     rng = np.random.default_rng(7)
-    ab, _ = _graded_band(rng, 2, 30, decades=10)
-    before = ab.copy()
-    lu_solver(ab)(np.ones(30))
-    assert np.array_equal(ab, before)
+    band = _symmetric_band(rng, 2, 30, 10, definite=False)
+    before = band.copy()
+    sym_solver(band)(np.ones(30))
+    assert len(handed) == 1 and np.array_equal(band, before)
 
 
 def _symmetric_band(rng, b, m, decades, definite):
@@ -233,15 +245,15 @@ def _symmetric_band(rng, b, m, decades, definite):
 
 
 def _counting_lu(monkeypatch):
-    """The bands that banded.sym_solver hands to lu_solver while the test
+    """The bands that banded.sym_solver hands to its LU while the test
     runs."""
-    handed, real = [], banded.lu_solver
+    handed, real = [], banded._lu_solver
 
-    def counting(ab):
-        handed.append(ab.copy())
-        return real(ab)
+    def counting(band):
+        handed.append(band.copy())
+        return real(band)
 
-    monkeypatch.setattr(banded, "lu_solver", counting)
+    monkeypatch.setattr(banded, "_lu_solver", counting)
     return handed
 
 
@@ -251,7 +263,7 @@ def _counting_lu(monkeypatch):
 @pytest.mark.parametrize("seed", range(3))
 def test_sym_solver_matches_dense_solve(monkeypatch, b, definite, seed):
     # a positive definite band is solved by Cholesky alone; an indefinite
-    # one by the LU of its mirror, to the bits of lu_solver on that mirror
+    # one by the row-scaled LU of the band itself
     handed = _counting_lu(monkeypatch)
     rng = np.random.default_rng(30 + seed)
     m = 40 + 7 * seed
@@ -269,8 +281,8 @@ def test_sym_solver_matches_dense_solve(monkeypatch, b, definite, seed):
     if definite:
         assert handed == []
     else:
-        assert len(handed) == 1 and np.array_equal(handed[0], _band(A, b))
-        assert np.array_equal(got, lu_solver(_band(A, b))(rhs))
+        assert len(handed) == 1 and np.array_equal(handed[0], band)
+        assert np.array_equal(got, _reference_solver(band, True)(rhs))
 
 
 @pytest.mark.parametrize("definite", [True, False],
@@ -290,7 +302,7 @@ def test_sym_solver_rejects_singular_and_nonfinite(monkeypatch, b, definite):
     for d in range(1, b + 1):
         singular[d, 7 - d] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        sym_solver(singular)(rhs)           # dgtsv factors on each solve
+        sym_solver(singular)(rhs)
     assert len(handed) == 1
     for d, j in ((0, 3), (1, 3), (b, 0), (b, m - 1)):  # m - 1: outside A
         for value in (np.nan, np.inf, -np.inf):
@@ -377,15 +389,12 @@ def _banded_pencil(rng, b, m):
 
 
 # every path through banded, with the LAPACK routines it calls in order on
-# the inputs of _lapack_runs: lu_solver at bandwidth 1 (dgtsv, on each
-# solve) and 2 (dgbtrf, then dgbtrs per solve); sym_solver by Cholesky
-# where definite and by the LU of the mirror after a failed Cholesky where
-# not; count_below at five shifts, and a shifted_factor solve
+# the inputs of _lapack_runs: sym_solver by Cholesky where definite and by
+# the LU after a failed Cholesky where not (dgbtrf, then dgbtrs per solve);
+# count_below at five shifts, and a shifted_factor solve
 LAPACK_PATHS = {
-    "lu_solver b=1": ["dgtsv", "dgtsv"],
     "sym_solver b=1 definite": ["dpttrf", "dpttrs", "dpttrs"],
-    "sym_solver b=1 indefinite": ["dpttrf", "dgtsv", "dgtsv"],
-    "lu_solver b=2": ["dgbtrf", "dgbtrs", "dgbtrs"],
+    "sym_solver b=1 indefinite": ["dpttrf", "dgbtrf", "dgbtrs", "dgbtrs"],
     "sym_solver b=2 definite": ["dpbtrf", "dpbtrs", "dpbtrs"],
     "sym_solver b=2 indefinite": ["dpbtrf", "dgbtrf", "dgbtrs", "dgbtrs"],
     "count_below b=1": ["dpttrf"] * 5,
@@ -402,10 +411,6 @@ def _lapack_runs(rng):
     (path, what it gave) after each; "factor" is the Cholesky factor
     itself."""
     for b in (1, 2):
-        ab, _ = _graded_band(rng, b, 60, decades=30)
-        solve = lu_solver(ab)
-        yield f"lu_solver b={b}", [solve(rng.standard_normal(60))
-                                   for _ in range(2)]
         for kind in ("definite", "indefinite"):
             band = _symmetric_band(rng, b, 60, 30, kind == "definite")
             solve = sym_solver(band)

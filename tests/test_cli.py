@@ -86,6 +86,24 @@ def test_cache_reuse(tmp_path, monkeypatch):
     assert len(list(cache.iterdir())) == 1
 
 
+def test_corrupt_cache_entry_is_a_miss(tmp_path, monkeypatch):
+    # a truncated entry and one without diagnostics are solved again, and
+    # the entry is overwritten with the solved payload
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("VORTEXLAB_CACHE_DIR", str(cache))
+    args = ("profile", "--N", "3", "--W", "quadratic", "--eps", "0.3",
+            "--grid-n", "100")
+    assert _run(tmp_path / "cold", *args) == 0
+    entry, = cache.iterdir()
+    good = entry.read_text()
+    csv = (tmp_path / "cold" / "profile.csv").read_text()
+    for k, bad in enumerate((good[:len(good) // 2], '{"artifacts": {}}')):
+        entry.write_text(bad)
+        assert _run(tmp_path / f"again{k}", *args) == 0
+        assert entry.read_text() == good
+        assert (tmp_path / f"again{k}" / "profile.csv").read_text() == csv
+
+
 def test_cache_only_for_profile_and_eigen(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("VORTEXLAB_CACHE_DIR", str(cache))

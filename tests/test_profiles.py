@@ -592,6 +592,18 @@ def test_newton_takes_cholesky_iff_the_escape_criterion_is_positive(
     assert ell > 0 or p.branch == "escaping"
 
 
+def test_newton_through_the_tridiagonal_lu(monkeypatch):
+    # v = 0.5 is far from the profile: its GL Hessians are not positive
+    # definite, so Newton steps through the row-scaled LU at bandwidth 1,
+    # and still lands on the cold solve
+    handed = _counting_lu(monkeypatch)
+    grid = make_grid(3, 400, {"graded": 2.0})
+    warm = solve_gl_profile(3, QUAD, 0.1, grid, v_init=np.full(400, 0.5))
+    assert any(band.shape[0] == 2 for band in handed)
+    cold = solve_gl_profile(3, QUAD, 0.1, grid)
+    assert np.max(np.abs(warm.v - cold.v)) <= 1e-11 * np.max(np.abs(cold.v))
+
+
 # ---------------------------------------------------------------------------
 # Newton residuals against the full-array formulas they replaced: the face
 # fluxes of np.append-ed fields (the Dirichlet value at node n-1) minus the
@@ -965,6 +977,15 @@ def test_unknown_model_and_non_profiles_are_input_errors():
     text = PINNED_JSON["gl"].replace('"model": "gl"', '"model": "torus"')
     with pytest.raises(InputError, match="unknown profile model 'torus'"):
         profile_from_json(text)
+    for bad, problem in (("{", "does not parse"),
+                         ('{"model": "gl"}', "lacks 'N'"),
+                         ("[]", "object, not list"),
+                         ('{"model": "gl", "N": 3, "grid": [],'
+                          ' "fields": {}, "residual_norm": 0}', "malformed"),
+                         (PINNED_JSON["gl"].replace('"v": [', '"v": [0.5, '),
+                          "node values")):
+        with pytest.raises(InputError, match=problem):
+            profile_from_json(bad)
     for call in (residual, profile_to_csv, profile_to_json):
         with pytest.raises(InputError, match="not a profile"):
             call(object())
