@@ -16,6 +16,10 @@ the finite-volume operator of RadialGrid.flux_residual and
 RadialGrid.stiffness (stencil and boundary conventions are documented there)
 plus pointwise well terms. A solved profile is a critical point of the
 energy it reports.
+
+Each record class describes its model's Newton problem once, for one
+assembler and one residual check (see above _derivative). The energy
+functions and pohozaev_check refuse another model's record.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from functools import partial
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Callable
@@ -168,24 +173,25 @@ def _rounding_floor(solve, z) -> float:
 # discrete operators (shared by solvers and the independent residual check)
 
 
-# One residual body per model reads the unknowns at nodes 0..n-2 and the
-# Dirichlet value `right` at node n-1: Newton's iterate and the model's
-# boundary value, or a record's stored fields, and is the gradient of the
-# model's reduced energy in those unknowns. It takes the model's stage,
-# what stays fixed while Newton solves at one eps or eta: products of the
-# grid's weights with the parameters, and each potential derivative as a
-# function of its argument (clamped onto the domain), which is a Python
-# float where Potential.constant says the derivative is one constant. A
-# float enters the same expressions in the same order as an array of that
-# value would, so every entry keeps its bits; no body branches on the
-# potential. An assembler builds its stage once and evaluates only what the
-# iterate changes; a record's _residual_parts builds the stage on the spot.
-# Each Jacobian is the Hessian of the model's energy, kept in symmetric
-# lower storage: it copies the grid's stiffness band (RadialGrid.
-# stiffness_band, built once per grid) and adds the iterate's reaction
-# entries, the diagonal and, in the two-field model, the v-g coupling below
-# it. sym_solver factors it by Cholesky, as it is positive definite near
-# every stable solution, and by the row-scaled LU only where a pivot fails.
+# Each record class below describes its model's Newton problem: each
+# unknown's face power N + p (_powers) and value at r = 1 (_right), the
+# hat_weights shifts its stage reads (_shifts), _stage and _reaction. The
+# stage, _stage(grid, *params), is what stays fixed while Newton solves at
+# one eps or eta (GL takes the two-field one): products of the grid's
+# weights with the parameters, and each potential derivative as a function
+# of its argument (clamped onto the domain), a Python float where
+# Potential.constant says the derivative is one constant. A float enters
+# the same expressions in the same order as an array of that value would,
+# so every entry keeps its bits; no reaction branches on the potential.
+# _gradient reads the description at the unknowns on nodes 0..n-2 and their
+# values at node n-1 (Newton's iterate and _right, or a record's fields):
+# _reaction(st, rows, *fields) subtracts the well and penalty gradient from
+# the fields' flux rows, making them the gradient of the model's reduced
+# energy, and returns hessian(jac), which adds the same terms' Hessian
+# entries (the diagonal and, in the two-field model, the v-g coupling below
+# it) to a copy of the grid's stiffness_band in symmetric lower storage.
+# sym_solver factors it by Cholesky, as it is positive definite near every
+# stable solution, and by the row-scaled LU only where a pivot fails.
 # _newton returns the final iterate's sup norm, the very value residual()
 # recomputes, and a solved record stores it.
 
@@ -212,123 +218,32 @@ def _checked_band(grid, powers, shifts):
     return band
 
 
-def _gl_stage(grid, eps, well):
-    r = grid.nodes[:-1]
-    return SimpleNamespace(grid=grid, rr=r * r, r2x2=2 * r**2,
-                           me=r * r * grid.hat_weights(0)[:-1] / eps**2,
-                           wp=_derivative(well, 1), wpp=_derivative(well, 2))
+def _gradient(model, st, fields, rights):
+    """The model's energy gradient at its fields on nodes 0..n-2 (values
+    rights at node n-1), interleaved as Newton orders them, and hessian."""
+    k = len(fields)
+    res = np.empty(k * fields[0].size)
+    rows = [st.grid.flux_residual(u, st.grid.N + p, out=res[i::k], right=r)
+            for i, (u, p, r) in enumerate(zip(fields, model._powers, rights))]
+    return res, model._reaction(st, rows, *fields)
 
 
-def _gl_residual(st, v, right):
-    """FV residual of (r^{N+1} v')' = -(r^{N+1}/eps²) W'(1-r²v²) v at nodes
-    0..n-2, with the well's argument x and W'(x) there."""
-    x = 1.0 - st.rr * v * v
-    wp = st.wp(x)
-    res = st.grid.flux_residual(v, st.grid.N + 1, right=right)
-    res -= st.me * wp * v
-    return res, x, wp
-
-
-def _gl_assemble(grid, eps, well):
-    st = _gl_stage(grid, eps, well)
-    band = _checked_band(grid, (grid.N + 1,), (0,))
-
-    def assemble(vi):
-        res, x, wp = _gl_residual(st, vi, 1.0)
-
-        def jacobian():
-            jac = band.copy()
-            jac[0] -= st.me * (wp - st.r2x2 * vi**2 * st.wpp(x))
-            return jac
-        return res, _lazy_solver(jacobian)
-
-    return assemble
-
-
-def _extended_stage(grid, eps, eta, well, penalty):
-    r = grid.nodes[:-1]
-    mg = grid.hat_weights(0)[:-1]
-    return SimpleNamespace(
-        grid=grid, eps2=eps**2, eta2=eta**2, r=r, rr=r * r, mg=mg,
-        mve=r * r * mg / eps**2,
-        wp=_derivative(well, 1), wpp=_derivative(well, 2),
-        tp=_derivative(penalty, 1), tpp=_derivative(penalty, 2))
-
-
-def _extended_residual(st, v, g, right):
-    """Residuals of the v and g equations at nodes 0..n-2, interleaved as
-    Newton orders the unknowns (right = the Dirichlet values of v and g),
-    with the well's argument x, g², W'(x) and Wt'(g²) there."""
-    g2 = g * g
-    x = 1.0 - st.rr * v * v - g2
-    wp = st.wp(x)
-    tp = st.tp(g2)
-    res = np.empty(2 * v.size)
-    N = st.grid.N
-    res_v = st.grid.flux_residual(v, N + 1, out=res[0::2], right=right[0])
-    res_g = st.grid.flux_residual(g, N - 1, out=res[1::2], right=right[1])
-    res_v -= st.mve * wp * v
-    res_g -= st.mg * (wp / st.eps2 - tp / st.eta2) * g
-    return res, x, g2, wp, tp
-
-
-def _extended_assemble(grid, eps, eta, well, penalty):
-    st = _extended_stage(grid, eps, eta, well, penalty)
-    band = _checked_band(grid, (grid.N + 1, grid.N - 1), (0,))
+def _assemble(model, grid, *params):
+    """assemble(z) -> (gradient, solve) for _newton at the interleaved
+    unknowns z, params the leading model.params: the stage and band are
+    built once, and _lazy_solver builds and factors the Hessian."""
+    st = model._stage(grid, *params)
+    band = _checked_band(grid, [grid.N + p for p in model._powers],
+                         model._shifts)
+    k = len(model._right)
 
     def assemble(z):
-        v, g = z[0::2], z[1::2]
-        res, x, g2, wp, tp = _extended_residual(st, v, g, (1.0, 0.0))
+        res, hessian = _gradient(model, st, [z[i::k] for i in range(k)],
+                                 model._right)
 
         def jacobian():
-            wpp = st.wpp(x)
-            tpp = st.tpp(g2)
-            rv = st.r * v
-            g2x2 = 2 * g * g
             jac = band.copy()
-            jac[0, 0::2] -= st.mve * (wp - 2 * rv * rv * wpp)
-            jac[0, 1::2] -= st.mg * ((wp - g2x2 * wpp) / st.eps2
-                                     - (tp + g2x2 * tpp) / st.eta2)
-            jac[1, 0::2] = 2 * st.mve * v * g * wpp    # A[2j+1, 2j]: v-g
-            return jac
-        return res, _lazy_solver(jacobian)
-
-    return assemble
-
-
-def _sphere_stage(grid, eta, penalty):
-    return SimpleNamespace(grid=grid,
-                           cent=(grid.N - 1) * grid.hat_weights(-2)[:-1],
-                           m0e=grid.hat_weights(0)[:-1] / eta**2,
-                           tp=_derivative(penalty, 1),
-                           tpp=_derivative(penalty, 2))
-
-
-def _sphere_residual(st, theta, right):
-    """Residual of the θ equation at nodes 0..n-2, with cos²θ and
-    Wt'(cos²θ) there."""
-    c = np.cos(theta)
-    c2 = c**2
-    sc = np.sin(theta) * c
-    tp = st.tp(c2)
-    res = st.grid.flux_residual(theta, st.grid.N - 1, right=right)
-    res += st.cent * sc - st.m0e * tp * sc
-    return res, c2, tp
-
-
-def _sphere_assemble(grid, eta, penalty):
-    st = _sphere_stage(grid, eta, penalty)
-    band = _checked_band(grid, (grid.N - 1,), (0, -2))
-
-    def assemble(ti):
-        res, c2, tp = _sphere_residual(st, ti, 0.5 * math.pi)
-
-        def jacobian():
-            cos2 = np.cos(2 * ti)
-            sin2 = np.sin(2 * ti)
-            jac = band.copy()
-            jac[0] += st.cent * cos2
-            jac[0] -= st.m0e * (tp * cos2 - 0.5 * st.tpp(c2) * sin2 * sin2)
+            hessian(jac)
             return jac
         return res, _lazy_solver(jacobian)
 
@@ -342,7 +257,16 @@ def _sphere_assemble(grid, eta, penalty):
 class _Record:
     """What a profile record states about its model, once: model (its name
     in JSON), params (the parameters its metadata carries), unknowns (the
-    stored fields) and columns (the CSV columns after r)."""
+    stored fields), columns (the CSV columns after r), and its Newton
+    problem (see above _derivative), whose _stage ignores trailing params."""
+
+    def _residual_parts(self):
+        """Each field's gradient rows from the stored fields and params."""
+        st = self._stage(self.grid, *(getattr(self, p) for p in self.params))
+        fields = [getattr(self, u) for u in self.unknowns]
+        res = _gradient(self, st, [u[:-1] for u in fields],
+                        [u[-1] for u in fields])[0]
+        return tuple(res[i::len(fields)] for i in range(len(fields)))
 
 
 class _Amplitude(_Record):
@@ -360,6 +284,7 @@ class GLProfile(_Amplitude):
     params = ("eps", "well")
     unknowns = ("v",)
     columns = ("f",)
+    _powers, _right, _shifts = (1,), (1.0,), (0,)
 
     grid: RadialGrid
     eps: float
@@ -368,9 +293,20 @@ class GLProfile(_Amplitude):
     residual_norm: float
     solver_trace: list = field(repr=False, default_factory=list)
 
-    def _residual_parts(self):
-        return _gl_residual(_gl_stage(self.grid, self.eps, self.well),
-                            self.v[:-1], self.v[-1])[:1]
+    @staticmethod
+    def _stage(grid, eps, well):
+        return ExtendedProfile._stage(grid, eps, 1.0, well, Potential.zero())
+
+    @staticmethod
+    def _reaction(st, rows, v):
+        """(r^{N+1} v')' = -(r^{N+1}/eps²) W'(1-r²v²) v."""
+        x = 1.0 - st.rr * v * v
+        wp = st.wp(x)
+        rows[0] -= st.mve * wp * v
+
+        def hessian(jac):
+            jac[0] -= st.mve * (wp - 2 * st.rr * v**2 * st.wpp(x))
+        return hessian
 
 
 @dataclass(frozen=True)
@@ -379,6 +315,7 @@ class ExtendedProfile(_Amplitude):
     params = ("eps", "eta", "well", "penalty", "branch", "flags")
     unknowns = ("v", "g")
     columns = ("f", "g")
+    _powers, _right, _shifts = (1, -1), (1.0, 0.0), (0,)
 
     grid: RadialGrid
     eps: float
@@ -392,12 +329,36 @@ class ExtendedProfile(_Amplitude):
     solver_trace: list = field(repr=False, default_factory=list)
     flags: tuple = ()
 
-    def _residual_parts(self):
-        st = _extended_stage(self.grid, self.eps, self.eta, self.well,
-                             self.penalty)
-        res = _extended_residual(st, self.v[:-1], self.g[:-1],
-                                 (self.v[-1], self.g[-1]))[0]
-        return res[0::2], res[1::2]
+    @staticmethod
+    def _stage(grid, eps, eta, well, penalty, *_):
+        r = grid.nodes[:-1]
+        mg = grid.hat_weights(0)[:-1]
+        return SimpleNamespace(
+            grid=grid, eps2=eps**2, eta2=eta**2, r=r, rr=r * r, mg=mg,
+            mve=r * r * mg / eps**2,
+            wp=_derivative(well, 1), wpp=_derivative(well, 2),
+            tp=_derivative(penalty, 1), tpp=_derivative(penalty, 2))
+
+    @staticmethod
+    def _reaction(st, rows, v, g):
+        """The v and g equations, W' at x = 1 - r²v² - g², Wt' at g²."""
+        g2 = g * g
+        x = 1.0 - st.rr * v * v - g2
+        wp = st.wp(x)
+        tp = st.tp(g2)
+        rows[0] -= st.mve * wp * v
+        rows[1] -= st.mg * (wp / st.eps2 - tp / st.eta2) * g
+
+        def hessian(jac):
+            wpp = st.wpp(x)
+            tpp = st.tpp(g2)
+            rv = st.r * v
+            g2x2 = 2 * g * g
+            jac[0, 0::2] -= st.mve * (wp - 2 * rv * rv * wpp)
+            jac[0, 1::2] -= st.mg * ((wp - g2x2 * wpp) / st.eps2
+                                     - (tp + g2x2 * tpp) / st.eta2)
+            jac[1, 0::2] = 2 * st.mve * v * g * wpp    # A[2j+1, 2j]: v-g
+        return hessian
 
 
 @dataclass(frozen=True)
@@ -406,6 +367,7 @@ class SphereProfile(_Record):
     params = ("eta", "penalty", "no_escape")
     unknowns = ("theta",)
     columns = ("theta",)
+    _powers, _right, _shifts = (-1,), (0.5 * math.pi,), (0, -2)
 
     grid: RadialGrid
     eta: float
@@ -416,19 +378,46 @@ class SphereProfile(_Record):
                                   # no solution found beats its energy
     solver_trace: list = field(repr=False, default_factory=list)
 
-    def _residual_parts(self):
-        return _sphere_residual(_sphere_stage(self.grid, self.eta,
-                                              self.penalty),
-                                self.theta[:-1], self.theta[-1])[:1]
+    @staticmethod
+    def _stage(grid, eta, penalty, *_):
+        return SimpleNamespace(grid=grid,
+                               cent=(grid.N - 1) * grid.hat_weights(-2)[:-1],
+                               m0e=grid.hat_weights(0)[:-1] / eta**2,
+                               tp=_derivative(penalty, 1),
+                               tpp=_derivative(penalty, 2))
+
+    @staticmethod
+    def _reaction(st, rows, theta):
+        """The θ equation, with Wt' at cos²θ."""
+        c = np.cos(theta)
+        c2 = c**2
+        sc = np.sin(theta) * c
+        tp = st.tp(c2)
+        rows[0] += st.cent * sc - st.m0e * tp * sc
+
+        def hessian(jac):
+            cos2 = np.cos(2 * theta)
+            sin2 = np.sin(2 * theta)
+            jac[0] += st.cent * cos2
+            jac[0] -= st.m0e * (tp * cos2 - 0.5 * st.tpp(c2) * sin2 * sin2)
+        return hessian
 
 
 _RECORDS = {cls.model: cls for cls in (GLProfile, ExtendedProfile,
                                        SphereProfile)}
+# each model's assembler, its params in its class's params order
+_gl_assemble = partial(_assemble, GLProfile)
+_extended_assemble = partial(_assemble, ExtendedProfile)
+_sphere_assemble = partial(_assemble, SphereProfile)
 
 
-def _record(profile):
+def _record(profile, *models):
+    """profile, if it is a record, and one of models where they are given."""
     if not isinstance(profile, _Record):
         raise InputError(f"not a profile: {profile!r}")
+    if models and not isinstance(profile, models):
+        raise InputError(f"needs a {' or '.join(m.model for m in models)} "
+                         f"profile, got model {profile.model!r}")
     return profile
 
 
@@ -495,10 +484,10 @@ def gl_eps_tangent(p: GLProfile) -> np.ndarray:
     Newton Jacobian J at p.v, where dF/deps = 2 r² hat_w(0) W'(x) v / eps^3
     is the residual's derivative in eps at fixed v."""
     v = p.v[:-1]
-    st = _gl_stage(p.grid, p.eps, p.well)
+    st = GLProfile._stage(p.grid, p.eps, p.well)
     wp = st.wp(1.0 - st.rr * v * v)
     solve = _gl_assemble(p.grid, p.eps, p.well)(v)[1]
-    return np.append(solve(-2.0 * st.me * wp * v / p.eps), 0.0)
+    return np.append(solve(-2.0 * st.mve * wp * v / p.eps), 0.0)
 
 
 _LADDER_LOCK = threading.Lock()
@@ -781,13 +770,17 @@ def _dirichlet_energy(grid, u, power) -> float:
 
 def reduced_energy_gl(p: GLProfile, W: Potential, eps: float) -> float:
     """The two-field energy at g ≡ 0 with no penalty: its g terms are exact
-    zeros, so this is the GL energy bit for bit."""
-    return reduced_energy_extended(p, W, Potential.zero(), eps, 1.0)
+    zeros, so this is the GL energy bit for bit. Only a GLProfile has one."""
+    return reduced_energy_extended(_record(p, GLProfile), W, Potential.zero(),
+                                   eps, 1.0)
 
 
 def reduced_energy_extended(p, W: Potential, Wt: Potential, eps: float,
                             eta: float) -> float:
     """Accepts an ExtendedProfile (or a GLProfile, treated as g ≡ 0)."""
+    _record(p, ExtendedProfile, GLProfile)
+    _check_scale("eps", eps)
+    _check_scale("eta", eta)
     W = Potential.from_spec(W)
     Wt = Potential.from_spec(Wt)
     grid = p.grid
@@ -804,6 +797,8 @@ def reduced_energy_extended(p, W: Potential, Wt: Potential, eps: float,
 
 
 def reduced_energy_mm(p: SphereProfile, Wt: Potential, eta: float) -> float:
+    _record(p, SphereProfile)
+    _check_scale("eta", eta)
     Wt = Potential.from_spec(Wt)
     grid = p.grid
     pen = Wt.eval(np.cos(p.theta)**2, 0, clamp=True)
@@ -832,6 +827,8 @@ def pohozaev_check(p: SphereProfile, Wt: Potential, eta: float) -> float:
 
     evaluated with second-order node derivatives. Small values certify that
     θ solves the angle ODE; O(1) values reject non-solutions."""
+    _record(p, SphereProfile)
+    _check_scale("eta", eta)
     Wt = Potential.from_spec(Wt)
     grid = p.grid
     r = grid.nodes

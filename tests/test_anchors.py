@@ -1,7 +1,8 @@
 """Continuum facts that the discretization must converge to, each checked
-at two grid sizes (an eigenvalue with its observed order). None of them
-restates the discretization: the references are Bessel zeros and the Hardy
-inequality.
+at two grid sizes (an eigenvalue with its observed order) or along a limit
+with its observed order. None of them restates the discretization: the
+references are Bessel zeros, the Hardy inequality and the sphere model as
+the two-field model's eps -> 0 limit.
 
 Two anchors that the present pencils fail are left out until they get a
 regular origin closure and a conforming stiffness: N = 2 at k = 1 comes out
@@ -19,10 +20,13 @@ from scipy.optimize import brentq
 from scipy.special import jv
 
 from vortexlab import (Potential, RadialPencil, make_grid, mode_block,
-                       mode_min_eigenvalue, solve_gl_profile)
+                       mode_min_eigenvalue, reduced_energy_extended,
+                       reduced_energy_mm, solve_extended_profile,
+                       solve_gl_profile, solve_sphere_profile)
 from vortexlab.banded import count_below
 
 ZERO = Potential.from_spec("zero")
+QUAD = Potential.quadratic()
 LIN = Potential.linear()
 
 
@@ -65,3 +69,24 @@ def test_equator_hardy_split(N, below, n):
                          (("q", "q", -(N - 1.0), -2),
                           ("q", "q", LIN.eval(0.0, 1) / eta ** 2, 0)), 0.0)
     assert count_below(block.A, block.M, 0.0) == below
+
+
+def test_two_field_profile_tends_to_the_sphere_profile_at_order_two():
+    # as eps -> 0 the well forces f² + g² = 1, and the escaping (f, g) tends
+    # to (sin θ, cos θ) of the sphere profile at the same eta, its energy to
+    # the sphere energy, both at O(eps²): halving eps divides each gap by 4
+    N, eta = 3, 1.0
+    grid = make_grid(N, 2000, {"graded": 2.0})
+    sphere = solve_sphere_profile(N, LIN, eta, grid)
+    assert not sphere.no_escape
+    deviations, energy_gaps = [], []
+    for eps in (0.02, 0.01, 0.005):
+        p = solve_extended_profile(N, QUAD, LIN, eps, eta, grid)
+        assert p.branch == "escaping", eps
+        deviations.append(max(np.max(np.abs(p.f - np.sin(sphere.theta))),
+                              np.max(np.abs(p.g - np.cos(sphere.theta)))))
+        energy_gaps.append(reduced_energy_extended(p, QUAD, LIN, eps, eta)
+                           - reduced_energy_mm(sphere, LIN, eta))
+    for gaps in (deviations, energy_gaps):
+        orders = [math.log2(a / b) for a, b in zip(gaps, gaps[1:])]
+        assert all(1.9 <= q <= 2.1 for q in orders), (gaps, orders)

@@ -999,3 +999,58 @@ def test_gl_refinement_consistency(eps):
     mid_c = float(np.interp(0.5, coarse.grid.nodes, coarse.f))
     mid_f = float(np.interp(0.5, fine.grid.nodes, fine.f))
     assert abs(mid_c - mid_f) < 5e-4
+
+
+# ---------------------------------------------------------------------------
+# the public energies and the Pohozaev check read only their own model's
+# records, at a length scale the equations can divide by
+
+
+@pytest.fixture(scope="module")
+def three_models():
+    grid = make_grid(3, 200, {"graded": 2.0})
+    return (solve_gl_profile(3, QUAD, 0.3, grid),
+            solve_extended_profile(3, QUAD, LIN, 0.1, 1.0, grid),
+            solve_sphere_profile(3, LIN, 1.0, grid))
+
+
+def test_energies_refuse_another_models_record(three_models):
+    # an escaping record's g terms are no GL energy; reduced_energy_extended
+    # keeps taking a GL record as g ≡ 0
+    gl, ext, sph = three_models
+    assert ext.branch == "escaping" and not sph.no_escape
+    for call, args, takes in ((reduced_energy_gl, (QUAD, 0.3), (gl,)),
+                              (reduced_energy_extended, (QUAD, LIN, 0.1, 1.0),
+                               (gl, ext)),
+                              (reduced_energy_mm, (LIN, 1.0), (sph,)),
+                              (pohozaev_check, (LIN, 1.0), (sph,))):
+        for p in three_models:
+            if any(p is q for q in takes):
+                assert math.isfinite(call(p, *args))
+            else:
+                with pytest.raises(InputError, match=f"got model '{p.model}'"):
+                    call(p, *args)
+        with pytest.raises(InputError, match="not a profile"):
+            call(None, *args)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, 1e-160])
+def test_energies_refuse_a_bad_length_scale(three_models, bad):
+    gl, ext, sph = three_models
+    for call in (lambda: reduced_energy_gl(gl, QUAD, bad),
+                 lambda: reduced_energy_extended(ext, QUAD, LIN, bad, 1.0),
+                 lambda: reduced_energy_extended(ext, QUAD, LIN, 0.1, bad),
+                 lambda: reduced_energy_mm(sph, LIN, bad),
+                 lambda: pohozaev_check(sph, LIN, bad)):
+        with pytest.raises(InputError, match="must be positive"):
+            call()
+
+
+def test_energies_take_eta_inf(three_models):
+    # eta = inf drops the penalty term, as the sphere solve at --eta inf uses
+    gl, _, sph = three_models
+    assert (reduced_energy_extended(gl, QUAD, LIN, 0.3, math.inf)
+            == reduced_energy_gl(gl, QUAD, 0.3))
+    assert reduced_energy_mm(sph, LIN, math.inf) < reduced_energy_mm(
+        sph, LIN, 1.0)
+    assert math.isfinite(pohozaev_check(sph, LIN, math.inf))
